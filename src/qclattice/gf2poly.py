@@ -4,7 +4,16 @@ Polynomials are plain Python integers: bit ``i`` holds the coefficient of
 ``x**i``.  Everything here is exact; there is no floating point and no
 dependency on array libraries, so these routines are safe to use from any
 module, including key generation.
+
+Products use a 4-bit window (Horner over the hex digits of the shorter
+operand).  Squaring spreads bits through two 256-byte translation tables.
+Reduction folds the part above the leading term of a sparse modulus back
+down with one shift-XOR per lower term (Hankerson, Menezes & Vanstone,
+*Guide to Elliptic Curve Cryptography*, 2004, sec. 2.3.5), and falls back
+to the bit-serial loop for dense moduli.
 """
+
+import functools
 
 
 def degree(a: int) -> int:
@@ -12,21 +21,58 @@ def degree(a: int) -> int:
     return a.bit_length() - 1
 
 
+_NIBBLE = {c: i for i, c in enumerate("0123456789abcdef")}
+
+
 def mul(a: int, b: int) -> int:
     """Carry-less product over GF(2)."""
+    if a.bit_length() > b.bit_length():
+        a, b = b, a
+    b2 = b << 1
+    b3 = b2 ^ b
+    b4 = b << 2
+    b8 = b << 3
+    b12 = b8 ^ b4
+    table = (
+        0, b, b2, b3, b4, b4 ^ b, b4 ^ b2, b4 ^ b3,
+        b8, b8 ^ b, b8 ^ b2, b8 ^ b3, b12, b12 ^ b, b12 ^ b2, b12 ^ b3,
+    )
     r = 0
-    while a:
-        low = a & -a
-        r ^= b << (low.bit_length() - 1)
-        a ^= low
+    for i in map(_NIBBLE.__getitem__, f"{a:x}"):
+        r = (r << 4) ^ table[i]
     return r
+
+
+@functools.lru_cache(maxsize=256)
+def _reducer(m: int):
+    """``(deg m, mask, taps)`` for reducing modulo ``m``.
+
+    ``taps`` are the exponents of ``m`` below its leading term, highest
+    first.  One fold clears the ``deg m - taps[0]`` top bits with one
+    shift-XOR per tap, so folding beats the bit-serial loop only when there
+    are no more taps than that; otherwise ``mask`` and ``taps`` are None.
+    """
+    dm = m.bit_length() - 1
+    low = m ^ (1 << dm)
+    taps = [i for i in range(low.bit_length()) if low >> i & 1]
+    if len(taps) > dm - low.bit_length() + 1:
+        return dm, None, None
+    return dm, (1 << dm) - 1, tuple(reversed(taps))
 
 
 def mod(a: int, m: int) -> int:
     """Remainder of ``a`` modulo ``m`` (``m`` nonzero)."""
-    dm = m.bit_length() - 1
-    while a and a.bit_length() - 1 >= dm:
-        a ^= m << (a.bit_length() - 1 - dm)
+    dm, mask, taps = _reducer(m)
+    if taps is None:
+        while a.bit_length() > dm:
+            a ^= m << (a.bit_length() - 1 - dm)
+        return a
+    hi = a >> dm
+    while hi:
+        a &= mask
+        for t in taps:
+            a ^= hi << t
+        hi = a >> dm
     return a
 
 
@@ -45,11 +91,22 @@ def mulmod(a: int, b: int, m: int) -> int:
     return mod(mul(a, b), m)
 
 
+def _spread_nibble(x: int) -> int:
+    return sum(((x >> i) & 1) << (2 * i) for i in range(4))
+
+
+# squares of the low and high nibble of every byte, one byte each
+_SQ_LO = bytes(_spread_nibble(x & 15) for x in range(256))
+_SQ_HI = bytes(_spread_nibble(x >> 4) for x in range(256))
+
+
 def sqmod(a: int, m: int) -> int:
     """Square ``a`` modulo ``m``; squaring over GF(2) is bit spreading."""
-    s = bin(a)[2:]
-    sq = int("0".join(s), 2) if len(s) > 1 else a
-    return mod(sq, m)
+    raw = a.to_bytes((a.bit_length() + 7) // 8, "little")
+    sq = bytearray(2 * len(raw))
+    sq[0::2] = raw.translate(_SQ_LO)
+    sq[1::2] = raw.translate(_SQ_HI)
+    return mod(int.from_bytes(sq, "little"), m)
 
 
 def powmod(a: int, e: int, m: int) -> int:
@@ -135,9 +192,12 @@ def order(f: int, limit: int = 1 << 24) -> int | None:
     """
     if not (f & 1):
         raise ValueError("f(0) must be 1")
+    n = degree(f)
     e, h = 1, mod(2, f)
     while h != 1:
-        h = mod(h << 1, f)
+        h <<= 1
+        if h >> n:
+            h ^= f
         e += 1
         if e > limit:
             return None

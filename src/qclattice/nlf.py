@@ -3,23 +3,23 @@
 U is the companion matrix of a primitive g of degree n, alpha is selected
 by the d control bits h (alpha = sum h_i 2^i), and a is an integer vector.
 U generates GF(2)[x]/(g), so the mod-2 power U^alpha is the multiplication
-matrix of x^alpha mod g; the d precomputed stages are the polynomials
-x^(2^i) mod g and the chained product over selected stages is a handful of
-carry-less multiplications instead of matrix products.
+matrix of x^alpha mod g.  That polynomial is built left to right by
+square-and-shift: for each control bit from the top, square, then multiply
+by x (a one-bit left shift and a conditional XOR with g) when the bit is
+set.  x^-alpha, needed only to invert, follows the same loop with
+multiplication by x^-1 = g >> 1 (clear bit 0 with g, then shift right one
+bit).  The d stage polynomials x^(2^i) mod g and their inverses are kept
+for inspection.
 
 F acts on integer vectors using the 0/1 matrix U^alpha (the encryption
 pipeline runs over the reals); the mod-2 view F' used by the analysis
 tooling is exposed separately as f_mod2.  The integer inverse solves
 v * M = x exactly by 2-adic digit peeling: M has odd determinant, so it is
 invertible mod 2^k for every k, and each binary digit of v costs one
-carry-less multiplication by the inverse polynomial plus one integer row
-combination.  Per-control-value work (inverse polynomial, dense matrix) is
-memoized.
+carry-less multiplication by x^-alpha plus one integer row combination.
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
 
 import numpy as np
 
@@ -32,10 +32,7 @@ _VERIFY_BOUND = 1 << 52  # |v| above this cannot be verified in int64 safely
 
 
 def _bits_to_poly(bits) -> int:
-    v = 0
-    for i in np.nonzero(bits)[0]:
-        v |= 1 << int(i)
-    return v
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def _poly_to_bits(p: int, n: int) -> np.ndarray:
@@ -44,9 +41,9 @@ def _poly_to_bits(p: int, n: int) -> np.ndarray:
 
 
 class NlfContext:
-    """Immutable context for one (g, d) pair with a per-session cache."""
+    """Immutable context for one (g, d) pair."""
 
-    def __init__(self, g: int, d: int, cache_size: int = 64):
+    def __init__(self, g: int, d: int):
         self.g = int(g)
         self.n = gf2poly.degree(self.g)
         self.d = int(d)
@@ -66,8 +63,6 @@ class NlfContext:
             self.stages_inv.append(sinv)
             s = gf2poly.sqmod(s, self.g)
             sinv = gf2poly.sqmod(sinv, self.g)
-        self._cache: OrderedDict = OrderedDict()
-        self._cache_size = cache_size
 
     # --- control line ----------------------------------------------------
 
@@ -77,37 +72,29 @@ class NlfContext:
             raise InvalidParams(f"control vector must have length {self.d}")
         return h % 2
 
-    def control_poly(self, h) -> int:
-        """x^alpha mod g as the chained product of the selected stages."""
-        h = self._check_control(h)
-        c = 1
-        for i in np.nonzero(h)[0]:
-            c = gf2poly.mulmod(c, self.stages[int(i)], self.g)
-        return c
+    def _x_power(self, h, inverse: bool = False) -> int:
+        """x^alpha mod g, or x^-alpha mod g, by square-and-shift."""
+        alpha = _bits_to_poly(self._check_control(h))
+        g, n = self.g, self.n
+        r = 1
+        for i in range(alpha.bit_length() - 1, -1, -1):
+            r = gf2poly.sqmod(r, g)
+            if (alpha >> i) & 1:
+                if inverse:
+                    r = (r ^ g if r & 1 else r) >> 1
+                else:
+                    r <<= 1
+                    if r >> n:
+                        r ^= g
+        return r
 
-    def _entry(self, h):
-        h = self._check_control(h)
-        key = h.tobytes()
-        hit = self._cache.get(key)
-        if hit is not None:
-            self._cache.move_to_end(key)
-            return hit
-        c = 1
-        cinv = 1
-        for i in np.nonzero(h)[0]:
-            c = gf2poly.mulmod(c, self.stages[int(i)], self.g)
-            cinv = gf2poly.mulmod(cinv, self.stages_inv[int(i)], self.g)
-        mat = power_poly_matrix(self.g, c)
-        dense = mat.to_dense().astype(np.int64)
-        entry = (c, cinv, dense)
-        self._cache[key] = entry
-        if len(self._cache) > self._cache_size:
-            self._cache.popitem(last=False)
-        return entry
+    def _entry(self, h) -> np.ndarray:
+        """U^alpha as a dense int64 matrix."""
+        return power_poly_matrix(self.g, self._x_power(h)).to_dense().astype(np.int64)
 
     def matrix_for(self, h) -> BinMatrix:
         """The 0/1 matrix U^alpha selected by h."""
-        return power_poly_matrix(self.g, self._entry(h)[0])
+        return power_poly_matrix(self.g, self._x_power(h))
 
     # --- the map and its inverse ------------------------------------------
 
@@ -116,7 +103,7 @@ class NlfContext:
         a = np.asarray(a, dtype=np.int64)
         if a.shape != (self.n,):
             raise InvalidParams("input vector length mismatch")
-        dense = self._entry(h)[2]
+        dense = self._entry(h)
         return a @ dense
 
     def invert_f(self, x, h) -> np.ndarray:
@@ -130,7 +117,8 @@ class NlfContext:
         x = np.asarray(x, dtype=np.int64)
         if x.shape != (self.n,):
             raise InvalidParams("input vector length mismatch")
-        _, cinv, dense = self._entry(h)
+        dense = self._entry(h)
+        cinv = self._x_power(h, inverse=True)
         residual = x.copy()
         acc = np.zeros(self.n, dtype=np.uint64)
         for t in range(64):
@@ -154,7 +142,8 @@ class NlfContext:
                 acc -= digit.astype(np.uint64) << np.uint64(t + 1)
                 break
         v = acc.view(np.int64)
-        if np.abs(v).max(initial=0) > _VERIFY_BOUND:
+        # compare signed values: np.abs(-2**63) is still -2**63
+        if (v > _VERIFY_BOUND).any() or (v < -_VERIFY_BOUND).any():
             raise NotInLattice("no integer preimage exists")
         if not np.array_equal(v @ dense, x):
             raise NotInLattice("no integer preimage exists")
@@ -165,7 +154,7 @@ class NlfContext:
     def f_mod2(self, a, h) -> np.ndarray:
         """F' = F mod 2 on a binary vector, as polynomial multiplication."""
         a = np.asarray(a, dtype=np.int64) & 1
-        c = self._entry(h)[0]
+        c = self._x_power(h)
         pa = _bits_to_poly(a.astype(np.uint8))
         return _poly_to_bits(gf2poly.mulmod(pa, c, self.g), self.n)
 

@@ -217,3 +217,17 @@ def test_gf2poly_stage_inverses(ctx_small):
     g = ctx_small.g
     for s, sinv in zip(ctx_small.stages, ctx_small.stages_inv):
         assert gf2poly.mulmod(s, sinv, g) == 1
+
+
+def test_invert_rejects_int64_wrapped_preimage(ctx_small):
+    # x = v @ dense wraps in int64, so the exact integer product v M is not
+    # x, yet the int64 check v @ dense == x passes; np.abs(-2**63) is
+    # -2**63, so an abs-based bound check would let this v through
+    h = np.array([1, 0], dtype=np.uint8)
+    v = np.array([-(2**63), 0, 0, 0, 0, -3], dtype=np.int64)
+    dense = ctx_small.matrix_for(h).to_dense().astype(np.int64)
+    x = v @ dense
+    assert any(int(xi) != sum(int(vi) * int(mi) for vi, mi in zip(v, col))
+               for xi, col in zip(x, dense.T))
+    with pytest.raises(NotInLattice):
+        ctx_small.invert_f(x, h)
