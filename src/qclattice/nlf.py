@@ -88,13 +88,13 @@ class NlfContext:
                         r ^= g
         return r
 
-    def _entry(self, h) -> np.ndarray:
-        """U^alpha as a dense int64 matrix."""
-        return power_poly_matrix(self.g, self._x_power(h)).to_dense().astype(np.int64)
-
     def matrix_for(self, h) -> BinMatrix:
         """The 0/1 matrix U^alpha selected by h."""
         return power_poly_matrix(self.g, self._x_power(h))
+
+    def _entry(self, h) -> np.ndarray:
+        """U^alpha as a dense int64 matrix."""
+        return self.matrix_for(h).to_dense().astype(np.int64)
 
     # --- the map and its inverse ------------------------------------------
 
