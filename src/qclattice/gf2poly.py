@@ -7,10 +7,11 @@ module, including key generation.
 
 Products use a 4-bit window (Horner over the hex digits of the shorter
 operand).  Squaring spreads bits through two 256-byte translation tables.
-Reduction folds the part above the leading term of a sparse modulus back
-down with one shift-XOR per lower term (Hankerson, Menezes & Vanstone,
-*Guide to Elliptic Curve Cryptography*, 2004, sec. 2.3.5), and falls back
-to the bit-serial loop for dense moduli.
+Reduction folds the part above the leading term of the modulus back down
+with one shift-XOR per lower term (Hankerson, Menezes & Vanstone, *Guide
+to Elliptic Curve Cryptography*, 2004, sec. 2.3.5).  That is fast for the
+sparse moduli used here (trinomials, pentanomials, x^b + 1); Euclid's
+remainders are dense, so ``gcd`` and ``invmod`` divide bit-serially.
 """
 
 import functools
@@ -49,24 +50,21 @@ def _reducer(m: int):
 
     ``taps`` are the exponents of ``m`` below its leading term, highest
     first.  One fold clears the ``deg m - taps[0]`` top bits with one
-    shift-XOR per tap, so folding beats the bit-serial loop only when there
-    are no more taps than that; otherwise ``mask`` and ``taps`` are None.
+    shift-XOR per tap.
     """
     dm = m.bit_length() - 1
     low = m ^ (1 << dm)
     taps = [i for i in range(low.bit_length()) if low >> i & 1]
-    if len(taps) > dm - low.bit_length() + 1:
-        return dm, None, None
     return dm, (1 << dm) - 1, tuple(reversed(taps))
 
 
 def mod(a: int, m: int) -> int:
-    """Remainder of ``a`` modulo ``m`` (``m`` nonzero)."""
+    """Remainder of ``a`` modulo ``m`` (``m`` nonzero, best sparse).
+
+    A dense modulus costs one shift-XOR per term for each bit cleared; use
+    ``divmod2`` for those.
+    """
     dm, mask, taps = _reducer(m)
-    if taps is None:
-        while a.bit_length() > dm:
-            a ^= m << (a.bit_length() - 1 - dm)
-        return a
     hi = a >> dm
     while hi:
         a &= mask
@@ -123,7 +121,7 @@ def powmod(a: int, e: int, m: int) -> int:
 
 def gcd(a: int, b: int) -> int:
     while b:
-        a, b = b, mod(a, b)
+        a, b = b, divmod2(a, b)[1]
     return a
 
 

@@ -8,8 +8,8 @@ square-and-shift: for each control bit from the top, square, then multiply
 by x (a one-bit left shift and a conditional XOR with g) when the bit is
 set.  x^-alpha, needed only to invert, follows the same loop with
 multiplication by x^-1 = g >> 1 (clear bit 0 with g, then shift right one
-bit).  The d stage polynomials x^(2^i) mod g and their inverses are kept
-for inspection.
+bit).  The d stage polynomials x^(2^i) mod g and their inverses are built
+on first access, for inspection only.
 
 F acts on integer vectors using the 0/1 matrix U^alpha (the encryption
 pipeline runs over the reals); the mod-2 view F' used by the analysis
@@ -20,6 +20,8 @@ carry-less multiplication by x^-alpha plus one integer row combination.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -53,16 +55,23 @@ class NlfContext:
             raise InvalidParams("g(0) must be 1")
         if self.d < 0:
             raise InvalidParams("control width must be >= 0")
-        # stage polynomials x^(2^i) mod g and their inverses; x^-1 = g >> 1
-        self.stages = []
-        self.stages_inv = []
-        s = gf2poly.mod(2, self.g)
-        sinv = self.g >> 1
+
+    @functools.cached_property
+    def stages(self) -> list[int]:
+        """Stage polynomials x^(2^i) mod g for i < d."""
+        return self._squares(gf2poly.mod(2, self.g))
+
+    @functools.cached_property
+    def stages_inv(self) -> list[int]:
+        """Inverse stage polynomials x^-(2^i) mod g; x^-1 = g >> 1."""
+        return self._squares(self.g >> 1)
+
+    def _squares(self, s: int) -> list[int]:
+        out = []
         for _ in range(self.d):
-            self.stages.append(s)
-            self.stages_inv.append(sinv)
+            out.append(s)
             s = gf2poly.sqmod(s, self.g)
-            sinv = gf2poly.sqmod(sinv, self.g)
+        return out
 
     # --- control line ----------------------------------------------------
 

@@ -1,9 +1,8 @@
 """gf2poly against the bit-serial oracles in gf2_reference.
 
-Moduli cover each reduction path: the x^258 + x^83 + 1 trinomial, the
-degree-1496 pentanomial and the circulant modulus x^43 + 1 fold; small
-table entries fold or run bit-serial depending on their gap; dense moduli
-run bit-serial.
+Moduli cover the x^258 + x^83 + 1 trinomial, the degree-1496 pentanomial,
+the circulant modulus x^43 + 1, small table entries and dense moduli,
+where each fold clears only one bit.
 """
 
 import numpy as np
