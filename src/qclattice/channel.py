@@ -73,7 +73,8 @@ def _run_point_chunk(key, spec, point_idx, vnr_db, start_trial, count):
     tx = CipherSession(key)
     rx = CipherSession(key)
     # material stream restarts per point; trial t uses frame t of the stream,
-    # so chunked execution reproduces the serial result exactly
+    # so chunked execution reproduces the serial result exactly (each chunk
+    # seeks to its first frame in O(log start_trial) time)
     tx.advance_to(start_trial)
     rx.advance_to(start_trial)
     sigma = tx.lattice.vnr_sigma(vnr_db)

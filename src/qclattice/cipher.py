@@ -4,8 +4,10 @@ Two modes share the machinery: raw mode masks an unrestricted integer
 message (noiseless channel), joint mode restricts messages to the transmit
 constellation and adds hypercube shaping so the ciphertext doubles as a
 power-constrained channel codeword.  A session owns the rotating material
-(error vector, control line, block permutation); transmitter and receiver
-stay synchronized by consuming frames in counter order.
+(error vector, control line, block permutation) and hands out each frame's
+material once, in counter order.  Transmitter and receiver stay
+synchronized through the frame counter: a receiver that misses frames
+seeks forward to the next counter it sees, in O(log j) time.
 """
 
 from __future__ import annotations
@@ -188,11 +190,23 @@ class CipherSession:
         return j, e, h, perm
 
     def advance_to(self, frame: int):
-        """Fast-forward the material streams to a later frame counter."""
+        """Seek the material streams to a later frame counter.
+
+        Frame j's material starts at bit j*n of the error stream, bit j*d of
+        the control stream and draw j of each permutation stream; every
+        stream jumps there in O(log j) multiplications, so a crafted u64
+        counter costs about as much as a near one.  Rewinding is refused.
+        """
         if frame < self.counter:
             raise InvalidParams("cannot rewind a session")
-        while self.counter < frame:
-            self._frame_material()
+        if frame == self.counter:
+            return
+        p = self.params
+        self.e_lfsr.seek(frame * p.n)
+        self.h_lfsr.seek(frame * p.d)
+        for st in self.perm_streams:
+            st.seek(frame)
+        self.counter = frame
 
     # --- constellation -----------------------------------------------------
 

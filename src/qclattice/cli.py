@@ -89,8 +89,8 @@ def cmd_decrypt(args) -> int:
             print("error: observation file needs --sigma > 0", file=sys.stderr)
             return 1
         for counter, payload, coords in reader:
-            session.advance_to(counter)
             try:
+                session.advance_to(counter)
                 m = session.decrypt_joint(coords.astype(np.float64), sigma)
             except QclatticeError as e:
                 if args.on_fail == "abort":

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,29 @@ def test_desynchronized_session_garbles(toy_key):
         except Exception:
             mismatches += 1
     assert mismatches >= 19
+
+
+def test_advance_to_matches_replayed_material(paper_key):
+    replay = CipherSession(paper_key)
+    material = [replay._frame_material() for _ in range(131)]
+    for j in (0, 1, 2, 5, 17, 62, 63, 64, 127, 130):
+        s = CipherSession(paper_key)
+        s.advance_to(j)
+        got = s._frame_material()
+        want = material[j]
+        assert got[0] == want[0] == j
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+        assert np.array_equal(got[3]._fwd, want[3]._fwd)
+
+
+def test_advance_to_hostile_counter_is_fast(paper_key):
+    for frame in (2**63, 2**64 - 1):
+        s = CipherSession(paper_key)
+        start = time.perf_counter()
+        s.advance_to(frame)
+        assert time.perf_counter() - start < 0.5
+        assert s.counter == frame
 
 
 def test_session_cannot_rewind(toy_key):

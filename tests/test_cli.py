@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qclattice.cli import main
+from qclattice.formats import FrameReader, FrameWriter
 
 KEYGEN = "keygen --b 13 --n0 2 --dv 3 --L 4 --d 8 --seed 1".split()
 
@@ -151,3 +152,54 @@ def test_decrypt_bad_file_exit_1(tmp_path, capsys, keyfile):
                        "-o", str(tmp_path / "out.bin"))
     assert code == 1
     assert "error" in err
+
+
+def _encrypt_frames(tmp_path, capsys, keyfile, data):
+    """Encrypt data with the CLI; return the header (n, digest) and the frames."""
+    src = tmp_path / "plain.bin"
+    src.write_bytes(data)
+    ct = tmp_path / "ct.bin"
+    assert run(capsys, "encrypt", "--key", keyfile, "-i", str(src), "-o", str(ct))[0] == 0
+    with open(ct, "rb") as fh:
+        reader = FrameReader(fh)
+        return (reader.n, reader.digest), list(reader)
+
+
+def _write_frames(path, header, frames):
+    with open(path, "wb") as fh:
+        writer = FrameWriter(fh, *header)
+        for counter, payload, coords in frames:
+            writer.write_frame(counter, payload, coords)
+
+
+@pytest.mark.parametrize("counter", [2**63, 2**64 - 1])
+def test_decrypt_hostile_counter_exits_1(tmp_path, capsys, keyfile, counter):
+    header, [(_, payload, coords)] = _encrypt_frames(tmp_path, capsys, keyfile, b"frame")
+    crafted = tmp_path / "crafted.bin"
+    _write_frames(crafted, header, [(counter, payload, coords)])
+    code, _, err = run(capsys, "decrypt", "--key", keyfile, "-i", str(crafted),
+                       "-o", str(tmp_path / "out.bin"))
+    assert code == 1
+    assert f"error: frame {counter}:" in err
+
+
+def test_decrypt_duplicate_counter_follows_on_fail(tmp_path, capsys, keyfile):
+    capacity = 13 * 2 * 2 // 8  # n * log2(L) / 8 bytes per frame
+    data = np.random.default_rng(2).bytes(3 * capacity)
+    header, frames = _encrypt_frames(tmp_path, capsys, keyfile, data)
+    assert [f[0] for f in frames] == [0, 1, 2]
+    dup = tmp_path / "dup.bin"
+    _write_frames(dup, header, [frames[0], frames[1], frames[1], frames[2]])
+
+    out = tmp_path / "out.bin"
+    code, _, err = run(capsys, "decrypt", "--key", keyfile, "-i", str(dup), "-o", str(out),
+                       "--on-fail", "skip")
+    assert code == 0
+    assert "frame 1: cannot rewind a session; emitting zeros" in err
+    c = capacity
+    assert out.read_bytes() == data[: 2 * c] + b"\x00" * c + data[2 * c :]
+
+    code, _, err = run(capsys, "decrypt", "--key", keyfile, "-i", str(dup),
+                       "-o", str(tmp_path / "out2.bin"))
+    assert code == 1
+    assert "error: frame 1: cannot rewind a session" in err

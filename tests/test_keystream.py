@@ -1,6 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import keystream_reference as ref
 from qclattice.errors import InvalidParams, ZeroSeedSlice
 from qclattice.keystream import (
     BlockPermutation,
@@ -103,6 +108,12 @@ def test_permutation_rejects_power_of_two():
         PermutationStream(8, 3)
 
 
+def test_permutation_rejects_non_primitive_polynomial():
+    # x^3 + 1 cycles 1 -> 4 -> 2 -> 1, which holds only three values below 5
+    with pytest.raises(InvalidParams):
+        PermutationStream(5, 1, gamma=3, poly=0b1001)
+
+
 def test_permutation_stream_rotates():
     st = PermutationStream(43, 11)
     a = st.next_perm()
@@ -160,3 +171,131 @@ def test_seed_slices_layout():
     seeds, gamma = seed_slices(bits, 3, 3)
     assert gamma == 2
     assert seeds == [1, 2, 1]
+
+
+def test_block_permutation_rejects_non_bijections():
+    bad = [
+        [np.array([0, 1, 2, 4]), np.array([-1, 1, 2, 3])],  # entries spill across blocks
+        [np.array([0, 1, 1, 3]), np.array([0, 1, 2, 3])],  # repeat
+        [np.array([0, 1, 2]), np.array([0, 1, 2, 3])],  # short block
+        [np.array([0, 1, 2, 3, 0]), np.array([0, 1, 2, 3])],  # long block
+        [np.array([0, 1, 2, 3])] * 0,  # no blocks
+    ]
+    for perms in bad:
+        with pytest.raises(InvalidParams):
+            BlockPermutation(4, perms)
+
+
+# --- against the bit-serial oracles in keystream_reference -----------------
+
+SMALL_LENGTHS = [2, 3, 4, 5, 6]
+REFERENCE_LENGTHS = [9, 61]  # l1 and d at the reference parameters
+
+
+def _pair(length, seed):
+    args = (length, poly(length), reciprocal(length), seed)
+    return ReseedingLfsr(*args), ref.ReseedingLfsr(*args)
+
+
+def _seed(length):
+    return st.integers(1, (1 << length) - 1)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(SMALL_LENGTHS + REFERENCE_LENGTHS), st.data())
+def test_next_bits_matches_reference_from_any_phase(length, data):
+    new, old = _pair(length, data.draw(_seed(length)))
+    for count in data.draw(st.lists(st.integers(0, 600), min_size=1, max_size=6)):
+        assert np.array_equal(new.next_bits(count), old.next_bits(count))
+        assert new.joint_state() == old.joint_state()
+
+
+@pytest.mark.parametrize("length", SMALL_LENGTHS)
+def test_seek_matches_replay_at_every_position(length):
+    """Every t across three joint periods, two seeds."""
+    total = 3 * ((1 << length) - 1) ** 2
+    k = 2 * length + 1
+    for seed in (1, (1 << length) - 1):
+        new, old = _pair(length, seed)
+        states, bits = [], []
+        for _ in range(total + k):
+            states.append(old.joint_state())
+            bits.append(old.next_bit())
+        for t in range(total):
+            new.seek(t)
+            assert new.joint_state() == states[t], t
+            assert new.next_bits(k).tolist() == bits[t : t + k], t
+
+
+REPLAY_BITS = 100_000 + 600
+REPLAY_SEEDS = {9: (0x155, 1), 61: (0x0123456789ABCDE, (1 << 61) - 1)}
+
+
+@functools.lru_cache(maxsize=None)
+def _replayed(length, seed):
+    """Joint state before each bit, and the bits, of a replayed stream."""
+    _, old = _pair(length, seed)
+    states, bits = [], []
+    for _ in range(REPLAY_BITS):
+        states.append(old.joint_state())
+        bits.append(old.next_bit())
+    return states, np.array(bits, dtype=np.uint8)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(REFERENCE_LENGTHS), st.integers(0, 1), st.integers(0, 100_000),
+       st.integers(0, 600))
+def test_seek_matches_replay_at_reference_lengths(length, which, t, count):
+    seed = REPLAY_SEEDS[length][which]
+    states, bits = _replayed(length, seed)
+    new, _ = _pair(length, seed)
+    new.seek(t)
+    assert new.joint_state() == states[t]
+    assert np.array_equal(new.next_bits(count), bits[t : t + count])
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(SMALL_LENGTHS + REFERENCE_LENGTHS), st.data(),
+       st.integers(0, 1 << 70), st.integers(0, 5000), st.integers(0, 300))
+def test_seek_then_step_equals_seek_further(length, data, a, b, k):
+    seed = data.draw(_seed(length))
+    first, _ = _pair(length, seed)
+    second, _ = _pair(length, seed)
+    first.seek(a)
+    tail = first.next_bits(b + k)[b:]
+    second.seek(a + b)
+    assert np.array_equal(second.next_bits(k), tail)
+    assert second.joint_state() == first.joint_state()
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(SMALL_LENGTHS + REFERENCE_LENGTHS), st.data(),
+       st.one_of(st.just(0), st.integers(1, 1 << 40)), st.integers(0, 3000))
+def test_lfsr_jump_matches_stepping(length, data, periods, steps):
+    """jump(periods * (2^length - 1) + steps) against stepping ``steps`` times.
+
+    The shipped polynomials are primitive, so whole periods return to the
+    same state; large jumps take the x^k mod c(x) path, small ones advance().
+    """
+    seed = data.draw(_seed(length))
+    new, old = Lfsr(length, poly(length), seed), ref.Lfsr(length, poly(length), seed)
+    new.jump(periods * ((1 << length) - 1) + steps)
+    for _ in range(steps):
+        old.step()
+    assert new.state == old.state
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 43])
+@settings(deadline=None, max_examples=10)
+@given(seed=st.integers(1, 63))
+def test_next_perm_after_seek_matches_reference(q, seed):
+    gamma = (q - 1).bit_length()
+    period = (1 << gamma) - 1
+    seed = (seed - 1) % period + 1
+    oracle = ref.PermutationStream(q, seed, gamma, poly(gamma))
+    draws = [oracle.next_perm() for _ in range(2 * period + 3)]
+    for j in range(2 * period + 2):
+        stream = PermutationStream(q, seed)
+        stream.seek(j)
+        assert np.array_equal(stream.next_perm(), draws[j]), j
+        assert np.array_equal(stream.next_perm(), draws[j + 1]), j
