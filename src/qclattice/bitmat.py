@@ -1,15 +1,23 @@
 """Exact GF(2) linear algebra: bit-packed matrices, circulants, companions.
 
-All mod-2 state lives in bit-packed rows (uint8 words, little-endian bit
-order) so row operations and syndrome checks are single vectorized XORs.
-The one integer-semantics operation, :func:`exact_integer_inverse_apply`,
-uses fraction-free elimination over Python integers; no floating point
-enters this module except as an exact carrier inside BLAS-backed mod-2
-matrix products (sums stay far below 2**24).
+General mod-2 matrices live in bit-packed rows (uint8 words, little-endian
+bit order) so row operations and syndrome checks are single vectorized
+XORs.  The matrix of multiplication by c(x) in GF(2)[x]/(g) is kept in
+generator form instead (:class:`PolyMulMatrix`): moving down one row
+shifts every column right by one, except at the taps of g, so between
+consecutive taps the columns form a Toeplitz block fixed by one bit
+sequence (Sunar & Koc, "Mastrovito Multiplier for All Trinomials", IEEE
+Trans. Computers 48(5), 1999).  A trinomial gives two blocks, and an
+integer vector times the matrix is one ``np.correlate`` per block, with no
+n x n array.  The one fraction-free solve,
+:func:`exact_integer_inverse_apply`, uses Python integers; no floating
+point enters this module except as an exact carrier inside BLAS-backed
+mod-2 matrix products (sums stay far below 2**24).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +32,17 @@ def _pack(dense: np.ndarray) -> np.ndarray:
 
 def _unpack(bits: np.ndarray, cols: int) -> np.ndarray:
     return np.unpackbits(bits, axis=1, count=cols, bitorder="little")
+
+
+def bits_to_poly(bits) -> int:
+    """0/1 vector to polynomial: entry i is the coefficient of x^i."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def poly_to_bits(p: int, n: int) -> np.ndarray:
+    """The low ``n`` coefficients of ``p`` as uint8, x^0 first."""
+    raw = np.frombuffer(p.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little")
 
 
 class BinMatrix:
@@ -98,15 +117,6 @@ class BinMatrix:
     def __matmul__(self, other):
         return self.matmul(other)
 
-    def matvec_left(self, v: np.ndarray) -> np.ndarray:
-        """Row vector times matrix mod 2; returns dense uint8 of length cols."""
-        v = np.asarray(v, dtype=np.uint8) % 2
-        sel = self.bits[v.astype(bool)]
-        if len(sel) == 0:
-            return np.zeros(self.cols, dtype=np.uint8)
-        acc = np.bitwise_xor.reduce(sel, axis=0)
-        return np.unpackbits(acc, count=self.cols, bitorder="little")
-
     def _eliminate(self, augment: np.ndarray | None):
         """In-place style Gauss-Jordan on a copy; returns (rank, work, aug)."""
         work = self.bits.copy()
@@ -148,12 +158,6 @@ class BinMatrix:
         if r != self.rows:
             raise Singular("matrix is singular over GF(2)")
         return BinMatrix(self.rows, self.cols, aug)
-
-    def solve_left(self, rhs: np.ndarray, inv: "BinMatrix" = None) -> np.ndarray:
-        """Solve v @ self = rhs over GF(2)."""
-        if inv is None:
-            inv = self.inverse()
-        return inv.matvec_left(rhs)
 
 
 @dataclass(frozen=True)
@@ -248,17 +252,98 @@ class CompanionMatrix:
         return self.to_binmatrix().to_dense()
 
 
-def power_poly_matrix(g: int, c: int) -> BinMatrix:
-    """Matrix of multiplication by c(x) in GF(2)[x]/(g): row i = x^i*c mod g."""
+@functools.lru_cache(maxsize=64)
+def _mul_layout(g: int):
+    """Block starts (the exponents of g below its degree) and the exponents
+    of 1/g* mod z^n, where g* = z^n g(1/z) is the reciprocal of g.
+
+    That series is sparse for sparse g (1 + z^175 for x^258 + x^83 + 1), so
+    the product with it is a few shift-XORs.
+    """
     n = gf2poly.degree(g)
-    rows = []
-    r = gf2poly.mod(c, g)
-    for _ in range(n):
-        rows.append(r)
-        r <<= 1
-        if r >> n:
-            r ^= g
-    return BinMatrix.from_int_rows(rows, n)
+    series = gf2poly.inverse_series(gf2poly.reverse(g, n), n)
+    return (
+        tuple(t for t in range(n) if g >> t & 1),
+        tuple(k for k in range(n) if series >> k & 1),
+    )
+
+
+class PolyMulMatrix:
+    """Matrix of multiplication by c(x) in GF(2)[x]/(g), in generator form.
+
+    Row i is x^i c mod g (bit j in column j).  Going from row i to row
+    i + 1 shifts every column right by one and XORs the top bit u_i of row
+    i into the columns at the taps t_b of g (t_0 = 0, since g(0) = 1).
+    Block b, columns t_b <= j < t_{b+1} (t_B = n), is therefore Toeplitz:
+    entry (i, t_b + k) is e_b[i - k + W_b - 1] for one sequence e_b of
+    n + W_b - 1 bits, W_b = t_{b+1} - t_b.  Its first W_b bits are c's
+    coefficients t_{b+1} - 1 down to t_b; the remaining n - 1 are
+    e_{b-1}[0:n-1] XOR u[0:n-1] (u alone for b = 0).  u_i is
+    [z^i] c^R(z)/g*(z), with c^R = z^(n-1) c(1/z).
+    """
+
+    __slots__ = ("g", "c", "rows", "cols", "starts", "widths", "gens")
+
+    def __init__(self, g: int, c: int):
+        n = gf2poly.degree(g)
+        if n < 1 or not g & 1:
+            raise InvalidParams("modulus needs degree >= 1 and g(0) = 1")
+        c = gf2poly.mod(c, g)
+        starts, series = _mul_layout(g)
+        widths = [b - a for a, b in zip(starts, starts[1:] + (n,))]
+        c_rev = gf2poly.reverse(c, n - 1)
+        tail = (1 << (n - 1)) - 1
+        u = 0
+        for k in series:
+            u ^= c_rev << k
+        u &= tail
+        # all sequences in one integer, unpacked to int64 with one call
+        packed = offset = prev = 0
+        offsets = []
+        for t, w in zip(starts, widths):
+            head = (c_rev >> (n - t - w)) & ((1 << w) - 1)  # c_{t+w-1} .. c_t
+            e = head | (((prev & tail) ^ u) << w)
+            packed |= e << offset
+            offsets.append(offset)
+            offset += n + w - 1
+            prev = e
+        bits = poly_to_bits(packed, offset).astype(np.int64)
+        self.g = g
+        self.c = c
+        self.rows = self.cols = n
+        self.starts = starts
+        self.widths = tuple(widths)
+        self.gens = tuple(bits[o : o + n + w - 1] for o, w in zip(offsets, widths))
+
+    def vecmul(self, a) -> np.ndarray:
+        """Row vector times the 0/1 matrix over the integers (int64)."""
+        a = np.asarray(a, dtype=np.int64)
+        y = np.empty(self.cols, dtype=np.int64)
+        for t, w, e in zip(self.starts, self.widths, self.gens):
+            y[t : t + w] = np.correlate(e, a, "valid")[::-1]
+        return y
+
+    def to_dense(self) -> np.ndarray:
+        """The matrix as an n x n uint8 array."""
+        out = np.empty((self.rows, self.cols), dtype=np.uint8)
+        for t, w, e in zip(self.starts, self.widths, self.gens):
+            out[:, t : t + w] = np.lib.stride_tricks.sliding_window_view(e, w)[:, ::-1]
+        return out
+
+    def to_binmatrix(self) -> BinMatrix:
+        return BinMatrix.from_dense(self.to_dense())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PolyMulMatrix):
+            return self.g == other.g and self.c == other.c
+        if isinstance(other, BinMatrix):
+            return self.to_binmatrix() == other
+        return NotImplemented
+
+
+def power_poly_matrix(g: int, c: int) -> PolyMulMatrix:
+    """Matrix of multiplication by c(x) in GF(2)[x]/(g): row i = x^i*c mod g."""
+    return PolyMulMatrix(g, c)
 
 
 def companion_power_mod2(u: CompanionMatrix, alpha: int) -> BinMatrix:
@@ -271,7 +356,7 @@ def companion_power_mod2(u: CompanionMatrix, alpha: int) -> BinMatrix:
     if alpha < 0:
         raise InvalidParams("alpha must be nonnegative")
     c = gf2poly.powmod(2, alpha, u.poly)
-    return power_poly_matrix(u.poly, c)
+    return power_poly_matrix(u.poly, c).to_binmatrix()
 
 
 def matrix_order(u: BinMatrix, max_order: int):

@@ -4,10 +4,12 @@ Two modes share the machinery: raw mode masks an unrestricted integer
 message (noiseless channel), joint mode restricts messages to the transmit
 constellation and adds hypercube shaping so the ciphertext doubles as a
 power-constrained channel codeword.  A session owns the rotating material
-(error vector, control line, block permutation) and hands out each frame's
-material once, in counter order.  Transmitter and receiver stay
-synchronized through the frame counter: a receiver that misses frames
-seeks forward to the next counter it sees, in O(log j) time.
+(error vector, control line, block permutation) and hands out frames'
+material in counter order from wherever it was last positioned.
+Transmitter and receiver stay synchronized through the frame counter: a
+receiver seeks to the counter of each frame it sees, forward or back, in
+O(log j) time, so missing, repeated and reordered frames decrypt
+independently.
 """
 
 from __future__ import annotations
@@ -190,15 +192,13 @@ class CipherSession:
         return j, e, h, perm
 
     def advance_to(self, frame: int):
-        """Seek the material streams to a later frame counter.
+        """Seek the material streams to any frame counter, ahead or behind.
 
         Frame j's material starts at bit j*n of the error stream, bit j*d of
         the control stream and draw j of each permutation stream; every
-        stream jumps there in O(log j) multiplications, so a crafted u64
-        counter costs about as much as a near one.  Rewinding is refused.
+        stream jumps there from its seed in O(log j) multiplications, so a
+        crafted u64 counter costs about as much as a near one.
         """
-        if frame < self.counter:
-            raise InvalidParams("cannot rewind a session")
         if frame == self.counter:
             return
         p = self.params

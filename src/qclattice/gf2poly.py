@@ -142,11 +142,17 @@ def invmod(a: int, m: int):
 
 def reverse(a: int, n: int) -> int:
     """Reciprocal polynomial x**n * a(1/x) of a degree-<=n polynomial."""
-    r = 0
-    for i in range(n + 1):
-        if (a >> i) & 1:
-            r |= 1 << (n - i)
-    return r
+    return int(f"{a & ((2 << n) - 1):0{n + 1}b}"[::-1], 2)
+
+
+@functools.lru_cache(maxsize=64)
+def inverse_series(f: int, nbits: int) -> int:
+    """1/f mod x^nbits for f(0) = 1, by the Newton step g <- g^2 f."""
+    g, have = 1, 1
+    while have < nbits:
+        have *= 2
+        g = mul(sqmod(g, 1 << have), f) & ((1 << have) - 1)
+    return g & ((1 << nbits) - 1)
 
 
 def _prime_divisors(n: int):

@@ -37,13 +37,8 @@ import functools
 import numpy as np
 
 from . import gf2poly, primitives
+from .bitmat import poly_to_bits
 from .errors import InvalidParams, ZeroSeedSlice
-
-
-def _int_to_bits(value: int, count: int) -> np.ndarray:
-    """The low ``count`` bits of ``value`` as uint8, least significant first."""
-    raw = np.frombuffer(value.to_bytes((count + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=count, bitorder="little")
 
 
 @functools.lru_cache(maxsize=64)
@@ -56,16 +51,6 @@ def _feedback(length: int, taps: int):
     recip = gf2poly.reverse((1 << length) | taps, length)
     tap_list = tuple(i for i in range(length) if taps >> i & 1)
     return recip, tap_list, length - max(taps.bit_length() - 1, 0)
-
-
-@functools.lru_cache(maxsize=64)
-def _inverse_series(f: int, nbits: int) -> int:
-    """1/f mod x^nbits for f(0) = 1, by the Newton step g <- g^2 f."""
-    g, have = 1, 1
-    while have < nbits:
-        have *= 2
-        g = gf2poly.mul(gf2poly.sqmod(g, 1 << have), f) & ((1 << have) - 1)
-    return g & ((1 << nbits) - 1)
 
 
 # Measured crossovers at lengths 9 and 61: past four words one series
@@ -117,7 +102,7 @@ class Lfsr:
             if t:
                 p ^= s << (self.length - t)
         p &= self._mask
-        inv = _inverse_series(self._recip, 1 << (nbits - 1).bit_length())
+        inv = gf2poly.inverse_series(self._recip, 1 << (nbits - 1).bit_length())
         seq = 0
         while p:
             low = p & -p
@@ -196,7 +181,7 @@ class ReseedingLfsr:
                 self.phase = 0
                 self.companion.step()
                 self.main.state = self.companion.state
-        return _int_to_bits(acc, count)
+        return poly_to_bits(acc, count)
 
     def seek(self, t: int) -> None:
         """Position the stream at output bit ``t`` (0 = first bit after seeding)."""
@@ -226,7 +211,7 @@ def _permutation_ring(q: int, gamma: int, taps: int):
     period = (1 << gamma) - 1
     walk = Lfsr(gamma, taps, 1).advance(period + gamma)
     windows = np.lib.stride_tricks.sliding_window_view(
-        _int_to_bits(walk, period + gamma), gamma
+        poly_to_bits(walk, period + gamma), gamma
     )
     states = windows @ (1 << np.arange(gamma))
     if states[period] != 1 or np.unique(states[:period]).size != period:

@@ -3,13 +3,20 @@
 U is the companion matrix of a primitive g of degree n, alpha is selected
 by the d control bits h (alpha = sum h_i 2^i), and a is an integer vector.
 U generates GF(2)[x]/(g), so the mod-2 power U^alpha is the multiplication
-matrix of x^alpha mod g.  That polynomial is built left to right by
-square-and-shift: for each control bit from the top, square, then multiply
-by x (a one-bit left shift and a conditional XOR with g) when the bit is
-set.  x^-alpha, needed only to invert, follows the same loop with
-multiplication by x^-1 = g >> 1 (clear bit 0 with g, then shift right one
-bit).  The d stage polynomials x^(2^i) mod g and their inverses are built
-on first access, for inspection only.
+matrix of x^alpha mod g, held in generator form
+(:class:`~qclattice.bitmat.PolyMulMatrix`: one bit sequence per tap block
+of g, so an integer vector times U^alpha is one ``np.correlate`` per
+block and no n x n array is built).
+
+x^alpha mod g is built left to right over 8-bit windows of alpha:
+r <- F(r) x^w, where F(r) = r^256 mod g.  Squaring over GF(2) is linear,
+so F is the XOR of one table entry per 4-bit chunk of r, from tables
+built once per g (Hankerson, Menezes & Vanstone, *Guide to Elliptic Curve
+Cryptography*, 2004, sec. 2.3); x^w is a shift and a fold.  x^-alpha,
+needed only to invert, is x^-(2^d) x^(2^d - alpha): the same loop and one
+product with x^-(2^d), cached per (g, d).  The d stage polynomials
+x^(2^i) mod g and their inverses are built on first access, for
+inspection only.
 
 F acts on integer vectors using the 0/1 matrix U^alpha (the encryption
 pipeline runs over the reals); the mod-2 view F' used by the analysis
@@ -26,20 +33,76 @@ import functools
 import numpy as np
 
 from . import gf2poly
-from .bitmat import BinMatrix, power_poly_matrix
+from .bitmat import PolyMulMatrix, bits_to_poly, poly_to_bits, power_poly_matrix
 from .errors import InvalidParams, NotInLattice, TooLarge
 
 _ANF_CAP = 24  # max n + d for exhaustive truth tables
 _VERIFY_BOUND = 1 << 52  # |v| above this cannot be verified in int64 safely
+_WINDOW = 8  # exponent bits per table pass: F(r) = r^(2^_WINDOW) mod g
+
+_LOW_NIBBLE = bytes(b & 15 for b in range(256))
+_HIGH_NIBBLE = bytes(b >> 4 for b in range(256))
 
 
-def _bits_to_poly(bits) -> int:
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+@functools.lru_cache(maxsize=16)
+def _frobenius(g: int):
+    """Tables of F(r) = r^(2^_WINDOW) mod g, one per 4-bit chunk of r.
+
+    Entry v of table j is F(v x^(4j)); F is GF(2)-linear, so F(r) is the
+    XOR of one entry per chunk.  Returned as the tables of the low and of
+    the high nibbles of r's bytes.  In the cipher workloads, 4-bit tables
+    (16 entries each) ran faster than 8-bit ones, whose 256-entry tables
+    are 16 times larger and fall out of cache between frames.
+    """
+    n = gf2poly.degree(g)
+    step = 1 << _WINDOW
+    tables = []
+    image = 1  # F(x^m) = x^(m 2^_WINDOW) mod g, for m = 0, 1, 2, ...
+    for _ in range(0, n, 4):
+        table = [0]
+        for _ in range(4):
+            table += [v ^ image for v in table]
+            image = gf2poly.mod(image << step, g)
+        tables.append(table)
+    return tables[0::2], tables[1::2], (n + 7) // 8
 
 
-def _poly_to_bits(p: int, n: int) -> np.ndarray:
-    raw = np.frombuffer(p.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=n, bitorder="little")
+def _frobenius_apply(r: int, tables) -> int:
+    """F(r) = r^(2^_WINDOW) mod g from the tables of _frobenius(g)."""
+    low, high, nbytes = tables
+    raw = r.to_bytes(nbytes, "little")
+    acc = 0
+    for table, v in zip(low, raw.translate(_LOW_NIBBLE)):
+        acc ^= table[v]
+    for table, v in zip(high, raw.translate(_HIGH_NIBBLE)):
+        acc ^= table[v]
+    return acc
+
+
+def _x_pow(g: int, e: int) -> int:
+    """x^e mod g for e >= 0, over _WINDOW-bit windows of e from the top."""
+    if e == 0:
+        return 1
+    tables = _frobenius(g)
+    mask = (1 << _WINDOW) - 1
+    shift = (e.bit_length() - 1) // _WINDOW * _WINDOW
+    r = gf2poly.mod(1 << (e >> shift), g)
+    while shift:
+        shift -= _WINDOW
+        r = gf2poly.mod(_frobenius_apply(r, tables) << ((e >> shift) & mask), g)
+    return r
+
+
+@functools.lru_cache(maxsize=16)
+def _x_neg_pow2(g: int, d: int) -> int:
+    """x^-(2^d) mod g: x^-1 = g >> 1, squared d times (by table passes)."""
+    r = g >> 1
+    tables = _frobenius(g)
+    for _ in range(d // _WINDOW):
+        r = _frobenius_apply(r, tables)
+    for _ in range(d % _WINDOW):
+        r = gf2poly.sqmod(r, g)
+    return r
 
 
 class NlfContext:
@@ -82,28 +145,21 @@ class NlfContext:
         return h % 2
 
     def _x_power(self, h, inverse: bool = False) -> int:
-        """x^alpha mod g, or x^-alpha mod g, by square-and-shift."""
-        alpha = _bits_to_poly(self._check_control(h))
-        g, n = self.g, self.n
-        r = 1
-        for i in range(alpha.bit_length() - 1, -1, -1):
-            r = gf2poly.sqmod(r, g)
-            if (alpha >> i) & 1:
-                if inverse:
-                    r = (r ^ g if r & 1 else r) >> 1
-                else:
-                    r <<= 1
-                    if r >> n:
-                        r ^= g
-        return r
+        """x^alpha mod g, or x^-alpha = x^-(2^d) x^(2^d - alpha) mod g."""
+        alpha = bits_to_poly(self._check_control(h))
+        if not inverse:
+            return _x_pow(self.g, alpha)
+        return gf2poly.mulmod(
+            _x_neg_pow2(self.g, self.d), _x_pow(self.g, (1 << self.d) - alpha), self.g
+        )
 
-    def matrix_for(self, h) -> BinMatrix:
-        """The 0/1 matrix U^alpha selected by h."""
+    def matrix_for(self, h) -> PolyMulMatrix:
+        """The 0/1 matrix U^alpha selected by h, in generator form."""
         return power_poly_matrix(self.g, self._x_power(h))
 
-    def _entry(self, h) -> np.ndarray:
-        """U^alpha as a dense int64 matrix."""
-        return self.matrix_for(h).to_dense().astype(np.int64)
+    def _entry(self, h) -> PolyMulMatrix:
+        """U^alpha for one apply_f or invert_f call."""
+        return self.matrix_for(h)
 
     # --- the map and its inverse ------------------------------------------
 
@@ -112,8 +168,7 @@ class NlfContext:
         a = np.asarray(a, dtype=np.int64)
         if a.shape != (self.n,):
             raise InvalidParams("input vector length mismatch")
-        dense = self._entry(h)
-        return a @ dense
+        return self._entry(h).vecmul(a)
 
     def invert_f(self, x, h) -> np.ndarray:
         """The unique integer preimage of x under apply_f(., h).
@@ -126,35 +181,27 @@ class NlfContext:
         x = np.asarray(x, dtype=np.int64)
         if x.shape != (self.n,):
             raise InvalidParams("input vector length mismatch")
-        dense = self._entry(h)
+        m = self._entry(h)
         cinv = self._x_power(h, inverse=True)
-        residual = x.copy()
-        acc = np.zeros(self.n, dtype=np.uint64)
+        residual = x
+        v = np.zeros(self.n, dtype=np.int64)  # digit t adds 2^t, wrapping mod 2^64
         for t in range(64):
             if not residual.any():
                 break
-            start = residual
-            w = (residual & 1).astype(np.uint8)
-            if w.any():
-                digit = _poly_to_bits(
-                    gf2poly.mulmod(_bits_to_poly(w), cinv, self.g), self.n
-                )
-            else:
-                digit = np.zeros(self.n, dtype=np.uint8)
-            acc += digit.astype(np.uint64) << np.uint64(t)
-            sel = digit.astype(bool)
-            contrib = dense[sel].sum(axis=0) if sel.any() else 0
-            residual = (residual - contrib) >> 1
+            digit = poly_to_bits(
+                gf2poly.mulmod(bits_to_poly(residual & 1), cinv, self.g), self.n
+            ).astype(np.int64)
+            v += digit << t
+            start, residual = residual, (residual - m.vecmul(digit)) >> 1
             if t + 1 < 64 and np.array_equal(residual, start):
                 # fixed-point residual: every later digit repeats this one,
                 # and the 2-adic tail sum_{s>t} 2^s equals -2^(t+1)
-                acc -= digit.astype(np.uint64) << np.uint64(t + 1)
+                v -= digit << (t + 1)
                 break
-        v = acc.view(np.int64)
         # compare signed values: np.abs(-2**63) is still -2**63
         if (v > _VERIFY_BOUND).any() or (v < -_VERIFY_BOUND).any():
             raise NotInLattice("no integer preimage exists")
-        if not np.array_equal(v @ dense, x):
+        if not np.array_equal(m.vecmul(v), x):
             raise NotInLattice("no integer preimage exists")
         return v
 
@@ -164,19 +211,8 @@ class NlfContext:
         """F' = F mod 2 on a binary vector, as polynomial multiplication."""
         a = np.asarray(a, dtype=np.int64) & 1
         c = self._x_power(h)
-        pa = _bits_to_poly(a.astype(np.uint8))
-        return _poly_to_bits(gf2poly.mulmod(pa, c, self.g), self.n)
-
-    def _columns_for_alpha(self, alpha: int):
-        """Rows of U^alpha as ints (row j = x^j * x^alpha mod g)."""
-        rows = []
-        r = gf2poly.powmod(2, alpha, self.g)
-        for _ in range(self.n):
-            rows.append(r)
-            r <<= 1
-            if r >> self.n:
-                r ^= self.g
-        return rows
+        pa = bits_to_poly(a.astype(np.uint8))
+        return poly_to_bits(gf2poly.mulmod(pa, c, self.g), self.n)
 
     def _component_truth_table(self, weights: int) -> np.ndarray:
         """Truth table of sum_i w_i f_i(a, b) over all 2^(n+d) inputs.
@@ -188,11 +224,11 @@ class NlfContext:
         n, d = self.n, self.d
         a_vals = np.arange(1 << n, dtype=np.uint64)
         tt = np.empty((1 << d) << n, dtype=np.uint8)
+        w = poly_to_bits(weights, n).astype(np.int64)
         for alpha in range(1 << d):
-            rows = self._columns_for_alpha(alpha)
-            col = 0
-            for j, rj in enumerate(rows):
-                col |= (bin(rj & weights).count("1") & 1) << j
+            # bit j of col: component of row j of U^alpha along the weights
+            m = power_poly_matrix(self.g, gf2poly.powmod(2, alpha, self.g))
+            col = bits_to_poly((m.to_dense() @ w) & 1)
             vals = (np.bitwise_count(a_vals & np.uint64(col)) & 1).astype(np.uint8)
             tt[alpha << n : (alpha + 1) << n] = vals
         return tt
@@ -218,7 +254,7 @@ class NlfContext:
 
     def combination_anf_degree(self, weights) -> int:
         """Degree of a nonzero GF(2) combination of components of F'."""
-        w = _bits_to_poly(np.asarray(weights, dtype=np.uint8) % 2)
+        w = bits_to_poly(np.asarray(weights, dtype=np.uint8) % 2)
         if w == 0:
             raise InvalidParams("combination must be nonzero")
         return self._anf_degree(self._component_truth_table(w))

@@ -1,8 +1,11 @@
-"""Bit-serial GF(2)[x] routines kept as oracles for qclattice.gf2poly.
+"""Bit-serial GF(2)[x] routines kept as oracles for qclattice.gf2poly,
+the windowed x^alpha in qclattice.nlf and the generator-form matrices of
+qclattice.bitmat.
 
 These are the straightforward one-bit-at-a-time versions: a product is one
 shifted XOR per set bit, a remainder is one shifted XOR per bit above the
-modulus degree, and a square spreads the binary string.
+modulus degree, a square spreads the binary string, and row i + 1 of a
+multiplication matrix is row i times x, reduced by one conditional XOR.
 """
 
 
@@ -37,3 +40,24 @@ def powmod(a: int, e: int, m: int) -> int:
         a = sqmod(a, m)
         e >>= 1
     return r
+
+
+def reverse(a: int, n: int) -> int:
+    r = 0
+    for i in range(n + 1):
+        if (a >> i) & 1:
+            r |= 1 << (n - i)
+    return r
+
+
+def power_poly_rows(g: int, c: int) -> list:
+    """Rows x^i * c mod g, i < deg g, of the multiplication-by-c matrix."""
+    n = g.bit_length() - 1
+    rows = []
+    r = mod(c, g)
+    for _ in range(n):
+        rows.append(r)
+        r <<= 1
+        if r >> n:
+            r ^= g
+    return rows

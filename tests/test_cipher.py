@@ -152,11 +152,20 @@ def test_advance_to_hostile_counter_is_fast(paper_key):
         assert s.counter == frame
 
 
-def test_session_cannot_rewind(toy_key):
+def test_session_rewinds_to_fresh_material(toy_key):
     s = CipherSession(toy_key)
     s.advance_to(3)
-    with pytest.raises(InvalidParams):
-        s.advance_to(2)
+    s._frame_material()
+    for j in (2, 0, 5, 1, 4, 3):
+        s.advance_to(j)
+        got = s._frame_material()
+        fresh = CipherSession(toy_key)
+        fresh.advance_to(j)
+        want = fresh._frame_material()
+        assert got[0] == want[0] == j
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+        assert np.array_equal(got[3]._fwd, want[3]._fwd)
 
 
 def test_rotating_material_period():

@@ -183,7 +183,7 @@ def test_decrypt_hostile_counter_exits_1(tmp_path, capsys, keyfile, counter):
     assert f"error: frame {counter}:" in err
 
 
-def test_decrypt_duplicate_counter_follows_on_fail(tmp_path, capsys, keyfile):
+def test_decrypt_duplicate_counter_repeats_frame(tmp_path, capsys, keyfile):
     capacity = 13 * 2 * 2 // 8  # n * log2(L) / 8 bytes per frame
     data = np.random.default_rng(2).bytes(3 * capacity)
     header, frames = _encrypt_frames(tmp_path, capsys, keyfile, data)
@@ -191,15 +191,31 @@ def test_decrypt_duplicate_counter_follows_on_fail(tmp_path, capsys, keyfile):
     dup = tmp_path / "dup.bin"
     _write_frames(dup, header, [frames[0], frames[1], frames[1], frames[2]])
 
-    out = tmp_path / "out.bin"
-    code, _, err = run(capsys, "decrypt", "--key", keyfile, "-i", str(dup), "-o", str(out),
-                       "--on-fail", "skip")
-    assert code == 0
-    assert "frame 1: cannot rewind a session; emitting zeros" in err
     c = capacity
-    assert out.read_bytes() == data[: 2 * c] + b"\x00" * c + data[2 * c :]
+    want = data[: 2 * c] + data[c : 2 * c] + data[2 * c :]
+    for on_fail in ("skip", "abort"):
+        out = tmp_path / f"out-{on_fail}.bin"
+        code, _, err = run(capsys, "decrypt", "--key", keyfile, "-i", str(dup),
+                           "-o", str(out), "--on-fail", on_fail)
+        assert code == 0
+        assert err == ""
+        assert out.read_bytes() == want
 
-    code, _, err = run(capsys, "decrypt", "--key", keyfile, "-i", str(dup),
-                       "-o", str(tmp_path / "out2.bin"))
-    assert code == 1
-    assert "error: frame 1: cannot rewind a session" in err
+
+def test_decrypt_bad_counter_spares_later_frames(tmp_path, capsys, keyfile):
+    capacity = 13 * 2 * 2 // 8
+    data = np.random.default_rng(3).bytes(4 * capacity)
+    header, frames = _encrypt_frames(tmp_path, capsys, keyfile, data)
+    assert [f[0] for f in frames] == [0, 1, 2, 3]
+    _, payload, coords = frames[1]
+    crafted = tmp_path / "crafted.bin"
+    _write_frames(crafted, header, [frames[0], (2**40, payload, coords), frames[2], frames[3]])
+
+    out = tmp_path / "out.bin"
+    code, _, err = run(capsys, "decrypt", "--key", keyfile, "-i", str(crafted),
+                       "-o", str(out), "--on-fail", "skip")
+    assert code == 0
+    assert f"warning: frame {2**40}:" in err
+    assert err.count("warning") == 1
+    c = capacity
+    assert out.read_bytes() == data[:c] + b"\x00" * c + data[2 * c :]

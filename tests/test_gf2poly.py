@@ -96,3 +96,18 @@ def test_x_power_and_inverse(name, data):
     cinv = ctx._x_power(h, inverse=True)
     assert c == ref.powmod(2, alpha, ctx.g) == gf2poly.powmod(2, alpha, ctx.g)
     assert ref.mod(ref.mul(c, cinv), ctx.g) == 1
+
+
+@fast
+@given(st.integers(0, 1 << 600), st.integers(0, 400))
+def test_reverse_matches_reference(a, n):
+    assert gf2poly.reverse(a, n) == ref.reverse(a, n)
+
+
+@fast
+@given(moduli, st.integers(1, 700))
+def test_inverse_series(f, nbits):
+    f |= 1  # f(0) = 1
+    inv = gf2poly.inverse_series(f, nbits)
+    assert inv < 1 << nbits
+    assert ref.mul(inv, f) & ((1 << nbits) - 1) == 1
