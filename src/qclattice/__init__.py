@@ -1,70 +1,10 @@
-"""QC-LDPC-lattice joint encryption, channel coding and modulation."""
+"""QC-LDPC-lattice joint encryption, channel coding and modulation.
 
-from .analysis import (
-    SchemeReport,
-    bruteforce_cost_log2,
-    build_report,
-    differential_cost_log2,
-    key_size_bits,
-    message_expansion,
-)
-from .bitmat import (
-    BinMatrix,
-    Circulant,
-    CompanionMatrix,
-    circulant_inverse,
-    circulant_mul,
-    companion_power_mod2,
-    exact_integer_inverse_apply,
-    matrix_order,
-)
-from .channel import SweepSpec, add_awgn, lattice_sweep, run_sweep, wilson_interval
-from .cipher import (
-    CipherParams,
-    CipherSession,
-    Ciphertext,
-    SecretKey,
-    keygen,
-    load_key,
-    pack_bits,
-    save_key,
-    unpack_bits,
-)
-from .decoder import DecoderConfig, channel_llr, decode
-from .errors import (
-    ConstellationViolation,
-    DecodeFailure,
-    FormatError,
-    InvalidParams,
-    NotInLattice,
-    NotLatticePoint,
-    QclatticeError,
-    SearchExhausted,
-    ShapingOverflow,
-    Singular,
-    SingularBlock,
-    SingularCirculant,
-    TooLarge,
-    ZeroSeedSlice,
-)
-from .keystream import (
-    BlockPermutation,
-    Lfsr,
-    PermutationStream,
-    ReseedingLfsr,
-    build_block_permutation,
-    next_error_vector,
-    next_permutation,
-)
-from .lattice import LatticeCtx, ShapedPoint
-from .nlf import NlfContext
-from .rdfcode import (
-    QcCode,
-    SystematicGen,
-    count_rdf_lower_bound,
-    girth_ok,
-    rdf_search,
-    systematic_generator,
-)
+The package root re-exports the session entry points; everything else is
+imported from its module (``qclattice.cipher``, ``qclattice.decoder``, ...).
+"""
+
+from .cipher import CipherParams, CipherSession, keygen
+from .rdfcode import rdf_search
 
 __version__ = "1.0.0"

@@ -1,42 +1,18 @@
-"""Sum-product inner loops: numba-compiled kernels with a numpy fallback.
+"""Sum-product inner loop: flooding SPA over the regular (m, dc) edge grid.
 
-Set QCLATTICE_NO_NUMBA=1 to force the pure-numpy path (also used
-automatically when numba is unavailable).  Both implementations run the
-same flooding schedule with the exact tanh rule and forward/backward
-partial products, so they agree on decoded words; see
-benchmarks/bench_decoder.py for a speed comparison.
+One numpy kernel with the exact tanh rule and forward/backward partial
+products.  ``USE_NUMBA`` is always False; perfbench records it with each
+result.
 """
-
-import os
 
 import numpy as np
 
 _TANH_CAP = 0.9999999999999998  # keep atanh finite
 
-
-def _env_disabled() -> bool:
-    return os.environ.get("QCLATTICE_NO_NUMBA", "").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
+USE_NUMBA = False
 
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-        return wrap
-
-
-USE_NUMBA = HAVE_NUMBA and not _env_disabled()
-
-
-def spa_core_numpy(chan, check_nbr, ve_check, ve_slot, max_iter, clip):
+def spa_core(chan, check_nbr, ve_check, ve_slot, max_iter, clip):
     """Flooding SPA, vectorized over the regular (m, dc) edge grid.
 
     chan: channel LLRs, sign convention log P(bit=1)/P(bit=0).
@@ -65,73 +41,3 @@ def spa_core_numpy(chan, check_nbr, ve_check, ve_slot, max_iter, clip):
         lr = 2.0 * np.arctanh(np.clip(ext, -_TANH_CAP, _TANH_CAP))
         np.clip(lr, -clip, clip, out=lr)
     return bits, False, max_iter
-
-
-@njit(cache=True)
-def spa_core_numba(chan, check_nbr, ve_check, ve_slot, max_iter, clip):  # pragma: no cover - numba
-    m, dc = check_nbr.shape
-    n, dv = ve_check.shape
-    lr = np.zeros((m, dc))
-    bits = np.zeros(n, dtype=np.uint8)
-    tot = np.zeros(n)
-    th = np.empty(dc)
-    bwd = np.empty(dc)
-    for it in range(max_iter + 1):
-        for v in range(n):
-            s = chan[v]
-            for e in range(dv):
-                s += lr[ve_check[v, e], ve_slot[v, e]]
-            tot[v] = s
-            bits[v] = 1 if s > 0 else 0
-        ok = True
-        for c in range(m):
-            acc = 0
-            for e in range(dc):
-                acc ^= bits[check_nbr[c, e]]
-            if acc:
-                ok = False
-                break
-        if ok:
-            return bits, True, it
-        if it == max_iter:
-            break
-        for c in range(m):
-            # var -> check messages for this row, tanh halves
-            for e in range(dc):
-                q = tot[check_nbr[c, e]] - lr[c, e]
-                if q > clip:
-                    q = clip
-                elif q < -clip:
-                    q = -clip
-                t = np.tanh(q / 2.0)
-                if t > _TANH_CAP:
-                    t = _TANH_CAP
-                elif t < -_TANH_CAP:
-                    t = -_TANH_CAP
-                th[e] = t
-            # backward suffix products, then a forward sweep excluding self
-            p = 1.0
-            for e in range(dc - 1, -1, -1):
-                bwd[e] = p
-                p *= th[e]
-            p = 1.0
-            for e in range(dc):
-                ext = p * bwd[e]
-                if ext > _TANH_CAP:
-                    ext = _TANH_CAP
-                elif ext < -_TANH_CAP:
-                    ext = -_TANH_CAP
-                v = 2.0 * np.arctanh(ext)
-                if v > clip:
-                    v = clip
-                elif v < -clip:
-                    v = -clip
-                lr[c, e] = v
-                p *= th[e]
-    return bits, False, max_iter
-
-
-def spa_core(chan, check_nbr, ve_check, ve_slot, max_iter, clip, force_numpy=False):
-    if USE_NUMBA and not force_numpy:
-        return spa_core_numba(chan, check_nbr, ve_check, ve_slot, max_iter, clip)
-    return spa_core_numpy(chan, check_nbr, ve_check, ve_slot, max_iter, clip)

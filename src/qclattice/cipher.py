@@ -31,7 +31,6 @@ from .keystream import (
     BlockPermutation,
     PermutationStream,
     ReseedingLfsr,
-    next_error_vector,
     seed_slices,
 )
 from .lattice import LatticeCtx
@@ -183,7 +182,7 @@ class CipherSession:
 
     def _frame_material(self):
         j = self.counter
-        e = next_error_vector(self.e_lfsr, self.params.n).astype(np.int64)
+        e = self.e_lfsr.next_bits(self.params.n).astype(np.int64)
         h = self.h_lfsr.next_bits(self.params.d)
         perm = BlockPermutation(
             self.params.q, [st.next_perm() for st in self.perm_streams]
@@ -365,8 +364,8 @@ def load_key(text: str) -> SecretKey:
             b=int(f["b"]), n0=int(f["n0"]), dv=int(f["dv"]),
             q=int(f["q"]), L=int(f["L"]), d=int(f["d"]),
         )
-    except KeyError as e:
-        raise FormatError(f"missing key field {e}") from e
+    except ValueError as e:
+        raise FormatError(f"non-integer key parameter: {e}") from e
     params.validate()
     if f["digest"] != params.digest():
         raise FormatError("params digest mismatch")
@@ -390,8 +389,8 @@ def load_key(text: str) -> SecretKey:
         s=formats.hex_to_int(f["s"], params.l1),
         h_seed=formats.hex_to_int(f["h_seed"], params.d),
         t_bits=tuple(int(x) for x in t_bits),
-        nlf_poly=formats.poly_from_id(f["poly_nlf"]),
-        e_poly=formats.poly_from_id(f["poly_e"]),
-        h_poly=formats.poly_from_id(f["poly_h"]),
-        perm_poly=formats.poly_from_id(f["poly_perm"]),
+        nlf_poly=formats.poly_from_id(f["poly_nlf"], params.n),
+        e_poly=formats.poly_from_id(f["poly_e"], params.l1),
+        h_poly=formats.poly_from_id(f["poly_h"], params.d),
+        perm_poly=formats.poly_from_id(f["poly_perm"], params.gamma),
     )

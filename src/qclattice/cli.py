@@ -24,7 +24,7 @@ from .cipher import (
     save_key,
     unpack_bits,
 )
-from .errors import QclatticeError
+from .errors import FormatError, QclatticeError
 from .formats import FrameReader, FrameWriter
 
 
@@ -88,19 +88,22 @@ def cmd_decrypt(args) -> int:
         if reader.observations and sigma <= 0:
             print("error: observation file needs --sigma > 0", file=sys.stderr)
             return 1
+        cap = frame_capacity_bytes(p.n, p.L)
         for counter, payload, coords in reader:
             try:
+                if payload > cap:
+                    raise FormatError(f"payload {payload} exceeds frame capacity {cap}")
                 session.advance_to(counter)
                 m = session.decrypt_joint(coords.astype(np.float64), sigma)
+                plain = unpack_bits([(m, payload)], p.n, p.L)
             except QclatticeError as e:
                 if args.on_fail == "abort":
                     print(f"error: frame {counter}: {e}", file=sys.stderr)
                     return 1
                 print(f"warning: frame {counter}: {e}; emitting zeros",
                       file=sys.stderr)
-                fout.write(b"\x00" * payload)
-                continue
-            fout.write(unpack_bits([(m, payload)], p.n, p.L))
+                plain = b"\x00" * min(payload, cap)
+            fout.write(plain)
     return 0
 
 

@@ -38,7 +38,7 @@ def tanner_arrays(code: QcCode):
     graph is regular, so every check row has exactly dc edges and every
     variable exactly dv.
     """
-    h = code.h_matrix().to_dense()
+    h = code.h_matrix()
     m, n = h.shape
     check_nbr = np.nonzero(h)[1].reshape(m, code.dc).astype(np.int64)
     ve = [[] for _ in range(n)]
@@ -79,7 +79,7 @@ def channel_llr(r, sigma: float, window: int, clip: float = 30.0):
     return float(llr[0]) if scalar else llr
 
 
-def decode(ctx: LatticeCtx, cfg: DecoderConfig, r, sigma: float, force_numpy=False):
+def decode(ctx: LatticeCtx, cfg: DecoderConfig, r, sigma: float):
     """Decode an AWGN observation back to a lattice translate point.
 
     On success returns the all-odd integer vector whose lifted word has
@@ -97,7 +97,6 @@ def decode(ctx: LatticeCtx, cfg: DecoderConfig, r, sigma: float, force_numpy=Fal
     check_nbr, ve_check, ve_slot = tanner_arrays(ctx.code)
     bits, ok, iters = spa_core(
         chan, check_nbr, ve_check, ve_slot, cfg.max_iterations, cfg.llr_clip,
-        force_numpy=force_numpy,
     )
     if not ok:
         raise DecodeFailure(

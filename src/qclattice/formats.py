@@ -18,10 +18,16 @@ from .errors import FormatError
 
 KEY_MAGIC = "qclattice-key"
 KEY_VERSION = 1
+KEY_FIELDS = (  # in file order
+    "version", "b", "n0", "dv", "q", "L", "d",
+    "poly_nlf", "poly_e", "poly_h", "poly_perm",
+    "supports", "s", "h_seed", "t", "digest",
+)
 CT_MAGIC = b"QCLC"
 OBS_MAGIC = b"QCLO"
 FILE_VERSION = 1
 
+_FILE_HEAD = struct.Struct("<4sB8sI")
 _FRAME_HEAD = struct.Struct("<QI")
 
 
@@ -39,12 +45,19 @@ def bits_to_hex(bits: np.ndarray) -> str:
     return np.packbits(bits, bitorder="little").tobytes().hex()
 
 
+def _from_hex(text: str) -> bytes:
+    try:
+        return bytes.fromhex(text)
+    except ValueError as e:
+        raise FormatError(f"bad hex field {text!r}") from e
+
+
 def hex_to_bits(text: str, nbits: int) -> np.ndarray:
     if text == "-":
         if nbits != 0:
             raise FormatError("empty field for nonzero bit count")
         return np.zeros(0, dtype=np.uint8)
-    raw = np.frombuffer(bytes.fromhex(text), dtype=np.uint8)
+    raw = np.frombuffer(_from_hex(text), dtype=np.uint8)
     if raw.size * 8 < nbits:
         raise FormatError("hex field shorter than declared bit count")
     bits = np.unpackbits(raw, bitorder="little")
@@ -58,7 +71,7 @@ def int_to_hex(value: int, nbits: int) -> str:
 
 
 def hex_to_int(text: str, nbits: int) -> int:
-    v = int.from_bytes(bytes.fromhex(text), "little")
+    v = int.from_bytes(_from_hex(text), "little")
     if v >> nbits:
         raise FormatError("value exceeds declared bit width")
     return v
@@ -71,30 +84,38 @@ def poly_id(poly: int) -> str:
     return f"{deg}:{','.join(taps) if taps else '0'}"
 
 
-def poly_from_id(text: str) -> int:
+def poly_from_id(text: str, degree: int) -> int:
+    """Inverse of poly_id for a polynomial that must have the given degree.
+
+    The degree and every tap are range-checked before any shift, so a
+    hostile id cannot ask for a huge integer.
+    """
     try:
         deg_s, taps_s = text.split(":")
+        taps = [] if taps_s == "0" else [int(t) for t in taps_s.split(",")]
         deg = int(deg_s)
-        v = (1 << deg) | 1
-        if taps_s != "0":
-            for t in taps_s.split(","):
-                v |= 1 << int(t)
-        return v
     except (ValueError, AttributeError) as e:
         raise FormatError(f"bad polynomial id {text!r}") from e
+    if deg != degree:
+        raise FormatError(f"polynomial id {text!r} needs degree {degree}")
+    if any(not 0 < t < deg for t in taps):
+        raise FormatError(f"polynomial id {text!r} has a tap outside (0, {deg})")
+    v = (1 << deg) | 1
+    for t in taps:
+        v |= 1 << t
+    return v
+
+
+def _check_key_fields(fields: dict):
+    missing = [f for f in KEY_FIELDS if f not in fields]
+    if missing:
+        raise FormatError(f"missing key fields: {missing}")
 
 
 def write_key_text(fields: dict) -> str:
     """Render the key file; field order is part of the format."""
-    order = [
-        "version", "b", "n0", "dv", "q", "L", "d",
-        "poly_nlf", "poly_e", "poly_h", "poly_perm",
-        "supports", "s", "h_seed", "t", "digest",
-    ]
-    missing = [f for f in order if f not in fields]
-    if missing:
-        raise FormatError(f"missing key fields: {missing}")
-    lines = [KEY_MAGIC] + [f"{name} = {fields[name]}" for name in order]
+    _check_key_fields(fields)
+    lines = [KEY_MAGIC] + [f"{name} = {fields[name]}" for name in KEY_FIELDS]
     return "\n".join(lines) + "\n"
 
 
@@ -110,6 +131,7 @@ def read_key_text(text: str) -> dict:
         fields[name.strip()] = value.strip()
     if fields.get("version") != str(KEY_VERSION):
         raise FormatError("unsupported key version")
+    _check_key_fields(fields)
     return fields
 
 
@@ -121,10 +143,7 @@ class FrameWriter:
         self.n = n
         self.observations = observations
         magic = OBS_MAGIC if observations else CT_MAGIC
-        fh.write(magic)
-        fh.write(struct.pack("<B", FILE_VERSION))
-        fh.write(bytes.fromhex(digest))
-        fh.write(struct.pack("<I", n))
+        fh.write(_FILE_HEAD.pack(magic, FILE_VERSION, bytes.fromhex(digest), n))
 
     def write_frame(self, counter: int, payload_len: int, coords: np.ndarray):
         self.fh.write(_FRAME_HEAD.pack(counter, payload_len))
@@ -145,18 +164,19 @@ class FrameReader:
 
     def __init__(self, fh):
         self.fh = fh
-        magic = fh.read(4)
-        if magic == CT_MAGIC:
+        head = fh.read(_FILE_HEAD.size)
+        if head[:4] == CT_MAGIC:
             self.observations = False
-        elif magic == OBS_MAGIC:
+        elif head[:4] == OBS_MAGIC:
             self.observations = True
         else:
             raise FormatError("not a ciphertext or observation file")
-        ver = fh.read(1)
-        if len(ver) != 1 or ver[0] != FILE_VERSION:
+        if len(head) != _FILE_HEAD.size:
+            raise FormatError("truncated file header")
+        _, ver, digest, self.n = _FILE_HEAD.unpack(head)
+        if ver != FILE_VERSION:
             raise FormatError("unsupported file version")
-        self.digest = fh.read(8).hex()
-        (self.n,) = struct.unpack("<I", fh.read(4))
+        self.digest = digest.hex()
         self._coord_bytes = 8 * self.n if self.observations else 4 * self.n
 
     def __iter__(self):

@@ -194,11 +194,6 @@ class ReseedingLfsr:
         self.main.jump(self.phase)
 
 
-def next_error_vector(lfsr: ReseedingLfsr, n: int) -> np.ndarray:
-    """Next n keystream bits as the intentional error vector."""
-    return lfsr.next_bits(n)
-
-
 @functools.lru_cache(maxsize=32)
 def _permutation_ring(q: int, gamma: int, taps: int):
     """Every permutation a stream over (q, gamma, taps) can draw.
@@ -279,11 +274,6 @@ class PermutationStream:
             self.pos = (self._start + j) % self._period
 
 
-def next_permutation(stream: PermutationStream) -> np.ndarray:
-    """Draw the next permutation from a stream (bijection on {0..q-1})."""
-    return stream.next_perm()
-
-
 _UINT64 = np.dtype(np.uint64)
 
 
@@ -359,10 +349,3 @@ def seed_slices(t_bits: np.ndarray, q: int, v: int):
             raise ZeroSeedSlice(f"seed slice {i} is all-zero")
         seeds.append(val)
     return seeds, gamma
-
-
-def build_block_permutation(t_bits, q: int, v: int) -> BlockPermutation:
-    """First permutation drawn from each seed slice of t."""
-    seeds, _ = seed_slices(t_bits, q, v)
-    perms = [PermutationStream(q, s).next_perm() for s in seeds]
-    return BlockPermutation(q, perms)

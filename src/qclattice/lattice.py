@@ -82,7 +82,7 @@ class LatticeCtx:
 
     def _h(self) -> np.ndarray:
         if self._h_dense is None:
-            self._h_dense = self.code.h_matrix().to_dense().astype(np.int64)
+            self._h_dense = self.code.h_matrix().astype(np.int64)
         return self._h_dense
 
     def syndrome_ok(self, lam: np.ndarray) -> bool:

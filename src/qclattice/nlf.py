@@ -14,9 +14,7 @@ so F is the XOR of one table entry per 4-bit chunk of r, from tables
 built once per g (Hankerson, Menezes & Vanstone, *Guide to Elliptic Curve
 Cryptography*, 2004, sec. 2.3); x^w is a shift and a fold.  x^-alpha,
 needed only to invert, is x^-(2^d) x^(2^d - alpha): the same loop and one
-product with x^-(2^d), cached per (g, d).  The d stage polynomials
-x^(2^i) mod g and their inverses are built on first access, for
-inspection only.
+product with x^-(2^d), cached per (g, d).
 
 F acts on integer vectors using the 0/1 matrix U^alpha (the encryption
 pipeline runs over the reals); the mod-2 view F' used by the analysis
@@ -118,23 +116,6 @@ class NlfContext:
             raise InvalidParams("g(0) must be 1")
         if self.d < 0:
             raise InvalidParams("control width must be >= 0")
-
-    @functools.cached_property
-    def stages(self) -> list[int]:
-        """Stage polynomials x^(2^i) mod g for i < d."""
-        return self._squares(gf2poly.mod(2, self.g))
-
-    @functools.cached_property
-    def stages_inv(self) -> list[int]:
-        """Inverse stage polynomials x^-(2^i) mod g; x^-1 = g >> 1."""
-        return self._squares(self.g >> 1)
-
-    def _squares(self, s: int) -> list[int]:
-        out = []
-        for _ in range(self.d):
-            out.append(s)
-            s = gf2poly.sqmod(s, self.g)
-        return out
 
     # --- control line ----------------------------------------------------
 

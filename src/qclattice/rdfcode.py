@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bitmat import BinMatrix, Circulant, circulant_inverse, circulant_mul
+from .bitmat import Circulant, circulant_inverse, circulant_mul
 from .errors import InvalidParams, SearchExhausted, SingularBlock, SingularCirculant
 
 
@@ -58,9 +58,9 @@ class QcCode:
     def blocks(self):
         return [Circulant(self.b, sup) for sup in self.supports]
 
-    def h_matrix(self) -> BinMatrix:
-        dense = np.hstack([c.to_binmatrix().to_dense() for c in self.blocks()])
-        return BinMatrix.from_dense(dense)
+    def h_matrix(self) -> np.ndarray:
+        """H = [H_0 | ... | H_{n0-1}] as a (b, n) uint8 array."""
+        return np.hstack([c.to_dense() for c in self.blocks()])
 
     def spec_tuple(self):
         """Serialization order used by the key file."""
@@ -84,7 +84,7 @@ class SystematicGen:
 
     def a_dense(self) -> np.ndarray:
         """A as a k x (n-k) 0/1 array."""
-        return np.vstack([c.to_binmatrix().to_dense() for c in self.a_blocks])
+        return np.vstack([c.to_dense() for c in self.a_blocks])
 
     def g_dense(self) -> np.ndarray:
         k = self.k
@@ -194,14 +194,6 @@ def girth_ok(code: QcCode) -> bool:
                     return False
                 seen.add(d)
     return True
-
-
-def girth_ok_dense(code: QcCode) -> bool:
-    """O(n^2) oracle: no two columns of H share two or more rows."""
-    h = code.h_matrix().to_dense().astype(np.int32)
-    gram = h.T @ h
-    np.fill_diagonal(gram, 0)
-    return int(gram.max()) <= 1
 
 
 def systematic_generator(code: QcCode) -> SystematicGen:

@@ -1,12 +1,19 @@
-"""Bit-serial GF(2)[x] routines kept as oracles for qclattice.gf2poly,
-the windowed x^alpha in qclattice.nlf and the generator-form matrices of
-qclattice.bitmat.
+"""Bit-serial GF(2)[x] routines and dense GF(2) matrices kept as oracles
+for qclattice.gf2poly, the windowed x^alpha in qclattice.nlf, the
+generator-form matrices of qclattice.bitmat and the girth check of
+qclattice.rdfcode.
 
 These are the straightforward one-bit-at-a-time versions: a product is one
 shifted XOR per set bit, a remainder is one shifted XOR per bit above the
 modulus degree, a square spreads the binary string, and row i + 1 of a
 multiplication matrix is row i times x, reduced by one conditional XOR.
+Matrices are plain uint8 arrays; companion powers come from those rows and
+the bit-serial powmod, so they share no code with qclattice.bitmat.
 """
+
+import numpy as np
+
+from qclattice.errors import Singular
 
 
 def mul(a: int, b: int) -> int:
@@ -61,3 +68,84 @@ def power_poly_rows(g: int, c: int) -> list:
         if r >> n:
             r ^= g
     return rows
+
+
+# --- dense 0/1 matrices (numpy uint8 arrays) ------------------------------
+
+
+class CompanionMatrix:
+    """Companion matrix of a monic g(x) with g(0) = 1, as a 0/1 array.
+
+    Rows 0..n-2 are shifted unit vectors; the last row carries the
+    coefficients a_0..a_{n-1}.  Over the integers the determinant is
+    (-1)^(n+1) * a_0, in {-1, +1}.
+    """
+
+    def __init__(self, poly: int):
+        if poly.bit_length() < 2 or not poly & 1:
+            raise ValueError("companion matrix needs degree >= 1 and a_0 = 1")
+        self.poly = poly
+        self.degree = poly.bit_length() - 1
+
+    def to_dense(self) -> np.ndarray:
+        n = self.degree
+        rows = [1 << (i + 1) for i in range(n - 1)] + [self.poly & ((1 << n) - 1)]
+        return rows_to_dense(rows, n)
+
+
+def rows_to_dense(rows, n: int) -> np.ndarray:
+    """Rows given as ints (bit j = column j) as an n-column uint8 array."""
+    nbytes = (n + 7) // 8
+    raw = b"".join(r.to_bytes(nbytes, "little") for r in rows)
+    raw = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), nbytes)
+    return np.unpackbits(raw, axis=1, count=n, bitorder="little")
+
+
+def companion_power_mod2(u: CompanionMatrix, alpha: int) -> np.ndarray:
+    """U^alpha over GF(2): the multiplication matrix of x^alpha mod g."""
+    return rows_to_dense(power_poly_rows(u.poly, powmod(2, alpha, u.poly)), u.degree)
+
+
+def matmul_mod2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return ((a.astype(np.int64) @ b.astype(np.int64)) & 1).astype(np.uint8)
+
+
+def rank_mod2(m: np.ndarray) -> int:
+    """Rank over GF(2) by Gaussian elimination on a copy."""
+    work = np.array(m, dtype=np.uint8) & 1
+    rank = 0
+    for c in range(work.shape[1]):
+        hits = np.nonzero(work[rank:, c])[0]
+        if len(hits) == 0:
+            continue
+        p = rank + hits[0]
+        work[[rank, p]] = work[[p, rank]]
+        below = work[:, c].astype(bool)
+        below[rank] = False
+        work[below] ^= work[rank]
+        rank += 1
+        if rank == work.shape[0]:
+            break
+    return rank
+
+
+def matrix_order(u: np.ndarray, max_order: int):
+    """Least e <= max_order with u^e = I over GF(2), or None."""
+    n = u.shape[0]
+    if u.shape != (n, n) or rank_mod2(u) != n:
+        raise Singular("order is defined for invertible square matrices")
+    ident = np.eye(n, dtype=np.uint8)
+    acc = np.array(u, dtype=np.uint8)
+    for e in range(1, max_order + 1):
+        if np.array_equal(acc, ident):
+            return e
+        acc = matmul_mod2(acc, u)
+    return None
+
+
+def girth_ok_dense(code) -> bool:
+    """No two columns of H share two or more rows (no 4-cycles)."""
+    h = code.h_matrix().astype(np.int32)
+    gram = h.T @ h
+    np.fill_diagonal(gram, 0)
+    return int(gram.max()) <= 1

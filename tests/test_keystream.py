@@ -12,12 +12,15 @@ from qclattice.keystream import (
     Lfsr,
     PermutationStream,
     ReseedingLfsr,
-    build_block_permutation,
-    next_error_vector,
-    next_permutation,
     seed_slices,
 )
 from qclattice.primitives import poly, reciprocal
+
+
+def first_block_permutation(t_bits, q, v):
+    """The block permutation of frame 0: one draw from each seed slice of t."""
+    seeds, _ = seed_slices(t_bits, q, v)
+    return BlockPermutation(q, [PermutationStream(q, s).next_perm() for s in seeds])
 
 
 def test_lfsr_full_period_primitive():
@@ -60,14 +63,14 @@ def test_reseeding_joint_period(l1):
 
 def test_error_vector_mean_weight():
     lf = ReseedingLfsr(9, poly(9), reciprocal(9), 333)
-    weights = [int(next_error_vector(lf, 258).sum()) for _ in range(1000)]
+    weights = [int(lf.next_bits(258).sum()) for _ in range(1000)]
     assert abs(np.mean(weights) - 129) <= 10
 
 
 def test_error_vector_deterministic():
     a = ReseedingLfsr(9, poly(9), reciprocal(9), 7)
     b = ReseedingLfsr(9, poly(9), reciprocal(9), 7)
-    assert np.array_equal(next_error_vector(a, 258), next_error_vector(b, 258))
+    assert np.array_equal(a.next_bits(258), b.next_bits(258))
 
 
 def test_permutation_degenerate_q1():
@@ -92,7 +95,7 @@ def test_permutation_q7_is_state_sequence():
 def test_permutation_q43_bijections():
     st = PermutationStream(43, 21)
     for _ in range(100):
-        p = next_permutation(st)
+        p = st.next_perm()
         assert sorted(p.tolist()) == list(range(43))
 
 
@@ -126,7 +129,7 @@ def test_block_permutation_orthogonal():
     t = rng.integers(0, 2, size=6 * 6)
     while any(not t[i * 6 : (i + 1) * 6].any() for i in range(6)):
         t = rng.integers(0, 2, size=6 * 6)
-    bp = build_block_permutation(t, 43, 6)
+    bp = first_block_permutation(t, 43, 6)
     m = bp.to_matrix().astype(np.int64)
     assert np.array_equal(m @ m.T, np.eye(43 * 6, dtype=np.int64))
 
@@ -139,7 +142,7 @@ def test_block_permutation_matrix_matches_apply():
 
 def test_block_permutation_identical_slices():
     t = np.tile(np.array([1, 0, 1, 0, 0, 0], dtype=np.uint8), 6)
-    bp = build_block_permutation(t, 43, 6)
+    bp = first_block_permutation(t, 43, 6)
     for p in bp.perms[1:]:
         assert np.array_equal(p, bp.perms[0])
 
@@ -148,13 +151,13 @@ def test_block_permutation_zero_slice():
     t = np.ones(36, dtype=np.uint8)
     t[6:12] = 0
     with pytest.raises(ZeroSeedSlice):
-        build_block_permutation(t, 43, 6)
+        first_block_permutation(t, 43, 6)
 
 
 def test_apply_inverse_roundtrip():
     rng = np.random.default_rng(1)
     t = np.ones(8, dtype=np.uint8)
-    bp = build_block_permutation(t, 3, 4)
+    bp = first_block_permutation(t, 3, 4)
     x = rng.integers(-100, 100, size=12)
     assert np.array_equal(bp.apply_inverse(bp.apply(x)), x)
     ident = BlockPermutation(3, [np.arange(3)] * 4)

@@ -33,7 +33,7 @@ def test_encode_unit_vector(paper_lattice):
 def test_encode_syndrome_oracle(paper_lattice):
     ctx = paper_lattice
     rng = np.random.default_rng(0)
-    h = ctx.code.h_matrix().to_dense().astype(np.int64)
+    h = ctx.code.h_matrix().astype(np.int64)
     for _ in range(20):
         xi = rng.integers(-50, 50, size=ctx.n)
         lam = ctx.encode(xi)
