@@ -80,10 +80,11 @@ def joint_run(paper_key):
     return stats
 
 
-def test_acceptance_1_key_size(paper_key):
+def test_acceptance_1_key_size():
+    # test_cipher::test_key_size_matches_serialized_secrets checks that the
+    # key text carries exactly these bits
     assert key_size_bits(PAPER_PARAMS) == 214
-    assert paper_key.secret_bit_count() == 214
-    ok(1, "key size 214 bits, serialized secret fields 214 bits")
+    ok(1, "key size 214 bits")
 
 
 def test_acceptance_2_roundtrip_joint(joint_run):

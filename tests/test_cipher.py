@@ -1,3 +1,5 @@
+import hashlib
+import re
 import time
 
 import numpy as np
@@ -20,14 +22,14 @@ from qclattice.errors import (
     FormatError,
     InvalidParams,
     NotLatticePoint,
+    QclatticeError,
 )
 
 TOY = CipherParams(b=13, n0=2, dv=3, q=13, L=4, d=8)
 
 
-def test_keygen_paper_key_size(paper_key):
+def test_keygen_paper_key_size():
     assert key_size_bits(PAPER_PARAMS) == 214
-    assert paper_key.secret_bit_count() == 214
 
 
 def test_keygen_deterministic():
@@ -243,11 +245,33 @@ def test_key_file_deterministic():
     assert a == b
 
 
-def test_key_file_secret_bits_match_accounting(paper_key):
-    p = paper_key.params
-    support_bits = p.dv * (p.b - 1).bit_length() * p.n0
-    total = support_bits + p.l1 + p.d + len(paper_key.t_bits)
-    assert total == key_size_bits(p) == 214
+# SHA-256 of the save_key text, which pins the key layout byte for byte:
+# field order, field widths, bit order and padding.
+KEY_TEXT_SHA256 = {
+    "paper": (PAPER_PARAMS, 1,
+              "45c5ac24d4546f8e67bb46fdc9ab277b560f90861086e6e818a14cb1ef63b055"),
+    "toy": (TOY, 42,
+            "0ab8db07525554b729e07bca09bf3fdee26cea902abae565fc41402879c4a470"),
+    "b187": (CipherParams(b=187, n0=8, dv=5, q=187, L=16, d=77), 1,
+             "6c596c2019e02f50ae48995536e090915d877f91dd56adb7c27f769873e4e04b"),
+}
+
+
+@pytest.mark.parametrize("name", list(KEY_TEXT_SHA256))
+def test_key_file_text_digest(name):
+    params, seed, want = KEY_TEXT_SHA256[name]
+    text = save_key(keygen(params, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+def _secret_field_bits(p):
+    """Bits of each secret hex field, derived here independently of the code."""
+    return {
+        "supports": p.dv * p.n0 * (p.b - 1).bit_length(),
+        "s": (p.n - 1).bit_length(),
+        "h_seed": p.d,
+        "t": p.v * (p.q - 1).bit_length(),
+    }
 
 
 @pytest.mark.parametrize(
@@ -260,8 +284,36 @@ def test_key_file_secret_bits_match_accounting(paper_key):
     ],
 )
 def test_key_size_matches_serialized_secrets(params):
+    """Flip every bit of every secret hex field of the key text in turn.
+
+    Each of the key_size_bits secret bits must change the loaded key or be
+    refused; each padding bit must be refused as a format error.
+    """
     key = keygen(params, 11)
-    assert key.secret_bit_count() == key_size_bits(params)
+    text = save_key(key)
+    bits = _secret_field_bits(params)
+    assert sum(bits.values()) == key_size_bits(params)
+    live = 0
+    for name, nbits in bits.items():
+        old = re.search(rf"^{name} = (\w+)$", text, re.M).group(1)
+        raw = bytes.fromhex(old)
+        assert len(raw) == (nbits + 7) // 8
+        for i in range(8 * len(raw)):
+            value = bytearray(raw)
+            value[i // 8] ^= 1 << (i % 8)
+            bad = text.replace(f"\n{name} = {old}\n", f"\n{name} = {value.hex()}\n")
+            assert bad != text
+            if i >= nbits:
+                with pytest.raises(FormatError):
+                    load_key(bad)
+                continue
+            live += 1
+            try:
+                loaded = load_key(bad)
+            except QclatticeError:
+                continue
+            assert loaded != key
+    assert live == key_size_bits(params)
 
 
 def test_key_file_digest_tamper_detected(paper_key):
