@@ -21,17 +21,14 @@ def default_l2(n: int) -> int:
 
 
 def key_size_bits(params: CipherParams) -> int:
-    """l1 + l2 + l3 + l4 with l2 = d (explicit widths override the default).
+    """l1 + l2 + l3 + l4, the bits of the secret key fields, with l2 = d.
 
     l1 = ceil(log2 n)            error-LFSR seed
     l2 = d                       control-line seed
     l3 = dv * ceil(log2 b) * n0  circulant supports
     l4 = v * ceil(log2 q)        permutation seeds
     """
-    p = params
-    l3 = p.dv * _ceil_log2(p.b) * p.n0 if p.b > 1 else 0
-    l4 = p.v * (_ceil_log2(p.q) if p.q > 1 else 0)
-    return p.l1 + p.d + l3 + l4
+    return sum(count * width for _, count, width in params.secret_fields())
 
 
 def l2_override_flag(params: CipherParams) -> bool:

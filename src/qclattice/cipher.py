@@ -10,6 +10,13 @@ Transmitter and receiver stay synchronized through the frame counter: a
 receiver seeks to the counter of each frame it sees, forward or back, in
 O(log j) time, so missing, repeated and reordered frames decrypt
 independently.
+
+``CipherParams.secret_fields`` is the one statement of the key layout:
+the name, value count and bit width of each secret field, in file order.
+``save_key``, ``load_key`` and ``analysis.key_size_bits`` read it, and the
+session seeds each permutation stream with one gamma-bit value of t.
+``CipherParams.validate`` admits only parameter sets that key generation
+and the int32 ciphertext format can serve.
 """
 
 from __future__ import annotations
@@ -27,12 +34,7 @@ from .errors import (
     InvalidParams,
     NotLatticePoint,
 )
-from .keystream import (
-    BlockPermutation,
-    PermutationStream,
-    ReseedingLfsr,
-    seed_slices,
-)
+from .keystream import BlockPermutation, PermutationStream, ReseedingLfsr
 from .lattice import LatticeCtx
 from .nlf import NlfContext
 from .rdfcode import QcCode, rdf_search
@@ -72,20 +74,41 @@ class CipherParams:
 
     @property
     def gamma(self) -> int:
-        return max(1, (self.q - 1).bit_length())
+        # ceil(log2 q), exactly: the width of each permutation seed
+        return (self.q - 1).bit_length()
+
+    def secret_fields(self) -> tuple:
+        """(name, count, width) of each secret key field, in file order.
+
+        The key text writes each field as ``count`` little-endian values of
+        ``width`` bits (``formats.fields_to_hex``), so the key size is the
+        sum of count * width.  The v permutation seeds in t go least
+        significant slice first: seed i is bits [i*gamma, (i+1)*gamma).
+        """
+        return (
+            ("supports", self.dv * self.n0, (self.b - 1).bit_length()),
+            ("s", 1, self.l1),
+            ("h_seed", 1, self.d),
+            ("t", self.v, self.gamma),
+        )
 
     def validate(self):
         if self.dv % 2 == 0:
             raise InvalidParams("dv must be odd")
+        if not 1 <= self.dv < self.b:
+            raise InvalidParams("dv must be in [1, b)")
         if self.q != self.b:
             raise InvalidParams("q must equal b so permutation blocks stay aligned")
         if self.n % 2 != 0:
             raise InvalidParams("n must be even (constellation works in pairs)")
         if self.L < 2 or self.L & (self.L - 1):
             raise InvalidParams("L must be a power of two >= 2")
+        # shaped ciphertext coordinates reach 2nL - 1 and frames are int32
+        if self.n * self.L > 1 << 30:
+            raise InvalidParams("n * L must be at most 2^30 (int32 ciphertexts)")
         if not 2 <= self.d <= 80:
             raise InvalidParams("control width d must be in [2, 80]")
-        if self.q > 1 and self.q > (1 << self.gamma) - 1:
+        if self.q > (1 << self.gamma) - 1:
             raise InvalidParams("q must not be a power of two")
 
     def digest(self) -> str:
@@ -98,7 +121,7 @@ class SecretKey:
     code: QcCode
     s: int  # l1-bit error-LFSR seed
     h_seed: int  # d-bit control-LFSR seed
-    t_bits: tuple  # v*gamma permutation seed bits
+    t: tuple  # v gamma-bit permutation seeds
     nlf_poly: int
     e_poly: int
     h_poly: int
@@ -106,12 +129,6 @@ class SecretKey:
 
     def digest(self) -> str:
         return self.params.digest()
-
-    def secret_bit_count(self) -> int:
-        """Bits of serialized secret material: supports + s + h_seed + t."""
-        p = self.params
-        support_bits = p.dv * max(1, (p.b - 1).bit_length()) * p.n0
-        return support_bits + p.l1 + p.d + len(self.t_bits)
 
 
 @dataclass(frozen=True)
@@ -134,10 +151,7 @@ def keygen(params: CipherParams, master_seed: int) -> SecretKey:
     code = rdf_search(params.b, params.n0, params.dv, rng.getrandbits(64))
     s = _draw_bits(rng, params.l1, nonzero=True)
     h_seed = _draw_bits(rng, params.d, nonzero=True)
-    t = []
-    for _ in range(params.v):
-        slice_val = _draw_bits(rng, params.gamma, nonzero=True)
-        t.extend((slice_val >> j) & 1 for j in range(params.gamma))
+    t = tuple(_draw_bits(rng, params.gamma, nonzero=True) for _ in range(params.v))
     nlf_poly = primitives.nlf_poly(params.n)
     e_poly = primitives.poly(params.l1)
     h_poly = primitives.poly(params.d)
@@ -147,7 +161,7 @@ def keygen(params: CipherParams, master_seed: int) -> SecretKey:
         code=code,
         s=s,
         h_seed=h_seed,
-        t_bits=tuple(t),
+        t=t,
         nlf_poly=nlf_poly,
         e_poly=e_poly,
         h_poly=h_poly,
@@ -171,10 +185,8 @@ class CipherSession:
         self.h_lfsr = ReseedingLfsr(
             p.d, key.h_poly, primitives.reciprocal(p.d), key.h_seed
         )
-        seeds, gamma = seed_slices(np.array(key.t_bits, dtype=np.uint8), p.q, p.v)
         self.perm_streams = [
-            PermutationStream(p.q, sd, gamma=gamma, poly=key.perm_poly)
-            for sd in seeds
+            PermutationStream(p.q, seed, p.gamma, key.perm_poly) for seed in key.t
         ]
         self.counter = 0
 
@@ -331,11 +343,12 @@ def unpack_bits(frames, n: int, L: int) -> bytes:
 
 def save_key(key: SecretKey) -> str:
     p = key.params
-    support_idx_bits = max(1, (p.b - 1).bit_length())
-    sup_bits = []
-    for block in key.code.supports:
-        for idx in block:
-            sup_bits.extend((idx >> j) & 1 for j in range(support_idx_bits))
+    secret = {
+        "supports": [idx for block in key.code.supports for idx in block],
+        "s": [key.s],
+        "h_seed": [key.h_seed],
+        "t": key.t,
+    }
     fields = {
         "version": formats.KEY_VERSION,
         "b": p.b,
@@ -348,12 +361,10 @@ def save_key(key: SecretKey) -> str:
         "poly_e": formats.poly_id(key.e_poly),
         "poly_h": formats.poly_id(key.h_poly),
         "poly_perm": formats.poly_id(key.perm_poly),
-        "supports": formats.bits_to_hex(np.array(sup_bits, dtype=np.uint8)),
-        "s": formats.int_to_hex(key.s, p.l1),
-        "h_seed": formats.int_to_hex(key.h_seed, p.d),
-        "t": formats.bits_to_hex(np.array(key.t_bits, dtype=np.uint8)),
         "digest": key.digest(),
     }
+    for name, _, width in p.secret_fields():
+        fields[name] = formats.fields_to_hex(secret[name], width)
     return formats.write_key_text(fields)
 
 
@@ -369,26 +380,18 @@ def load_key(text: str) -> SecretKey:
     params.validate()
     if f["digest"] != params.digest():
         raise FormatError("params digest mismatch")
-    support_idx_bits = max(1, (params.b - 1).bit_length())
-    nsup = params.dv * params.n0
-    bits = formats.hex_to_bits(f["supports"], nsup * support_idx_bits)
-    supports = []
-    pos = 0
-    for _ in range(params.n0):
-        block = []
-        for _ in range(params.dv):
-            sl = bits[pos : pos + support_idx_bits]
-            block.append(int(sum(int(x) << j for j, x in enumerate(sl))))
-            pos += support_idx_bits
-        supports.append(tuple(sorted(block)))
-    code = QcCode(params.b, params.n0, params.dv, tuple(supports))
-    t_bits = formats.hex_to_bits(f["t"], params.v * params.gamma)
+    secret = {
+        name: formats.hex_to_fields(f[name], count, width)
+        for name, count, width in params.secret_fields()
+    }
+    sup, dv = secret["supports"], params.dv
+    supports = tuple(tuple(sorted(sup[i : i + dv])) for i in range(0, len(sup), dv))
     return SecretKey(
         params=params,
-        code=code,
-        s=formats.hex_to_int(f["s"], params.l1),
-        h_seed=formats.hex_to_int(f["h_seed"], params.d),
-        t_bits=tuple(int(x) for x in t_bits),
+        code=QcCode(params.b, params.n0, dv, supports),
+        s=secret["s"][0],
+        h_seed=secret["h_seed"][0],
+        t=tuple(secret["t"]),
         nlf_poly=formats.poly_from_id(f["poly_nlf"], params.n),
         e_poly=formats.poly_from_id(f["poly_e"], params.l1),
         h_poly=formats.poly_from_id(f["poly_h"], params.d),

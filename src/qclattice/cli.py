@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -73,6 +74,10 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_decrypt(args) -> int:
+    sigma = args.sigma if args.sigma is not None else 0.0
+    # sigma <= 0 means noiseless; a positive sigma must leave a nonzero sigma^2
+    if not math.isfinite(sigma) or sigma > 0 and sigma * sigma == 0:
+        raise UsageError(f"--sigma {sigma} is not finite or its square underflows")
     key = _load_key_file(args.key)
     session = CipherSession(key)
     p = key.params
@@ -84,7 +89,6 @@ def cmd_decrypt(args) -> int:
         if reader.n != p.n:
             print(f"error: frame length {reader.n} != n {p.n}", file=sys.stderr)
             return 1
-        sigma = args.sigma if args.sigma is not None else 0.0
         if reader.observations and sigma <= 0:
             print("error: observation file needs --sigma > 0", file=sys.stderr)
             return 1

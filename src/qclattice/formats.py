@@ -1,10 +1,13 @@
 """Key, ciphertext and observation file formats.
 
-Key files are text-framed hex with a fixed field order.  Ciphertext and
-observation files are binary: a file header (magic, version, params digest,
-frame length n) followed by frames of [counter u64 LE, payload byte count
-u32 LE, n coordinates] with int32 LE coordinates for exact ciphertexts and
-float64 LE for channel observations.
+Key files are text in a fixed field order.  Each secret field is a run of
+fixed-width values packed little-endian into exactly ceil(count*width/8)
+bytes of hex, first value least significant, with zero padding bits.
+
+Ciphertext and observation files are binary: a file header (magic,
+version, params digest, frame length n) followed by frames of [counter u64
+LE, payload byte count u32 LE, n coordinates] with int32 LE coordinates
+for exact ciphertexts and float64 LE for channel observations.
 """
 
 from __future__ import annotations
@@ -37,44 +40,28 @@ def params_digest(b: int, n0: int, dv: int, q: int, L: int, d: int) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def bits_to_hex(bits: np.ndarray) -> str:
-    """Pack a bit vector (LSB-first within bytes) into hex; '-' if empty."""
-    bits = np.asarray(bits, dtype=np.uint8) % 2
-    if bits.size == 0:
-        return "-"
-    return np.packbits(bits, bitorder="little").tobytes().hex()
+def fields_to_hex(values, width: int) -> str:
+    """Hex of ``width``-bit values; value i holds bits [i*width, (i+1)*width)."""
+    packed = 0
+    for i, v in enumerate(values):
+        packed |= v << (i * width)
+    return packed.to_bytes((len(values) * width + 7) // 8, "little").hex()
 
 
-def _from_hex(text: str) -> bytes:
+def hex_to_fields(text: str, count: int, width: int) -> list:
+    """Inverse of fields_to_hex for exactly ``count`` values."""
+    nbits = count * width
     try:
-        return bytes.fromhex(text)
+        raw = bytes.fromhex(text)
     except ValueError as e:
         raise FormatError(f"bad hex field {text!r}") from e
-
-
-def hex_to_bits(text: str, nbits: int) -> np.ndarray:
-    if text == "-":
-        if nbits != 0:
-            raise FormatError("empty field for nonzero bit count")
-        return np.zeros(0, dtype=np.uint8)
-    raw = np.frombuffer(_from_hex(text), dtype=np.uint8)
-    if raw.size * 8 < nbits:
-        raise FormatError("hex field shorter than declared bit count")
-    bits = np.unpackbits(raw, bitorder="little")
-    if bits[nbits:].any():
-        raise FormatError("nonzero padding bits in hex field")
-    return bits[:nbits]
-
-
-def int_to_hex(value: int, nbits: int) -> str:
-    return value.to_bytes((nbits + 7) // 8, "little").hex()
-
-
-def hex_to_int(text: str, nbits: int) -> int:
-    v = int.from_bytes(_from_hex(text), "little")
-    if v >> nbits:
-        raise FormatError("value exceeds declared bit width")
-    return v
+    if len(raw) != (nbits + 7) // 8:
+        raise FormatError(f"hex field {text!r} is not {(nbits + 7) // 8} bytes")
+    packed = int.from_bytes(raw, "little")
+    if packed >> nbits:
+        raise FormatError(f"nonzero padding bits in hex field {text!r}")
+    mask = (1 << width) - 1
+    return [packed >> (i * width) & mask for i in range(count)]
 
 
 def poly_id(poly: int) -> str:

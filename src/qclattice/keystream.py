@@ -3,8 +3,8 @@
 Bit-order format constants (fixed for interoperability): LFSR state is an
 unsigned integer of gamma bits, the output bit is the least significant
 state bit, and the feedback taps are the low-degree coefficients of the
-feedback polynomial.  Seed slices inside the key vector t are consumed
-least-significant-slice first.
+feedback polynomial.  Each permutation stream is seeded by one gamma-bit
+value of the key field t (``CipherParams.secret_fields`` gives its layout).
 
 Every stream emits many bits per Python operation and seeks to any
 position in O(log t) multiplications:
@@ -36,7 +36,7 @@ import functools
 
 import numpy as np
 
-from . import gf2poly, primitives
+from . import gf2poly
 from .bitmat import poly_to_bits
 from .errors import InvalidParams, ZeroSeedSlice
 
@@ -213,6 +213,8 @@ def _permutation_ring(q: int, gamma: int, taps: int):
         raise InvalidParams(f"permutation polynomial is not primitive of degree {gamma}")
     states = states[:period]
     accepted = np.flatnonzero(states <= q)
+    if accepted.size < q:
+        raise InvalidParams(f"q={q} exceeds the LFSR state range 2^{gamma}-1")
     ring = np.tile(states[accepted] - 1, 2)
     ring.flags.writeable = False
     offset = tuple(np.searchsorted(accepted, np.arange(period)).tolist())
@@ -237,31 +239,17 @@ class PermutationStream:
     read-only views that stay valid for the life of the process.
     """
 
-    def __init__(self, q: int, seed: int, gamma: int | None = None, poly: int | None = None):
-        if q < 1:
-            raise InvalidParams("q must be >= 1")
-        self.q = q
-        if q == 1:
-            return
-        gamma = gamma if gamma is not None else max(1, (q - 1).bit_length())
-        if q > (1 << gamma) - 1:
-            raise InvalidParams(
-                f"q={q} exceeds the LFSR state range 2^{gamma}-1; "
-                "q must not be a power of two"
-            )
+    def __init__(self, q: int, seed: int, gamma: int, poly: int):
         mask = (1 << gamma) - 1
         if seed & mask == 0:
             raise ZeroSeedSlice("permutation seed slice is all-zero")
-        self.gamma = gamma
-        self.poly = poly if poly is not None else primitives.poly(gamma)
-        self._ring, self._offset, position = _permutation_ring(q, gamma, self.poly & mask)
+        self.q = q
+        self._ring, self._offset, position = _permutation_ring(q, gamma, poly & mask)
         self._period = mask
         self._start = int(position[seed & mask])
         self.pos = self._start
 
     def next_perm(self) -> np.ndarray:
-        if self.q == 1:
-            return np.zeros(1, dtype=np.int64)
         off = self._offset[self.pos]
         self.pos += 1
         if self.pos == self._period:
@@ -270,8 +258,7 @@ class PermutationStream:
 
     def seek(self, j: int) -> None:
         """Position the stream at draw ``j`` (0 = the draw from the seed)."""
-        if self.q > 1:
-            self.pos = (self._start + j) % self._period
+        self.pos = (self._start + j) % self._period
 
 
 _UINT64 = np.dtype(np.uint64)
@@ -330,22 +317,3 @@ class BlockPermutation:
         p[self._fwd, np.arange(self.n)] = 1
         return p
 
-
-def seed_slices(t_bits: np.ndarray, q: int, v: int):
-    """Split the key vector t into v LFSR initial values (gamma bits each).
-
-    Slice i occupies bits [i*gamma, (i+1)*gamma), least significant bit
-    first within a slice.  All-zero slices are rejected.
-    """
-    gamma = max(1, (q - 1).bit_length()) if q > 1 else 0
-    t_bits = np.asarray(t_bits, dtype=np.uint8) % 2
-    if t_bits.shape != (v * gamma,):
-        raise InvalidParams(f"t must carry {v}*{gamma} bits")
-    seeds = []
-    for i in range(v):
-        sl = t_bits[i * gamma : (i + 1) * gamma]
-        val = int.from_bytes(np.packbits(sl, bitorder="little").tobytes(), "little")
-        if q > 1 and val == 0:
-            raise ZeroSeedSlice(f"seed slice {i} is all-zero")
-        seeds.append(val)
-    return seeds, gamma

@@ -80,22 +80,9 @@ def reciprocal(deg: int) -> int:
 def nlf_poly(n: int) -> int:
     """Companion-matrix polynomial of degree ``n`` for the nonlinear map.
 
-    Shipped table entry when available; otherwise (small n only) a seeded
-    deterministic search for a primitive polynomial verified by brute-force
-    order computation.
+    The shipped table entry; the table covers every n from 2 to 80.
     """
-    if n in _TAPS:
-        return poly(n)
-    if n > 24:
-        raise InvalidParams(
-            f"no vetted polynomial of degree {n}; supported: table degrees "
-            f"or n <= 24 (brute-force search)"
-        )
-    target = (1 << n) - 1
-    for candidate in range((1 << n) + 1, 1 << (n + 1), 2):
-        if gf2poly.is_irreducible(candidate) and gf2poly.order(candidate) == target:
-            return candidate
-    raise InvalidParams(f"no primitive polynomial of degree {n} found")
+    return poly(n)
 
 
 def verify_entry(deg: int) -> bool:

@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import PAPER_PARAMS, random_message
 from qclattice.analysis import key_size_bits
@@ -50,6 +52,19 @@ def test_keygen_rejects_bad_L():
 def test_keygen_rejects_mismatched_q():
     with pytest.raises(InvalidParams):
         keygen(CipherParams(b=13, n0=2, dv=3, q=26, L=4, d=8), 1)
+
+
+def test_validate_bounds_L_by_int32_frames():
+    # shaped coordinates reach 2nL - 1 <= 2^31 - 1 exactly when nL <= 2^30
+    CipherParams(b=43, n0=6, dv=3, q=43, L=2**21, d=61).validate()
+    with pytest.raises(InvalidParams, match="n \\* L"):
+        CipherParams(b=43, n0=6, dv=3, q=43, L=2**22, d=61).validate()
+
+
+@pytest.mark.parametrize("b, dv", [(3, 3), (3, 5), (13, 13), (13, 15), (13, -1)])
+def test_validate_rejects_dv_outside_1_to_b(b, dv):
+    with pytest.raises(InvalidParams, match="dv must be in"):
+        CipherParams(b=b, n0=2, dv=dv, q=b, L=4, d=8).validate()
 
 
 def test_joint_roundtrip_noiseless(toy_key):
@@ -321,3 +336,35 @@ def test_key_file_digest_tamper_detected(paper_key):
     bad = text.replace("L = 16", "L = 32")
     with pytest.raises(FormatError):
         load_key(bad)
+
+
+def _mutated_value(data, old):
+    """A replacement for one key field value: well-formed but arbitrary, or junk."""
+    if ":" in old:  # poly id of the register's degree with random taps
+        deg = int(old.split(":")[0])
+        taps = data.draw(st.sets(st.integers(1, deg - 1), max_size=4))
+        good = f"{deg}:{','.join(map(str, sorted(taps, reverse=True))) or '0'}"
+    else:  # hex of the right length with random bits
+        good = data.draw(st.binary(min_size=len(old) // 2, max_size=len(old) // 2)).hex()
+    junk = data.draw(st.text("0123456789abcdef:, -x", max_size=2 * len(old)))
+    return data.draw(st.sampled_from([good, junk]))
+
+
+@settings(derandomize=True, deadline=2000, max_examples=300, database=None)
+@given(st.sampled_from(["supports", "s", "h_seed", "t",
+                        "poly_nlf", "poly_e", "poly_h", "poly_perm"]), st.data())
+def test_mutated_key_field_fails_only_typed(toy_key, name, data):
+    """One secret or poly_* field of the toy key replaced; the digest stays valid.
+
+    Loading the key, opening a session and encrypting one frame either
+    work or raise a QclatticeError.
+    """
+    text = save_key(toy_key)
+    old = re.search(rf"^{name} = (\S+)$", text, re.M).group(1)
+    new = _mutated_value(data, old)
+    try:
+        key = load_key(text.replace(f"\n{name} = {old}\n", f"\n{name} = {new}\n"))
+        session = CipherSession(key)
+        session.encrypt_joint(random_message(np.random.default_rng(0), 26, 4))
+    except QclatticeError:
+        pass

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qclattice.cli import main
-from qclattice.formats import FrameReader, FrameWriter
+from qclattice.formats import FrameReader, FrameWriter, params_digest
 
 KEYGEN = "keygen --b 13 --n0 2 --dv 3 --L 4 --d 8 --seed 1".split()
 
@@ -298,3 +298,38 @@ def test_decrypt_oversize_payload_follows_on_fail(tmp_path, capsys, keyfile):
                        "-o", str(out), "--on-fail", "abort")
     assert code == 1
     assert "error: frame 1:" in err and "exceeds frame capacity" in err
+
+
+@pytest.mark.parametrize("L", [2**40, 2**62, 2**70], ids=["2^40", "2^62", "2^70"])
+def test_encrypt_with_L_beyond_int32_frames_exits_1(tmp_path, capsys, keyfile, L):
+    # shaped coordinates reach 2nL - 1, so n * L must stay within 2^30
+    path = _edit_key(keyfile, tmp_path, "L", str(L))
+    path = _edit_key(path, tmp_path, "digest", params_digest(13, 2, 3, 13, L, 8))
+    src = tmp_path / "plain.bin"
+    src.write_bytes(b"data")
+    ct = tmp_path / "ct.bin"
+    code, _, err = run(capsys, "encrypt", "--key", path, "-i", str(src), "-o", str(ct))
+    _assert_clean_error(code, err)
+    assert "n * L" in err
+    assert not ct.exists()
+
+
+@pytest.mark.parametrize("sigma", ["1e-200", "nan", "inf"])
+def test_decrypt_sigma_without_usable_square_exits_2(tmp_path, capsys, keyfile, sigma):
+    _encrypt_frames(tmp_path, capsys, keyfile, b"frame")
+    out = tmp_path / "out.bin"
+    code, _, err = run(capsys, "decrypt", "--key", keyfile, "-i", str(tmp_path / "ct.bin"),
+                       "-o", str(out), "--sigma", sigma)
+    assert code == 2
+    assert err.startswith("usage error: --sigma")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", ["0", "-1e-200"])
+def test_decrypt_nonpositive_sigma_is_noiseless(tmp_path, capsys, keyfile, sigma):
+    _encrypt_frames(tmp_path, capsys, keyfile, b"frame")
+    out = tmp_path / "out.bin"
+    code, _, err = run(capsys, "decrypt", "--key", keyfile, "-i", str(tmp_path / "ct.bin"),
+                       "-o", str(out), f"--sigma={sigma}")
+    assert (code, err) == (0, "")
+    assert out.read_bytes() == b"frame"

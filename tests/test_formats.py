@@ -8,10 +8,8 @@ from qclattice.errors import FormatError
 from qclattice.formats import (
     FrameReader,
     FrameWriter,
-    bits_to_hex,
-    hex_to_bits,
-    hex_to_int,
-    int_to_hex,
+    fields_to_hex,
+    hex_to_fields,
     params_digest,
     poly_from_id,
     poly_id,
@@ -19,19 +17,31 @@ from qclattice.formats import (
 
 
 def test_hex_bit_roundtrip():
+    # one-bit fields: bit i of the run is bit i % 8 of byte i // 8
     rng = np.random.default_rng(0)
     for nbits in (1, 7, 8, 9, 36, 61, 108):
-        bits = rng.integers(0, 2, size=nbits).astype(np.uint8)
-        assert np.array_equal(hex_to_bits(bits_to_hex(bits), nbits), bits)
-    assert bits_to_hex(np.zeros(0, dtype=np.uint8)) == "-"
-    assert hex_to_bits("-", 0).size == 0
+        bits = rng.integers(0, 2, size=nbits).tolist()
+        text = fields_to_hex(bits, 1)
+        assert len(text) == 2 * ((nbits + 7) // 8)
+        assert hex_to_fields(text, nbits, 1) == bits
+    assert fields_to_hex([1, 0, 0, 0, 0, 0, 0, 0, 1], 1) == "0101"
+    assert fields_to_hex([], 6) == ""
+    assert hex_to_fields("", 0, 6) == []
 
 
 def test_hex_int_roundtrip():
     for v, nbits in ((0x1AB, 9), (1, 1), (0, 4), ((1 << 61) - 1, 61)):
-        assert hex_to_int(int_to_hex(v, nbits), nbits) == v
-    with pytest.raises(FormatError):
-        hex_to_int("ff", 4)
+        assert hex_to_fields(fields_to_hex([v], nbits), 1, nbits) == [v]
+    assert fields_to_hex([0x1AB], 9) == "ab01"
+    assert fields_to_hex([1, 2, 3, 0], 6) == "813000"
+    assert hex_to_fields("813000", 4, 6) == [1, 2, 3, 0]
+    for text, message in (
+        ("zz", "bad hex"), ("0", "bad hex"), ("0 f", "bad hex"),
+        ("", "not 1 bytes"), ("0f00", "not 1 bytes"),
+        ("ff", "nonzero padding"), ("1f", "nonzero padding"),
+    ):
+        with pytest.raises(FormatError, match=message):
+            hex_to_fields(text, 1, 4)
 
 
 def test_poly_id_roundtrip():

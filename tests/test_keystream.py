@@ -6,21 +6,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import keystream_reference as ref
+from qclattice.cipher import CipherParams
 from qclattice.errors import InvalidParams, ZeroSeedSlice
+from qclattice.formats import hex_to_fields
 from qclattice.keystream import (
     BlockPermutation,
     Lfsr,
     PermutationStream,
     ReseedingLfsr,
-    seed_slices,
 )
 from qclattice.primitives import poly, reciprocal
 
 
-def first_block_permutation(t_bits, q, v):
-    """The block permutation of frame 0: one draw from each seed slice of t."""
-    seeds, _ = seed_slices(t_bits, q, v)
-    return BlockPermutation(q, [PermutationStream(q, s).next_perm() for s in seeds])
+def perm_stream(q, seed):
+    """A permutation stream with the shipped polynomial of degree ceil(log2 q)."""
+    gamma = (q - 1).bit_length()
+    return PermutationStream(q, seed, gamma, poly(gamma))
+
+
+def first_block_permutation(seeds, q):
+    """The block permutation of frame 0: one draw from each seed of t."""
+    return BlockPermutation(q, [perm_stream(q, s).next_perm() for s in seeds])
 
 
 def test_lfsr_full_period_primitive():
@@ -73,15 +79,10 @@ def test_error_vector_deterministic():
     assert np.array_equal(a.next_bits(258), b.next_bits(258))
 
 
-def test_permutation_degenerate_q1():
-    st = PermutationStream(1, 0)
-    assert np.array_equal(st.next_perm(), [0])
-
-
 def test_permutation_q7_is_state_sequence():
     # q = 2^gamma - 1: no rejection, values are the visited states minus one
     seed = 5
-    st = PermutationStream(7, seed)
+    st = perm_stream(7, seed)
     ref = Lfsr(3, poly(3), seed)
     states = []
     for _ in range(7):
@@ -93,14 +94,14 @@ def test_permutation_q7_is_state_sequence():
 
 
 def test_permutation_q43_bijections():
-    st = PermutationStream(43, 21)
+    st = perm_stream(43, 21)
     for _ in range(100):
         p = st.next_perm()
         assert sorted(p.tolist()) == list(range(43))
 
 
 def test_permutation_never_non_bijective_bulk():
-    st = PermutationStream(43, 33)
+    st = perm_stream(43, 33)
     for _ in range(10_000):
         p = st.next_perm()
         assert (np.bincount(p, minlength=43) == 1).all()
@@ -108,7 +109,7 @@ def test_permutation_never_non_bijective_bulk():
 
 def test_permutation_rejects_power_of_two():
     with pytest.raises(InvalidParams):
-        PermutationStream(8, 3)
+        perm_stream(8, 3)
 
 
 def test_permutation_rejects_non_primitive_polynomial():
@@ -118,18 +119,15 @@ def test_permutation_rejects_non_primitive_polynomial():
 
 
 def test_permutation_stream_rotates():
-    st = PermutationStream(43, 11)
+    st = perm_stream(43, 11)
     a = st.next_perm()
     b = st.next_perm()
     assert not np.array_equal(a, b)
 
 
 def test_block_permutation_orthogonal():
-    rng = np.random.default_rng(0)
-    t = rng.integers(0, 2, size=6 * 6)
-    while any(not t[i * 6 : (i + 1) * 6].any() for i in range(6)):
-        t = rng.integers(0, 2, size=6 * 6)
-    bp = first_block_permutation(t, 43, 6)
+    seeds = np.random.default_rng(0).integers(1, 64, size=6).tolist()
+    bp = first_block_permutation(seeds, 43)
     m = bp.to_matrix().astype(np.int64)
     assert np.array_equal(m @ m.T, np.eye(43 * 6, dtype=np.int64))
 
@@ -141,23 +139,19 @@ def test_block_permutation_matrix_matches_apply():
 
 
 def test_block_permutation_identical_slices():
-    t = np.tile(np.array([1, 0, 1, 0, 0, 0], dtype=np.uint8), 6)
-    bp = first_block_permutation(t, 43, 6)
+    bp = first_block_permutation([5] * 6, 43)
     for p in bp.perms[1:]:
         assert np.array_equal(p, bp.perms[0])
 
 
 def test_block_permutation_zero_slice():
-    t = np.ones(36, dtype=np.uint8)
-    t[6:12] = 0
     with pytest.raises(ZeroSeedSlice):
-        first_block_permutation(t, 43, 6)
+        first_block_permutation([63, 0, 63, 63, 63, 63], 43)
 
 
 def test_apply_inverse_roundtrip():
     rng = np.random.default_rng(1)
-    t = np.ones(8, dtype=np.uint8)
-    bp = first_block_permutation(t, 3, 4)
+    bp = first_block_permutation([3] * 4, 3)
     x = rng.integers(-100, 100, size=12)
     assert np.array_equal(bp.apply_inverse(bp.apply(x)), x)
     ident = BlockPermutation(3, [np.arange(3)] * 4)
@@ -170,10 +164,11 @@ def test_single_block_swap_hand_checked():
 
 
 def test_seed_slices_layout():
-    bits = np.array([1, 0, 0, 1, 1, 0], dtype=np.uint8)  # LSB-first slices
-    seeds, gamma = seed_slices(bits, 3, 3)
-    assert gamma == 2
-    assert seeds == [1, 2, 1]
+    # the key field t holds v = 4 seeds of gamma = 2 bits, least significant
+    # slice first: bits 1,0 | 0,1 | 1,0 | 0,0 (0x19) are seeds 1, 2, 1, 0
+    params = CipherParams(b=3, n0=4, dv=1, q=3, L=2, d=2)
+    assert params.secret_fields()[-1] == ("t", 4, 2)
+    assert hex_to_fields("19", 4, 2) == [1, 2, 1, 0]
 
 
 def test_block_permutation_rejects_non_bijections():
@@ -298,7 +293,7 @@ def test_next_perm_after_seek_matches_reference(q, seed):
     oracle = ref.PermutationStream(q, seed, gamma, poly(gamma))
     draws = [oracle.next_perm() for _ in range(2 * period + 3)]
     for j in range(2 * period + 2):
-        stream = PermutationStream(q, seed)
+        stream = perm_stream(q, seed)
         stream.seek(j)
         assert np.array_equal(stream.next_perm(), draws[j]), j
         assert np.array_equal(stream.next_perm(), draws[j + 1]), j
