@@ -10,6 +10,13 @@ Multiplier for All Trinomials", IEEE Trans. Computers 48(5), 1999).  A
 trinomial gives two blocks, and an integer vector times the matrix is one
 ``np.correlate`` per block, with no n x n array.  Dense 0/1 matrices, where
 a caller needs one, are plain uint8 arrays.
+
+The bit sequences are float64, used only as a carrier of exact integers:
+each output of a product sums at most n entries of the vector against 0/1
+taps, so while max|a| * n < 2^53 every partial sum is an integer that
+float64 holds exactly, in any summation order, and numpy's float64
+correlate runs 3-5 times faster than its int64 one at these widths.
+Larger vectors take the int64 correlate.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ import numpy as np
 
 from . import gf2poly
 from .errors import InvalidParams, SingularCirculant
+
+_FLOAT_EXACT = 1 << 53  # float64 holds every integer of smaller magnitude
 
 
 def bits_to_poly(bits) -> int:
@@ -143,16 +152,34 @@ class PolyMulMatrix:
             offsets.append(offset)
             offset += n + w - 1
             prev = e
-        bits = poly_to_bits(packed, offset).astype(np.int64)
+        bits = poly_to_bits(packed, offset).astype(np.float64)
         self.rows = self.cols = n
         self.starts = starts
         self.widths = tuple(widths)
         self.gens = tuple(bits[o : o + n + w - 1] for o, w in zip(offsets, widths))
 
     def vecmul(self, a) -> np.ndarray:
-        """Row vector times the 0/1 matrix over the integers (int64)."""
+        """Row vector times the 0/1 matrix over the integers (int64).
+
+        Exact in float64 while max|a| * n < 2^53; above that the int64
+        correlate, which wraps mod 2^64 like any int64 product.
+        """
         a = np.asarray(a, dtype=np.int64)
+        # signed bounds as Python ints: np.abs(-2**63) is still -2**63
+        if max(int(a.max()), -int(a.min())) * self.rows < _FLOAT_EXACT:
+            return self.float_mul(a.astype(np.float64)).astype(np.int64)
         y = np.empty(self.cols, dtype=np.int64)
+        for t, w, e in zip(self.starts, self.widths, self.gens):
+            y[t : t + w] = np.correlate(e.astype(np.int64), a, "valid")[::-1]
+        return y
+
+    def float_mul(self, a: np.ndarray) -> np.ndarray:
+        """Row vector times the 0/1 matrix in float64.
+
+        Exact when a holds integers with max|a| * n < 2^53 (0/1 vectors
+        always qualify); the caller guarantees the bound.
+        """
+        y = np.empty(self.cols)
         for t, w, e in zip(self.starts, self.widths, self.gens):
             y[t : t + w] = np.correlate(e, a, "valid")[::-1]
         return y

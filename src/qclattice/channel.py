@@ -7,6 +7,7 @@ order and identical for any worker count.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -20,10 +21,18 @@ from .errors import DecodeFailure, InvalidParams, NotInLattice, NotLatticePoint
 from .lattice import LatticeCtx
 
 WORKERS_ENV = "QCLATTICE_WORKERS"
+MAX_SWEEP_POINTS = 10_000
 
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """VNR grid start, start + step, ... up to stop (within 1e-9), in dB.
+
+    The grid must be finite, hold at most MAX_SWEEP_POINTS points and
+    advance at every step after rounding to 9 decimals; anything else
+    raises InvalidParams, so points() always ends.
+    """
+
     vnr_db_start: float
     vnr_db_stop: float
     vnr_db_step: float
@@ -31,18 +40,25 @@ class SweepSpec:
     rng_seed: int
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.vnr_db_start, self.vnr_db_stop, self.vnr_db_step))):
+            raise InvalidParams("VNR start, stop and step must be finite")
         if self.vnr_db_step <= 0:
             raise InvalidParams("step must be positive")
         if self.trials_per_point < 1:
             raise InvalidParams("trials must be >= 1")
+        # inf when the span overflows or the step is tiny
+        if not self._span() < MAX_SWEEP_POINTS:
+            raise InvalidParams(f"VNR grid has more than {MAX_SWEEP_POINTS} points")
+        pts = self.points()
+        if any(b <= a for a, b in zip(pts, pts[1:])):
+            raise InvalidParams("VNR step is too small to advance the grid")
+
+    def _span(self) -> float:
+        return (self.vnr_db_stop + 1e-9 - self.vnr_db_start) / self.vnr_db_step
 
     def points(self):
-        out = []
-        v = self.vnr_db_start
-        while v <= self.vnr_db_stop + 1e-9:
-            out.append(round(v, 9))
-            v += self.vnr_db_step
-        return out
+        count = max(0, math.floor(self._span()) + 1)
+        return [round(self.vnr_db_start + i * self.vnr_db_step, 9) for i in range(count)]
 
 
 def add_awgn(x, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -67,7 +83,17 @@ def _random_message(rng: np.random.Generator, n: int, L: int) -> np.ndarray:
     return m
 
 
-def _run_point_chunk(key, spec, point_idx, vnr_db, start_trial, count):
+def point_sigmas(key: SecretKey, spec: SweepSpec) -> list:
+    """Noise sigma of each grid point for the key's lattice.
+
+    Raises InvalidParams, before any trial runs, for a point whose VNR
+    gives no usable sigma.
+    """
+    lattice = LatticeCtx.from_code(key.code, key.params.L)
+    return [lattice.vnr_sigma(v) for v in spec.points()]
+
+
+def _run_point_chunk(key, spec, point_idx, sigma, start_trial, count):
     """Sequential chunk of trials at one sweep point; deterministic."""
     p = key.params
     tx = CipherSession(key)
@@ -77,7 +103,6 @@ def _run_point_chunk(key, spec, point_idx, vnr_db, start_trial, count):
     # seeks to its first frame in O(log start_trial) time)
     tx.advance_to(start_trial)
     rx.advance_to(start_trial)
-    sigma = tx.lattice.vnr_sigma(vnr_db)
     sym_err = 0
     frame_err = 0
     for t in range(start_trial, start_trial + count):
@@ -106,16 +131,17 @@ def run_sweep(key: SecretKey, spec: SweepSpec, workers: int | None = None, progr
     """Monte-Carlo SER/FER sweep over the VNR grid.
 
     Returns rows (vnr_db, ser, fer, trials, seed).  Deterministic for a
-    fixed spec regardless of the worker count.
+    fixed spec regardless of the worker count.  Raises InvalidParams before
+    any trial when a grid point has no usable sigma.
     """
     workers = workers if workers is not None else default_workers()
-    pts = spec.points()
+    sigmas = point_sigmas(key, spec)
     rows = []
     n = key.params.n
-    for idx, vnr_db in enumerate(pts):
+    for idx, (vnr_db, sigma) in enumerate(zip(spec.points(), sigmas)):
         trials = spec.trials_per_point
         if workers <= 1:
-            tot = [_run_point_chunk(key, spec, idx, vnr_db, 0, trials)]
+            tot = [_run_point_chunk(key, spec, idx, sigma, 0, trials)]
         else:
             per = (trials + workers - 1) // workers
             jobs = []
@@ -124,7 +150,7 @@ def run_sweep(key: SecretKey, spec: SweepSpec, workers: int | None = None, progr
                 while start < trials:
                     cnt = min(per, trials - start)
                     jobs.append(
-                        pool.submit(_run_point_chunk, key, spec, idx, vnr_db, start, cnt)
+                        pool.submit(_run_point_chunk, key, spec, idx, sigma, start, cnt)
                     )
                     start += cnt
                 tot = [j.result() for j in jobs]

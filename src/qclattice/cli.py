@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -25,8 +24,9 @@ from .cipher import (
     save_key,
     unpack_bits,
 )
-from .errors import FormatError, QclatticeError
+from .errors import FormatError, InvalidParams, QclatticeError
 from .formats import FrameReader, FrameWriter
+from .lattice import check_sigma
 
 
 class UsageError(Exception):
@@ -75,9 +75,12 @@ def cmd_encrypt(args) -> int:
 
 def cmd_decrypt(args) -> int:
     sigma = args.sigma if args.sigma is not None else 0.0
-    # sigma <= 0 means noiseless; a positive sigma must leave a nonzero sigma^2
-    if not math.isfinite(sigma) or sigma > 0 and sigma * sigma == 0:
-        raise UsageError(f"--sigma {sigma} is not finite or its square underflows")
+    # sigma <= 0 means noiseless; any other sigma (nan included) must be usable
+    if not sigma <= 0:
+        try:
+            check_sigma(sigma)
+        except InvalidParams as e:
+            raise UsageError(f"--sigma {sigma}: {e}")
     key = _load_key_file(args.key)
     session = CipherSession(key)
     p = key.params
@@ -119,12 +122,14 @@ def cmd_simulate(args) -> int:
         raise UsageError("--vnr-db must be start:step:stop")
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
-    if step <= 0:
-        raise UsageError("--vnr-db step must be positive")
-    spec = channel.SweepSpec(
-        vnr_db_start=start, vnr_db_stop=stop, vnr_db_step=step,
-        trials_per_point=args.trials, rng_seed=args.seed,
-    )
+    try:
+        spec = channel.SweepSpec(
+            vnr_db_start=start, vnr_db_stop=stop, vnr_db_step=step,
+            trials_per_point=args.trials, rng_seed=args.seed,
+        )
+        channel.point_sigmas(key, spec)
+    except InvalidParams as e:
+        raise UsageError(f"--vnr-db {args.vnr_db}: {e}")
     rows = channel.run_sweep(
         key, spec, workers=args.workers,
         progress=lambda msg: print(msg, file=sys.stderr),

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._kernels import spa_core
 from .errors import DecodeFailure, InvalidParams
-from .lattice import LatticeCtx
+from .lattice import LatticeCtx, check_sigma
 from .rdfcode import QcCode
 
 
@@ -62,10 +62,10 @@ def channel_llr(r, sigma: float, window: int, clip: float = 30.0):
     observation: bit-1 representatives 1 + 4t and bit-0 representatives
     -1 + 4t with t centered on round((r -+ 1)/4).  The two translate sets
     mirror each other under r -> -r, so the result is an odd function of
-    r.  Clipped to +-clip.
+    r.  Clipped to +-clip.  Raises InvalidParams for a sigma that
+    lattice.check_sigma rejects.
     """
-    if sigma <= 0:
-        raise InvalidParams("sigma must be positive")
+    check_sigma(sigma)
     scalar = np.isscalar(r)
     r = np.atleast_1d(np.asarray(r, dtype=np.float64))
     t = np.arange(-window, window + 1, dtype=np.float64)
@@ -86,10 +86,9 @@ def decode(ctx: LatticeCtx, cfg: DecoderConfig, r, sigma: float):
     zero syndrome (equal to the transmitted point whenever the bit decision
     is right); on a noiseless observation the output is exact.  Raises
     DecodeFailure when the syndrome is still nonzero after
-    cfg.max_iterations flooding iterations.
+    cfg.max_iterations flooding iterations, and InvalidParams for a sigma
+    that lattice.check_sigma rejects.
     """
-    if sigma <= 0:
-        raise InvalidParams("sigma must be positive")
     r = np.asarray(r, dtype=np.float64)
     if r.shape != (ctx.n,):
         raise InvalidParams("observation length mismatch")

@@ -32,6 +32,7 @@ FILE_VERSION = 1
 
 _FILE_HEAD = struct.Struct("<4sB8sI")
 _FRAME_HEAD = struct.Struct("<QI")
+_READ_CHUNK = 1 << 20
 
 
 def params_digest(b: int, n0: int, dv: int, q: int, L: int, d: int) -> str:
@@ -169,6 +170,21 @@ class FrameReader:
     def __iter__(self):
         return self
 
+    def _read(self, size: int) -> bytes:
+        """Up to size bytes, asked for in pieces of at most _READ_CHUNK.
+
+        A buffered file allocates the whole request before reading, so a
+        crafted frame length n (up to 2^32 - 1) must not become one read.
+        """
+        parts = []
+        while size > 0:
+            part = self.fh.read(min(size, _READ_CHUNK))
+            if not part:
+                break
+            parts.append(part)
+            size -= len(part)
+        return b"".join(parts)
+
     def __next__(self):
         head = self.fh.read(_FRAME_HEAD.size)
         if len(head) == 0:
@@ -176,7 +192,7 @@ class FrameReader:
         if len(head) != _FRAME_HEAD.size:
             raise FormatError("truncated frame header")
         counter, payload_len = _FRAME_HEAD.unpack(head)
-        raw = self.fh.read(self._coord_bytes)
+        raw = self._read(self._coord_bytes)
         if len(raw) != self._coord_bytes:
             raise FormatError("truncated frame body")
         if self.observations:

@@ -9,7 +9,8 @@ transmit alphabet is the translate {2*u*G - 1}, whose points all have odd
 coordinates and lift (mod 2) to codewords.  Shaping replaces x by
 x' = x - z*diag(n*L_i - 1) so that x'G lands in a hypercube; recovery undoes
 the shift with a per-coordinate signed modulo.  Everything here is exact
-integer arithmetic; floats appear only in the VNR conversion.
+integer arithmetic; floats appear only in the VNR conversion and the
+noise sigma check.
 """
 
 from __future__ import annotations
@@ -163,6 +164,28 @@ class LatticeCtx:
     # --- channel scaling --------------------------------------------------
 
     def vnr_sigma(self, vnr_db: float) -> float:
-        """Noise standard deviation at a given volume-to-noise ratio (dB)."""
-        vnr = 10.0 ** (vnr_db / 10.0)
-        return math.sqrt(4.0 ** ((2 * self.n - self.k) / self.n) / (2 * math.pi * math.e * vnr))
+        """Noise standard deviation at a given volume-to-noise ratio (dB).
+
+        Raises InvalidParams when the VNR overflows or sigma is not usable
+        (see check_sigma).
+        """
+        volume = 4.0 ** ((2 * self.n - self.k) / self.n)
+        try:
+            vnr = 10.0 ** (vnr_db / 10.0)
+            sigma = math.sqrt(volume / (2 * math.pi * math.e * vnr))
+        except (OverflowError, ZeroDivisionError):
+            raise InvalidParams(f"VNR {vnr_db} dB is out of range") from None
+        return check_sigma(sigma)
+
+
+def check_sigma(sigma: float) -> float:
+    """Return sigma if the Gaussian density exp(-d^2 / (2 sigma^2)) is usable.
+
+    That needs sigma finite and positive, and 1/(2 sigma^2) finite: sigma^2
+    must not underflow to zero, nor to a subnormal whose reciprocal
+    overflows.  Raises InvalidParams otherwise.
+    """
+    sq = sigma * sigma
+    if not (math.isfinite(sigma) and sigma > 0 and sq > 0 and math.isfinite(0.5 / sq)):
+        raise InvalidParams(f"sigma {sigma} must be finite and positive, with 1/(2 sigma^2) finite")
+    return sigma

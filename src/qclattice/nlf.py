@@ -20,8 +20,13 @@ F acts on integer vectors using the 0/1 matrix U^alpha (the encryption
 pipeline runs over the reals); the mod-2 view F' used by the analysis
 tooling is exposed separately as f_mod2.  The integer inverse solves
 v * M = x exactly by 2-adic digit peeling: M has odd determinant, so it is
-invertible mod 2^k for every k, and each binary digit of v costs one
-carry-less multiplication by x^-alpha plus one integer row combination.
+invertible mod 2^k for every k.  M^-1 mod 2 is the multiplication matrix
+of x^-alpha, built once per call in the same generator form, so each
+binary digit of v is ((residual mod 2) M^-1) mod 2, and the residual then
+drops by digit * M and halves.  Both products take 0/1 vectors, so every
+sum is at most n: they run as float64 correlates, which carry these
+integers exactly (bitmat holds the 2^53 guard for general vectors).  The
+cipher path stays exact; no rounded float reaches it.
 """
 
 from __future__ import annotations
@@ -163,21 +168,24 @@ class NlfContext:
         if x.shape != (self.n,):
             raise InvalidParams("input vector length mismatch")
         m = self._entry(h)
-        cinv = self._x_power(h, inverse=True)
+        # M^-1 mod 2 is the multiplication matrix of x^-alpha mod g
+        m_inv = power_poly_matrix(self.g, self._x_power(h, inverse=True))
         residual = x
         v = np.zeros(self.n, dtype=np.int64)  # digit t adds 2^t, wrapping mod 2^64
         for t in range(64):
             if not residual.any():
                 break
-            digit = poly_to_bits(
-                gf2poly.mulmod(bits_to_poly(residual & 1), cinv, self.g), self.n
-            ).astype(np.int64)
-            v += digit << t
-            start, residual = residual, (residual - m.vecmul(digit)) >> 1
-            if t + 1 < 64 and np.array_equal(residual, start):
+            # both products take 0/1 vectors, so every sum is at most n and
+            # float64 carries it exactly
+            bits = m_inv.float_mul((residual & 1).astype(np.float64)).astype(np.int64) & 1
+            v += bits << t
+            start = residual
+            product = m.float_mul(bits.astype(np.float64))
+            residual = (residual - product.astype(np.int64)) >> 1
+            if t + 1 < 64 and (residual == start).all():
                 # fixed-point residual: every later digit repeats this one,
                 # and the 2-adic tail sum_{s>t} 2^s equals -2^(t+1)
-                v -= digit << (t + 1)
+                v -= bits << (t + 1)
                 break
         # compare signed values: np.abs(-2**63) is still -2**63
         if (v > _VERIFY_BOUND).any() or (v < -_VERIFY_BOUND).any():

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -34,3 +37,25 @@ def random_message(rng: np.random.Generator, n: int, L: int) -> np.ndarray:
     m[0::2] = rng.integers(0, L, size=n // 2)
     m[1::2] = rng.integers(-L, 0, size=n // 2)
     return m
+
+
+class DeadlineExceeded(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise DeadlineExceeded in the block once it has run for ``seconds``.
+
+    Turns a hang into a test failure (SIGALRM, so main thread only).
+    """
+    def fire(signum, frame):
+        raise DeadlineExceeded(f"no result within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, fire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)

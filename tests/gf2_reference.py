@@ -1,7 +1,7 @@
 """Bit-serial GF(2)[x] routines and dense GF(2) matrices kept as oracles
 for qclattice.gf2poly, the windowed x^alpha in qclattice.nlf, the
-generator-form matrices of qclattice.bitmat and the girth check of
-qclattice.rdfcode.
+generator-form matrices of qclattice.bitmat, the 2-adic inverse of the
+NLF (invert_peel) and the girth check of qclattice.rdfcode.
 
 These are the straightforward one-bit-at-a-time versions: a product is one
 shifted XOR per set bit, a remainder is one shifted XOR per bit above the
@@ -13,7 +13,7 @@ the bit-serial powmod, so they share no code with qclattice.bitmat.
 
 import numpy as np
 
-from qclattice.errors import Singular
+from qclattice.errors import NotInLattice, Singular
 
 
 def mul(a: int, b: int) -> int:
@@ -149,3 +149,42 @@ def girth_ok_dense(code) -> bool:
     gram = h.T @ h
     np.fill_diagonal(gram, 0)
     return int(gram.max()) <= 1
+
+
+# --- the NLF inverse: 2-adic digit peeling in int64 ---------------------------
+
+VERIFY_BOUND = 1 << 52
+
+
+def invert_peel(g: int, x, h) -> np.ndarray:
+    """The integer preimage v of x under v -> v U^alpha, alpha = sum h_i 2^i.
+
+    Digit t of v solves digit * U^alpha = residual (mod 2) by one
+    bit-serial product with x^-alpha = (x^-1)^alpha mod g; the residual
+    then drops by digit * U^alpha (dense int64) and halves.  At most 64
+    digits; a residual that repeats has the 2-adic tail -2^(t+1) * digit.
+    Raises NotInLattice when |v| exceeds 2^52 or v U^alpha != x.
+    """
+    n = g.bit_length() - 1
+    alpha = sum(int(b) << i for i, b in enumerate(h))
+    dense = rows_to_dense(power_poly_rows(g, powmod(2, alpha, g)), n).astype(np.int64)
+    cinv = powmod(g >> 1, alpha, g)
+    x = np.asarray(x, dtype=np.int64)
+    residual = x
+    v = np.zeros(n, dtype=np.int64)
+    for t in range(64):
+        if not residual.any():
+            break
+        w = sum(int(b) << i for i, b in enumerate(residual & 1))
+        product = mod(mul(w, cinv), g)
+        digit = np.array([(product >> i) & 1 for i in range(n)], dtype=np.int64)
+        v += digit << t
+        start, residual = residual, (residual - digit @ dense) >> 1
+        if t + 1 < 64 and np.array_equal(residual, start):
+            v -= digit << (t + 1)
+            break
+    if (v > VERIFY_BOUND).any() or (v < -VERIFY_BOUND).any():
+        raise NotInLattice("no integer preimage exists")
+    if not np.array_equal(v @ dense, x):
+        raise NotInLattice("no integer preimage exists")
+    return v

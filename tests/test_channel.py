@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from qclattice.channel import (
     CSV_HEADER,
+    MAX_SWEEP_POINTS,
     SweepSpec,
     add_awgn,
     lattice_sweep,
+    point_sigmas,
     rows_to_csv,
     run_sweep,
     wilson_interval,
@@ -44,6 +48,44 @@ def test_sweep_spec_points_and_validation():
         SweepSpec(0.0, 6.0, 0.0, 10, 1)
     with pytest.raises(InvalidParams):
         SweepSpec(0.0, 6.0, 0.5, 0, 1)
+
+
+def test_sweep_spec_points_are_the_grid():
+    assert SweepSpec(0.0, 6.0, 0.5, 1, 1).points() == [i / 2 for i in range(13)]
+    assert SweepSpec(0.0, 1.0, 0.1, 1, 1).points() == [i / 10 for i in range(11)]
+    assert SweepSpec(1.5, 3.5, 1.0, 1, 1).points() == [1.5, 2.5, 3.5]
+    assert SweepSpec(2.0, 1.0, 1.0, 1, 1).points() == []
+
+
+@pytest.mark.parametrize("start,stop,step", [
+    (0.0, math.inf, 1.0),  # never ended
+    (math.nan, math.nan, 1.0),  # gave an empty CSV
+    (0.0, 1.0, math.nan),
+    (-math.inf, 0.0, 1.0),
+    (0.0, 1.0, 1e-300),  # 1e300 points
+    (0.0, 1e4, 1.0),  # one point over the cap
+    (-1e308, 1e308, 1.0),  # span overflows
+    (1e17, 1.00000000000001e17, 1.0),  # start + step == start
+    (0.0, 1e-9, 1e-12),  # points collapse when rounded to 9 decimals
+])
+def test_sweep_spec_rejects_unbounded_or_stuck_grids(start, stop, step):
+    with pytest.raises(InvalidParams):
+        SweepSpec(start, stop, step, 1, 1)
+
+
+def test_sweep_spec_cap_is_inclusive():
+    assert len(SweepSpec(0.0, MAX_SWEEP_POINTS - 1.0, 1.0, 1, 1).points()) == MAX_SWEEP_POINTS
+
+
+@pytest.mark.parametrize("start,stop,step", [(12.0, 3100.0, 3088.0), (-3100.0, 12.0, 3112.0)])
+def test_run_sweep_rejects_unusable_sigma_before_any_trial(toy_key, start, stop, step):
+    # a usable 12 dB point and one without a usable sigma: neither runs
+    spec = SweepSpec(start, stop, step, 1, 1)
+    assert len(spec.points()) == 2
+    with pytest.raises(InvalidParams):
+        point_sigmas(toy_key, spec)
+    with pytest.raises(InvalidParams):
+        run_sweep(toy_key, spec, progress=pytest.fail)
 
 
 def test_run_sweep_high_vnr_zero_errors(toy_key):

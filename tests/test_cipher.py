@@ -368,3 +368,12 @@ def test_mutated_key_field_fails_only_typed(toy_key, name, data):
         session.encrypt_joint(random_message(np.random.default_rng(0), 26, 4))
     except QclatticeError:
         pass
+
+
+@pytest.mark.parametrize("sigma", [1e-200, float("nan"), float("inf")])
+def test_decrypt_joint_rejects_unusable_sigma(toy_key, sigma):
+    # sigma^2 underflowing to 0 used to escape as ZeroDivisionError
+    tx, rx = CipherSession(toy_key), CipherSession(toy_key)
+    ct = tx.encrypt_joint(random_message(np.random.default_rng(1), 26, 4))
+    with pytest.raises(InvalidParams):
+        rx.decrypt_joint(ct.y.astype(np.float64), sigma)

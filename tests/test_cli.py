@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import deadline
 from qclattice.cli import main
 from qclattice.formats import FrameReader, FrameWriter, params_digest
 
@@ -116,6 +117,19 @@ def test_simulate_zero_trials_usage_error(capsys, keyfile):
     code, _, err = run(capsys, "simulate", "--key", keyfile, "--vnr-db", "0:1:2",
                        "--trials", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("grid", ["3100:1:3100", "0:1:inf", "nan:1:nan", "-3100:1:-3100",
+                                  "0:1e-300:1", "0:0:1"])
+def test_simulate_unusable_grid_exits_2(capsys, keyfile, grid):
+    # all but 0:0:1 used to overflow, run with sigma = inf, print an empty
+    # CSV, or never end
+    with deadline(10):
+        code, out, err = run(capsys, "simulate", "--key", keyfile, f"--vnr-db={grid}",
+                             "--trials", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: --vnr-db {grid}: ")
+    assert "Traceback" not in err
 
 
 def test_analyze_paper_params(capsys):

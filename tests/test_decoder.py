@@ -60,6 +60,23 @@ def test_llr_requires_positive_sigma():
         channel_llr(1.0, 0.0, 4)
 
 
+# 1e-200 squares to 0; 1e-160 squares to a subnormal whose 1/(2 sigma^2) is inf
+UNUSABLE_SIGMAS = [1e-200, 1e-160, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("sigma", UNUSABLE_SIGMAS)
+def test_llr_and_decode_reject_unusable_sigma(small_ctx, sigma):
+    with pytest.raises(InvalidParams):
+        channel_llr(np.array([1.0, -1.0, 3.0]), sigma, 4)
+    with pytest.raises(InvalidParams):
+        decode(small_ctx, DecoderConfig(), np.ones(small_ctx.n), sigma)
+
+
+def test_llr_accepts_tiny_usable_sigma():
+    # 1e-150 squares to 1e-300, whose reciprocal is still finite
+    assert np.array_equal(channel_llr(np.array([1.0, -1.0]), 1e-150, 4), [30.0, -30.0])
+
+
 def test_decoder_config_validation():
     with pytest.raises(InvalidParams):
         DecoderConfig(max_iterations=0)

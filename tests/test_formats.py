@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -109,6 +110,27 @@ def test_reader_rejects_garbage_and_truncation():
     r = FrameReader(truncated)
     with pytest.raises(FormatError):
         list(r)
+
+
+class _RecordingStream(io.BytesIO):
+    """BytesIO that remembers the largest read it was asked for."""
+
+    largest = 0
+
+    def read(self, size=-1):
+        self.largest = max(self.largest, size)
+        return super().read(size)
+
+
+def test_reader_reads_a_crafted_frame_length_in_bounded_pieces():
+    # a buffered file allocates a whole read request up front, so a header
+    # n of 2^32 - 1 made next() ask for 32 GiB and escape as MemoryError
+    head = struct.pack("<4sB8sI", b"QCLO", 1, bytes(8), 2**32 - 1)
+    stream = _RecordingStream(head + struct.pack("<QI", 0, 0) + bytes(64))
+    reader = FrameReader(stream)
+    with pytest.raises(FormatError, match="truncated frame body"):
+        next(reader)
+    assert stream.largest <= 1 << 20
 
 
 def test_int32_overflow_rejected():

@@ -2,10 +2,15 @@
 
 power_poly_matrix returns the multiplication matrix as one bit sequence per
 tap block of g; gf2_reference.power_poly_rows builds the same matrix one row
-at a time.  NlfContext builds x^alpha with Frobenius window tables and
-x^-alpha as x^-(2^d) x^(2^d - alpha); gf2_reference.powmod squares and
-multiplies bit by bit.
+at a time.  Its products run in float64 below max|a| * n = 2^53 and in int64
+above; both must equal the dense int64 product, which wraps mod 2^64 like
+the int64 correlate.  NlfContext builds x^alpha with Frobenius window tables
+and x^-alpha as x^-(2^d) x^(2^d - alpha); gf2_reference.powmod squares and
+multiplies bit by bit.  NlfContext.invert_f must agree with the int64 peel
+gf2_reference.invert_peel, preimage or NotInLattice.
 """
+
+import random
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,8 +19,9 @@ from hypothesis import strategies as st
 import gf2_reference as ref
 from qclattice import gf2poly
 from qclattice.bitmat import PolyMulMatrix, power_poly_matrix
+from qclattice.errors import NotInLattice
 from qclattice.nlf import NlfContext
-from qclattice.primitives import poly
+from qclattice.primitives import nlf_poly, poly
 
 TRINOMIAL = poly(258)  # x^258 + x^83 + 1: two blocks
 PENTANOMIAL = poly(1496)  # four blocks
@@ -110,3 +116,91 @@ def test_windowed_x_power_matches_oracle(case):
     assert c == ref.powmod(2, alpha, g)
     assert cinv == ref.powmod(g >> 1, alpha, g)
     assert ref.mod(ref.mul(c, cinv), g) == 1
+
+
+# max|a| * n just below, at and just above 2^53, where vecmul leaves float64,
+# and just below 2^54, where a guard one bit too loose would still use it
+GUARD_TARGETS = (2**53 - 1, 2**53, 2**53 + 1, 2**54 - 1)
+DERANDOMIZED = settings(derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def near_guard_vector(draw, n):
+    """An int64 vector whose max|a| * n sits at one side of a guard target.
+
+    All entries at +-max|a| make the column sums as large as the bound
+    allows; -2^63 entries wrap, and np.abs(-2**63) is still negative.
+    """
+    target = draw(st.sampled_from(GUARD_TARGETS))
+    amp = draw(st.sampled_from([target // n, -(-target // n)]))
+    shape = draw(st.sampled_from(["mixed", "all_max", "all_min", "min_int64"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "all_max":
+        return np.full(n, amp, dtype=np.int64)
+    if shape == "all_min":
+        return np.full(n, -amp, dtype=np.int64)
+    a = rng.integers(-amp, amp, size=n, endpoint=True)
+    a[rng.integers(n)] = amp
+    if shape == "min_int64":
+        a[rng.choice(n, size=draw(st.integers(1, 3)), replace=False)] = -(2**63)
+    return a
+
+
+@settings(DERANDOMIZED, max_examples=80)
+@given(st.sampled_from([TRINOMIAL, PENTANOMIAL]), st.data())
+def test_vecmul_matches_int64_oracle_at_the_float_guard(g, data):
+    n = gf2poly.degree(g)
+    # a uniform c: about half of its columns then hold more than n/2 ones
+    c = random.Random(data.draw(st.integers(0, 2**32 - 1))).getrandbits(n)
+    a = data.draw(near_guard_vector(n))
+    want = a @ oracle_dense(g, c).astype(np.int64)
+    assert np.array_equal(power_poly_matrix(g, c).vecmul(a), want)
+
+
+NLF_CASES = [(TRINOMIAL, 61), (nlf_poly(6), 3), (nlf_poly(16), 4)]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).tolist()
+    except NotInLattice:
+        return "NotInLattice"
+
+
+@st.composite
+def nlf_input(draw):
+    """(g, d, h, x, a): x = a U^alpha for a drawn preimage a, or x off the
+    lattice (a = None)."""
+    # choices from a seeded generator: hypothesis would favour the first entries
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g, d = NLF_CASES[rng.integers(len(NLF_CASES))]
+    n = gf2poly.degree(g)
+    h = rng.integers(0, 2, size=d)
+    alpha = sum(int(b) << i for i, b in enumerate(h))
+    dense = oracle_dense(g, ref.powmod(2, alpha, g)).astype(np.int64)
+    kind = rng.choice(["small", "raw", "guard", "guard", "nudged", "random", "min_int64"])
+    if kind == "raw":  # raw-mode preimages m + 1 - e with |m| <= 10^6
+        a = rng.integers(-10**6, 10**6 + 1, size=n, endpoint=True)
+    elif kind == "guard":  # preimages whose verify product nears 2^53 or crosses it
+        top = GUARD_TARGETS[rng.integers(len(GUARD_TARGETS))] // n
+        a = rng.integers(top - top // 64, top, size=n, endpoint=True)
+    else:
+        a = rng.integers(-17, 17, size=n, endpoint=True)
+    x = a @ dense
+    if kind == "nudged":  # a unit step off a lattice point
+        x[rng.integers(n)] += 1
+    elif kind == "random":
+        x = rng.integers(-(2**62), 2**62, size=n)
+    elif kind == "min_int64":
+        x[rng.integers(n)] = -(2**63)
+    return g, d, h, x, (a if kind in ("small", "raw", "guard") else None)
+
+
+@settings(DERANDOMIZED, max_examples=100)
+@given(nlf_input())
+def test_invert_f_matches_int64_peel(case):
+    g, d, h, x, a = case
+    want = _outcome(ref.invert_peel, g, x, h)
+    if a is not None:
+        assert want == a.tolist()
+    assert _outcome(NlfContext(g, d).invert_f, x, h) == want

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qclattice.errors import NotLatticePoint, ShapingOverflow
+from qclattice.errors import InvalidParams, NotLatticePoint, ShapingOverflow
 from qclattice.lattice import LatticeCtx
 from qclattice.rdfcode import rdf_search
 
@@ -170,6 +170,14 @@ def test_vnr_sigma_monotone(paper_lattice):
     ctx = paper_lattice
     sig = [ctx.vnr_sigma(db) for db in (0.0, 3.0, 6.0)]
     assert sig[0] > sig[1] > sig[2] > 0
+
+
+@pytest.mark.parametrize("vnr_db", [3100.0, 3080.0, -3100.0, -4000.0,
+                                    math.nan, math.inf, -math.inf])
+def test_vnr_sigma_rejects_unusable_points(paper_lattice, vnr_db):
+    # 3100 dB overflowed 10**(vnr/10); -3100 dB gave sigma = inf
+    with pytest.raises(InvalidParams):
+        paper_lattice.vnr_sigma(vnr_db)
 
 
 def test_lattice_ctx_from_other_code():
