@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formats, primitives
-from .decoder import DecoderConfig, decode
+from .decoder import DecoderConfig, decode, observation_ok
 from .errors import (
     ConstellationViolation,
     FormatError,
@@ -101,6 +101,11 @@ class CipherParams:
             raise InvalidParams("q must equal b so permutation blocks stay aligned")
         if self.n % 2 != 0:
             raise InvalidParams("n must be even (constellation works in pairs)")
+        # keygen needs an NLF polynomial of degree n, and a session's dense
+        # m x n arrays grow with n
+        max_n = primitives.supported_degrees()[-1]
+        if self.n > max_n:
+            raise InvalidParams(f"n = {self.n} exceeds {max_n}, the largest shipped NLF degree")
         if self.L < 2 or self.L & (self.L - 1):
             raise InvalidParams("L must be a power of two >= 2")
         # shaped ciphertext coordinates reach 2nL - 1 and frames are int32
@@ -169,16 +174,18 @@ def keygen(params: CipherParams, master_seed: int) -> SecretKey:
     )
 
 
+_DECODER = DecoderConfig()
+
+
 class CipherSession:
     """Stateful encrypt/decrypt context; frames advance the material."""
 
-    def __init__(self, key: SecretKey, decoder_config: DecoderConfig | None = None):
+    def __init__(self, key: SecretKey):
         p = key.params
         self.key = key
         self.params = p
         self.lattice = LatticeCtx.from_code(key.code, p.L)
         self.nlf = NlfContext(key.nlf_poly, p.d)
-        self.decoder_config = decoder_config or DecoderConfig()
         self.e_lfsr = ReseedingLfsr(
             p.l1, key.e_poly, primitives.reciprocal(p.l1), key.s
         )
@@ -254,11 +261,13 @@ class CipherSession:
         r1 = perm.apply_inverse(r)
         r2 = r1 - 2 * e
         if sigma <= 0:
+            if not observation_ok(r2):
+                raise NotLatticePoint("noiseless input is not finite, or reaches 2^52")
             lam = np.rint(r2).astype(np.int64)
             if not self.lattice.syndrome_ok(lam):
                 raise NotLatticePoint("noiseless input is not a lattice translate point")
         else:
-            lam = decode(self.lattice, self.decoder_config, r2, sigma)
+            lam = decode(self.lattice, _DECODER, r2, sigma)
         x = self.lattice.mod_recover(lam)
         m_prime = self.nlf.invert_f(x, h)
         return m_prime - ebar
@@ -271,18 +280,14 @@ class CipherSession:
             raise InvalidParams("message length mismatch")
         _, e, h, perm = self._frame_material()
         x = self.nlf.apply_f(m + (1 - e), h)
-        lam = self.lattice.g_apply(x)
-        return perm.apply(2 * lam - 1 + 2 * e)
+        return perm.apply(self.lattice.encode(x) + 2 * e)
 
     def decrypt_raw(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=np.int64)
         if y.shape != (self.params.n,):
             raise InvalidParams("ciphertext length mismatch")
         _, e, h, perm = self._frame_material()
-        y1 = perm.apply_inverse(y) - 2 * e
-        if ((y1 & 1) == 0).any():
-            raise NotLatticePoint("ciphertext coordinates must be odd")
-        x = self.lattice.g_inverse_apply((y1 + 1) >> 1)
+        x = self.lattice.encode_inverse(perm.apply_inverse(y) - 2 * e)
         return self.nlf.invert_f(x, h) - (1 - e)
 
 

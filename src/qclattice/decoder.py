@@ -19,6 +19,16 @@ from .lattice import LatticeCtx, check_sigma
 from .rdfcode import QcCode
 
 
+# Past 2^52 float64 no longer resolves halves, so round((r - c) / 4) stops
+# being exact; such an observation, or a non-finite one, is not decoded.
+OBSERVATION_BOUND = 2.0**52
+
+
+def observation_ok(r: np.ndarray) -> bool:
+    """Whether every coordinate of r is finite and below 2^52 in magnitude."""
+    return bool((np.abs(r) < OBSERVATION_BOUND).all())
+
+
 @dataclass(frozen=True)
 class DecoderConfig:
     max_iterations: int = 50
@@ -86,12 +96,15 @@ def decode(ctx: LatticeCtx, cfg: DecoderConfig, r, sigma: float):
     zero syndrome (equal to the transmitted point whenever the bit decision
     is right); on a noiseless observation the output is exact.  Raises
     DecodeFailure when the syndrome is still nonzero after
-    cfg.max_iterations flooding iterations, and InvalidParams for a sigma
-    that lattice.check_sigma rejects.
+    cfg.max_iterations flooding iterations, or (with 0 iterations) when the
+    observation fails observation_ok, and InvalidParams for a sigma that
+    lattice.check_sigma rejects.
     """
     r = np.asarray(r, dtype=np.float64)
     if r.shape != (ctx.n,):
         raise InvalidParams("observation length mismatch")
+    if not observation_ok(r):
+        raise DecodeFailure("observation is not finite, or reaches 2^52", iterations=0)
     chan = channel_llr(r, sigma, cfg.coset_window, cfg.llr_clip)
     check_nbr, ve_check, ve_slot = tanner_arrays(ctx.code)
     bits, ok, iters = spa_core(

@@ -63,7 +63,7 @@ _JUMP_BY_ADVANCE_BELOW = 1 << 21
 class Lfsr:
     """Fibonacci LFSR over GF(2) with integer state.
 
-    step(): output = state & 1; feedback = parity(state & taps);
+    One step: output = state & 1; feedback = parity(state & taps);
     next state = (state >> 1) | (feedback << (length - 1)).
     The output s obeys s[i + length] = sum of s[i + k] over the taps k, so
     its characteristic polynomial is c(x) = x^length + taps(x).  A
@@ -87,12 +87,6 @@ class Lfsr:
         self.state = seed & mask
         self._mask = mask
         self._recip, self._tap_list, self._word = _feedback(length, self.taps)
-
-    def step(self) -> int:
-        out = self.state & 1
-        fb = (self.state & self.taps).bit_count() & 1
-        self.state = (self.state >> 1) | (fb << (self.length - 1))
-        return out
 
     def _output(self, nbits: int) -> int:
         """The next ``nbits`` output bits, first least significant; no step."""
@@ -164,12 +158,6 @@ class ReseedingLfsr:
         self.segment = (1 << length) - 1
         self.phase = 0
 
-    def joint_state(self):
-        return (self.main.state, self.companion.state, self.phase)
-
-    def next_bit(self) -> int:
-        return int(self.next_bits(1)[0])
-
     def next_bits(self, count: int) -> np.ndarray:
         acc = pos = 0
         while pos < count:
@@ -179,7 +167,7 @@ class ReseedingLfsr:
             self.phase += k
             if self.phase == self.segment:
                 self.phase = 0
-                self.companion.step()
+                self.companion.advance(1)
                 self.main.state = self.companion.state
         return poly_to_bits(acc, count)
 
@@ -309,11 +297,3 @@ class BlockPermutation:
         if y.shape != (self.n,):
             raise InvalidParams("vector length mismatch")
         return y[self._inv]
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense 0/1 matrix P with apply(x) = x @ P."""
-        p = np.zeros((self.n, self.n), dtype=np.uint8)
-        # apply(x)[j] = x[fwd[j]]  =>  P[fwd[j], j] = 1
-        p[self._fwd, np.arange(self.n)] = 1
-        return p
-

@@ -4,13 +4,16 @@ The lattice generator is
 
     G = [[I_k, A], [0, 2*I_{n-k}]]
 
-with [I_k | A] the systematic generator of the underlying code, and the
-transmit alphabet is the translate {2*u*G - 1}, whose points all have odd
-coordinates and lift (mod 2) to codewords.  Shaping replaces x by
-x' = x - z*diag(n*L_i - 1) so that x'G lands in a hypercube; recovery undoes
-the shift with a per-coordinate signed modulo.  Everything here is exact
-integer arithmetic; floats appear only in the VNR conversion and the
-noise sigma check.
+with [I_k | A] the systematic generator of the underlying code, so A alone
+describes the lattice: G^-1 = [[I_k, -A/2], [0, I/2]], and an integer
+vector u is a lattice point exactly when u_par - u_sys*A is even, which is
+the parity check H*u = 0 (mod 2) because [I_k | A] spans the null space of
+H.  The transmit alphabet is the translate {2*x*G - 1}, whose points all
+have odd coordinates.  Shaping replaces x by x' = x - z*diag(n*L_i - 1) so
+that x'G lands in a hypercube; recovery undoes the shift with a
+per-coordinate signed modulo.  Everything here is exact integer
+arithmetic; floats appear only in the VNR conversion and the noise sigma
+check.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, NotLatticePoint, ShapingOverflow
-from .rdfcode import QcCode, SystematicGen, systematic_generator
+from .rdfcode import QcCode, systematic_generator
 
 
 @dataclass(frozen=True)
@@ -32,13 +35,12 @@ class ShapedPoint:
 
 
 class LatticeCtx:
-    """Immutable lattice context: code, systematic generator, shaping limits."""
+    """Immutable lattice context: code, the parity part A of G, shaping limits."""
 
-    def __init__(self, gen: SystematicGen, shaping_limits):
-        self.gen = gen
-        self.code = gen.code
-        self.n = gen.n
-        self.k = gen.k
+    def __init__(self, code: QcCode, a, shaping_limits):
+        self.code = code
+        self.n = code.n
+        self.k = code.k
         limits = np.asarray(shaping_limits, dtype=np.int64)
         if limits.shape == ():
             limits = np.full(self.n, int(limits), dtype=np.int64)
@@ -47,52 +49,54 @@ class LatticeCtx:
         if (limits <= 0).any():
             raise InvalidParams("shaping limits must be positive")
         self.L = limits
-        self.a = gen.a_dense().astype(np.int64)  # k x (n-k)
-        # per-coordinate modulus n*L_i - 1 on the parity part, and the
-        # signed-window thresholds (n/2)*L_i (n is even in production; the
-        # half-window is kept exact as a rational 2*threshold = n*L_i)
-        self.mod_full = self.n * self.L - 1  # n*L_i - 1, length n
-        self._h_dense = None
+        self.a = np.asarray(a, dtype=np.int64)  # k x (n-k)
+        # modulus n*L_i - 1 per coordinate; recovery's window is 2|x_i| < n*L_i
+        self.mod_full = self.n * self.L - 1
 
     @classmethod
     def from_code(cls, code: QcCode, shaping_limit) -> "LatticeCtx":
-        return cls(systematic_generator(code), shaping_limit)
+        return cls(code, systematic_generator(code), shaping_limit)
 
-    # --- plain encoding -------------------------------------------------
+    # --- the translate map x -> 2*x*G - 1 and its inverse ------------------
 
-    def g_apply(self, x: np.ndarray) -> np.ndarray:
-        """x @ G over the integers."""
+    def encode(self, x: np.ndarray) -> np.ndarray:
+        """Translate encoding 2*x*G - 1; all components odd."""
         x = np.asarray(x, dtype=np.int64)
-        sys, par = x[: self.k], x[self.k :]
-        return np.concatenate([sys, sys @ self.a + 2 * par])
+        if x.shape != (self.n,):
+            raise InvalidParams("vector length mismatch")
+        sys = x[: self.k]
+        return 2 * np.concatenate([sys, sys @ self.a + 2 * x[self.k :]]) - 1
 
-    def g_inverse_apply(self, u: np.ndarray) -> np.ndarray:
-        """u @ G^-1 with G^-1 = [[I, -A/2], [0, I/2]]; exact, checks parity."""
-        u = np.asarray(u, dtype=np.int64)
-        sys, par = u[: self.k], u[self.k :]
-        t = par - sys @ self.a
+    def _residue(self, lam):
+        """(u_sys, u_par - u_sys*A) for u = (lam + 1)/2 of an all-odd integer lam."""
+        lam = np.asarray(lam)
+        if lam.shape != (self.n,):
+            raise InvalidParams("vector length mismatch")
+        if not np.issubdtype(lam.dtype, np.integer) or not (lam & 1).all():
+            raise NotLatticePoint("vector is not an all-odd integer vector")
+        u = (lam.astype(np.int64) + 1) >> 1
+        sys = u[: self.k]
+        return sys, u[self.k :] - sys @ self.a
+
+    def encode_inverse(self, lam: np.ndarray) -> np.ndarray:
+        """The x with encode(x) = lam: [u_sys, (u_par - u_sys*A)/2].
+
+        Raises NotLatticePoint unless lam is an integer vector with all
+        coordinates odd whose u_par - u_sys*A is even, that is, a point of
+        the translate; InvalidParams for a length mismatch.
+        """
+        sys, t = self._residue(lam)
         if (t & 1).any():
-            raise NotLatticePoint("vector is not in the integer row-span of G")
+            raise NotLatticePoint("vector is not a lattice translate point")
         return np.concatenate([sys, t >> 1])
 
-    def encode(self, xi: np.ndarray) -> np.ndarray:
-        """Translate encoding 2*xi*G - 1; all components odd."""
-        return 2 * self.g_apply(xi) - 1
-
-    # --- syndrome -------------------------------------------------------
-
-    def _h(self) -> np.ndarray:
-        if self._h_dense is None:
-            self._h_dense = self.code.h_matrix().astype(np.int64)
-        return self._h_dense
-
     def syndrome_ok(self, lam: np.ndarray) -> bool:
-        """Check H * lifted(lam)^T = 0 mod 2 for an all-odd integer vector."""
-        lam = np.asarray(lam, dtype=np.int64)
-        if ((lam & 1) == 0).any():
+        """Whether lam is an all-odd integer vector whose lift has zero syndrome."""
+        try:
+            _, t = self._residue(lam)
+        except NotLatticePoint:
             return False
-        word = ((lam + 1) >> 1) & 1
-        return not ((self._h() @ word) & 1).any()
+        return not (t & 1).any()
 
     # --- hypercube shaping ----------------------------------------------
 
@@ -122,41 +126,21 @@ class LatticeCtx:
         den = 2 * mod_par
         q, r = np.divmod(num, den)
         z_par = q + ((2 * r > den) | ((2 * r == den) & (q & 1 == 1)))
-        x_prime = np.concatenate([sys, par - z_par * mod_par])
-        lam = self.g_apply(x_prime)
+        par_prime = par - z_par * mod_par
+        x_prime = np.concatenate([sys, par_prime])
+        lam = np.concatenate([sys, s + 2 * par_prime])  # x'G, reusing s
         z = np.concatenate([np.zeros(self.k, dtype=np.int64), z_par])
         return ShapedPoint(x_prime, lam, z)
-
-    @staticmethod
-    def _round_half_div2(a: np.ndarray) -> np.ndarray:
-        """round(a / 2) for integer a, halves away from zero."""
-        return np.sign(a) * ((np.abs(a) + 1) >> 1)
 
     def mod_recover(self, lam_tilde_prime: np.ndarray) -> np.ndarray:
         """Invert shaping: lattice translate point -> original vector x.
 
-        Computes x' = round(((lam + 1)/2) G^-1), then maps each coordinate
-        back through the signed window of width n*L_i - 1.  Rounding (half
-        away from zero) only absorbs representation noise; a vector that is
-        not integer-valued raises NotLatticePoint, while an integer vector
-        off the lattice recovers to some different x (perturbation
-        sensitivity, not an error).
+        Solves x' = encode_inverse(lam) exactly, then maps each coordinate
+        back through the signed window of width n*L_i - 1.  Raises
+        NotLatticePoint for anything but a translate point: a non-integer
+        dtype, an even coordinate, or an odd vector off the lattice.
         """
-        lam = np.asarray(lam_tilde_prime)
-        if lam.shape != (self.n,):
-            raise InvalidParams("vector length mismatch")
-        if not np.issubdtype(lam.dtype, np.integer):
-            rounded = np.rint(lam)
-            if (np.abs(lam - rounded) > 1e-6).any():
-                raise NotLatticePoint("vector is not integer-valued")
-            lam = rounded
-        lam = lam.astype(np.int64)
-        u = self._round_half_div2(lam + 1)
-        sys, par = u[: self.k], u[self.k :]
-        x_prime = np.concatenate(
-            [sys, self._round_half_div2(par - sys @ self.a)]
-        )
-        r = np.mod(x_prime, self.mod_full)
+        r = np.mod(self.encode_inverse(lam_tilde_prime), self.mod_full)
         high = 2 * r >= self.n * self.L
         r[high] -= self.mod_full[high]
         return r

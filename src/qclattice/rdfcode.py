@@ -51,47 +51,12 @@ class QcCode:
     def dc(self) -> int:
         return self.n0 * self.dv
 
-    @property
-    def rate(self) -> Fraction:
-        return Fraction(self.n0 - 1, self.n0)
-
     def blocks(self):
         return [Circulant(self.b, sup) for sup in self.supports]
 
     def h_matrix(self) -> np.ndarray:
         """H = [H_0 | ... | H_{n0-1}] as a (b, n) uint8 array."""
         return np.hstack([c.to_dense() for c in self.blocks()])
-
-    def spec_tuple(self):
-        """Serialization order used by the key file."""
-        return (self.b, self.n0, self.dv, self.supports)
-
-
-@dataclass(frozen=True)
-class SystematicGen:
-    """Systematic generator [I_k | A] with A stacked circulant transposes."""
-
-    code: QcCode
-    a_blocks: tuple  # n0-1 Circulants, block i = (H_last^-1 H_i)^T
-
-    @property
-    def k(self) -> int:
-        return self.code.k
-
-    @property
-    def n(self) -> int:
-        return self.code.n
-
-    def a_dense(self) -> np.ndarray:
-        """A as a k x (n-k) 0/1 array."""
-        return np.vstack([c.to_dense() for c in self.a_blocks])
-
-    def g_dense(self) -> np.ndarray:
-        k = self.k
-        out = np.zeros((k, self.n), dtype=np.uint8)
-        out[:, :k] = np.eye(k, dtype=np.uint8)
-        out[:, k:] = self.a_dense()
-        return out
 
 
 def _grow_block(rng: random.Random, b: int, dv: int, used: set):
@@ -196,17 +161,21 @@ def girth_ok(code: QcCode) -> bool:
     return True
 
 
-def systematic_generator(code: QcCode) -> SystematicGen:
-    """Systematic generator via the last block's circulant inverse."""
+def systematic_generator(code: QcCode) -> np.ndarray:
+    """A of the systematic generator [I_k | A], as a k x (n-k) uint8 array.
+
+    Block i of A is (H_last^-1 H_i)^T, so [I_k | A] H^T = 0 over GF(2).
+    Raises SingularBlock when the last circulant has no inverse.
+    """
     blocks = code.blocks()
     try:
         inv_last = circulant_inverse(blocks[-1])
     except SingularCirculant as e:
         raise SingularBlock(str(e)) from e
-    a_blocks = tuple(
-        circulant_mul(inv_last, blocks[i]).transpose() for i in range(code.n0 - 1)
-    )
-    return SystematicGen(code, a_blocks)
+    return np.vstack([
+        circulant_mul(inv_last, blocks[i]).transpose().to_dense()
+        for i in range(code.n0 - 1)
+    ])
 
 
 def count_rdf_lower_bound(b: int, dv: int, n0: int) -> int:

@@ -1,7 +1,8 @@
 """Bit-serial GF(2)[x] routines and dense GF(2) matrices kept as oracles
 for qclattice.gf2poly, the windowed x^alpha in qclattice.nlf, the
 generator-form matrices of qclattice.bitmat, the 2-adic inverse of the
-NLF (invert_peel) and the girth check of qclattice.rdfcode.
+NLF (invert_peel), the girth check of qclattice.rdfcode and the lattice
+membership test of qclattice.lattice (a product with the dense H).
 
 These are the straightforward one-bit-at-a-time versions: a product is one
 shifted XOR per set bit, a remainder is one shifted XOR per bit above the
@@ -10,6 +11,8 @@ multiplication matrix is row i times x, reduced by one conditional XOR.
 Matrices are plain uint8 arrays; companion powers come from those rows and
 the bit-serial powmod, so they share no code with qclattice.bitmat.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -149,6 +152,25 @@ def girth_ok_dense(code) -> bool:
     gram = h.T @ h
     np.fill_diagonal(gram, 0)
     return int(gram.max()) <= 1
+
+
+def syndrome_ok_dense(code, lam) -> bool:
+    """lam is all odd and H * ((lam + 1)/2) = 0 (mod 2), with H dense."""
+    lam = np.asarray(lam, dtype=np.int64)
+    if ((lam & 1) == 0).any():
+        return False
+    word = ((lam + 1) >> 1) & 1
+    return not ((code.h_matrix().astype(np.int64) @ word) & 1).any()
+
+
+def code_rate(code) -> Fraction:
+    """k / n = (n0 - 1) / n0."""
+    return Fraction(code.n0 - 1, code.n0)
+
+
+def spec_tuple(code):
+    """(b, n0, dv, supports): the fields a QcCode is built from."""
+    return (code.b, code.n0, code.dv, code.supports)
 
 
 # --- the NLF inverse: 2-adic digit peeling in int64 ---------------------------

@@ -4,6 +4,8 @@ These are the straightforward one-step-at-a-time versions: an LFSR step
 computes one feedback parity, a reseeding stream reseeds when its phase
 wraps, a permutation draw walks a throwaway register until q values are
 accepted, and seeking replays every skipped bit or draw from the seed.
+joint_state and permutation_matrix read the library's own objects for
+tests that need the whole register state or the dense permutation.
 """
 
 import numpy as np
@@ -30,9 +32,6 @@ class ReseedingLfsr:
         self.segment = (1 << length) - 1
         self.phase = 0
 
-    def joint_state(self):
-        return (self.main.state, self.companion.state, self.phase)
-
     def next_bit(self):
         out = self.main.step()
         self.phase += 1
@@ -49,6 +48,11 @@ class ReseedingLfsr:
         self.__init__(*self._args)
         for _ in range(t):
             self.next_bit()
+
+
+def joint_state(stream):
+    """(main state, companion state, phase) of a reseeding stream, either kind."""
+    return (stream.main.state, stream.companion.state, stream.phase)
 
 
 class PermutationStream:
@@ -74,3 +78,11 @@ class PermutationStream:
         self.__init__(*self._args)
         for _ in range(j):
             self.lfsr.step()
+
+
+def permutation_matrix(bp):
+    """Dense 0/1 matrix P with bp.apply(x) = x @ P."""
+    p = np.zeros((bp.n, bp.n), dtype=np.uint8)
+    # apply(x)[j] = x[fwd[j]]  =>  P[fwd[j], j] = 1
+    p[bp.apply(np.arange(bp.n)), np.arange(bp.n)] = 1
+    return p

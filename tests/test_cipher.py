@@ -26,6 +26,7 @@ from qclattice.errors import (
     NotLatticePoint,
     QclatticeError,
 )
+from qclattice.formats import KEY_VERSION, fields_to_hex, write_key_text
 
 TOY = CipherParams(b=13, n0=2, dv=3, q=13, L=4, d=8)
 
@@ -59,6 +60,35 @@ def test_validate_bounds_L_by_int32_frames():
     CipherParams(b=43, n0=6, dv=3, q=43, L=2**21, d=61).validate()
     with pytest.raises(InvalidParams, match="n \\* L"):
         CipherParams(b=43, n0=6, dv=3, q=43, L=2**22, d=61).validate()
+
+
+def _crafted_key_text(p):
+    """Well-formed key text for any parameter set, written without keygen.
+
+    Every secret value is 1 (supports 0..dv-1) and every poly_* id is
+    x^deg + 1 of its register's degree, so only validate can refuse it.
+    """
+    secret = {"supports": list(range(p.dv)) * p.n0, "s": [1], "h_seed": [1], "t": [1] * p.v}
+    fields = {"version": KEY_VERSION, "b": p.b, "n0": p.n0, "dv": p.dv, "q": p.q,
+              "L": p.L, "d": p.d, "poly_nlf": f"{p.n}:0", "poly_e": f"{p.l1}:0",
+              "poly_h": f"{p.d}:0", "poly_perm": f"{p.gamma}:0", "digest": p.digest()}
+    for name, _, width in p.secret_fields():
+        fields[name] = fields_to_hex(secret[name], width)
+    return write_key_text(fields)
+
+
+def test_validate_caps_n_at_the_largest_nlf_degree():
+    # n = 1496 is the largest degree keygen has an NLF polynomial for
+    largest = CipherParams(b=187, n0=8, dv=5, q=187, L=16, d=77)
+    largest.validate()
+    assert load_key(_crafted_key_text(largest)).params == largest
+    # n = 1512, and n = 65498, whose session used to allocate ~4 GiB of dense H
+    for p in (CipherParams(b=189, n0=8, dv=5, q=189, L=16, d=77),
+              CipherParams(b=32749, n0=2, dv=3, q=32749, L=2, d=8)):
+        with pytest.raises(InvalidParams, match="exceeds 1496"):
+            p.validate()
+        with pytest.raises(InvalidParams, match="exceeds 1496"):
+            load_key(_crafted_key_text(p))
 
 
 @pytest.mark.parametrize("b, dv", [(3, 3), (3, 5), (13, 13), (13, 15), (13, -1)])
@@ -377,3 +407,12 @@ def test_decrypt_joint_rejects_unusable_sigma(toy_key, sigma):
     ct = tx.encrypt_joint(random_message(np.random.default_rng(1), 26, 4))
     with pytest.raises(InvalidParams):
         rx.decrypt_joint(ct.y.astype(np.float64), sigma)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e300])
+def test_decrypt_joint_noiseless_rejects_unusable_observation(toy_key, bad):
+    tx, rx = CipherSession(toy_key), CipherSession(toy_key)
+    r = tx.encrypt_joint(random_message(np.random.default_rng(2), 26, 4)).y.astype(np.float64)
+    r[5] = bad
+    with pytest.raises(NotLatticePoint, match="not finite"):
+        rx.decrypt_joint(r, 0.0)

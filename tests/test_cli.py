@@ -236,6 +236,29 @@ def test_decrypt_bad_counter_spares_later_frames(tmp_path, capsys, keyfile):
     assert out.read_bytes() == data[:c] + b"\x00" * c + data[2 * c :]
 
 
+def test_decrypt_nan_observation_frame_is_skipped(tmp_path, capsys, keyfile):
+    capacity = 13 * 2 * 2 // 8
+    data = np.random.default_rng(5).bytes(3 * capacity)
+    (n, digest), frames = _encrypt_frames(tmp_path, capsys, keyfile, data)
+    obs = tmp_path / "obs.bin"
+    with open(obs, "wb") as fh:
+        writer = FrameWriter(fh, n, digest, observations=True)
+        for counter, payload, coords in frames:
+            coords = coords.astype(np.float64)
+            if counter == 1:
+                coords[7] = np.nan
+            writer.write_frame(counter, payload, coords)
+
+    out = tmp_path / "out.bin"
+    code, _, err = run(capsys, "decrypt", "--key", keyfile, "-i", str(obs),
+                       "-o", str(out), "--sigma", "0.3", "--on-fail", "skip")
+    assert code == 0
+    assert err.count("warning") == 1
+    assert "warning: frame 1:" in err and "not finite" in err
+    c = capacity
+    assert out.read_bytes() == data[:c] + b"\x00" * c + data[2 * c :]
+
+
 def _edit_key(keyfile, tmp_path, field, value):
     """Copy of the key file with one field's value replaced."""
     text = open(keyfile).read()

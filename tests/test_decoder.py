@@ -154,6 +154,16 @@ def test_decode_outputs_satisfy_syndrome(small_ctx):
     assert checked > 50
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e300, -(2.0**52)])
+def test_decode_rejects_unusable_observation(small_ctx, bad):
+    # NaN LLRs used to pass SPA as "converged", with cast warnings on the way
+    r = small_ctx.encode(np.zeros(small_ctx.n, dtype=np.int64)).astype(np.float64)
+    r[3] = bad
+    with pytest.raises(DecodeFailure, match="not finite") as e:
+        decode(small_ctx, DecoderConfig(), r, 0.5)
+    assert e.value.iterations == 0
+
+
 def test_decode_deterministic(small_ctx):
     cfg = DecoderConfig()
     rng = np.random.default_rng(5)

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from gf2_reference import syndrome_ok_dense
 from qclattice.errors import InvalidParams, NotLatticePoint, ShapingOverflow
 from qclattice.lattice import LatticeCtx
 from qclattice.rdfcode import rdf_search
@@ -58,7 +62,7 @@ def test_shape_in_box_identity(paper_lattice):
     x[:5] = [1, -2, 3, 0, 1]
     sp = ctx.shape(x)
     assert not sp.z.any()
-    assert np.array_equal(sp.lambda_prime, ctx.g_apply(x))
+    assert np.array_equal(2 * sp.lambda_prime - 1, ctx.encode(x))
 
 
 def test_shape_bounds_and_roundtrip_random(paper_lattice):
@@ -97,13 +101,13 @@ def test_shape_idempotent_on_shaped_output(paper_lattice):
 
 def test_mod_recover_zero(paper_lattice):
     ctx = paper_lattice
-    lam = 2 * ctx.g_apply(np.zeros(ctx.n, dtype=np.int64)) - 1
+    lam = ctx.encode(np.zeros(ctx.n, dtype=np.int64))
     assert not ctx.mod_recover(lam).any()
 
 
 def test_mod_recover_rejects_non_integer_input(paper_lattice):
     ctx = paper_lattice
-    lam = (2 * ctx.g_apply(np.zeros(ctx.n, dtype=np.int64)) - 1).astype(float)
+    lam = ctx.encode(np.zeros(ctx.n, dtype=np.int64)).astype(float)
     lam[0] += 0.3
     with pytest.raises(NotLatticePoint):
         ctx.mod_recover(lam)
@@ -115,8 +119,47 @@ def test_mod_recover_sensitivity_to_perturbation(paper_lattice):
     x = rng.integers(-100, 100, size=ctx.n)
     lam = 2 * ctx.shape(x).lambda_prime - 1
     lam2 = lam.copy()
-    lam2[10] += 2  # stays odd but is a different lattice point
-    assert not np.array_equal(ctx.mod_recover(lam2), x)
+    lam2[10] += 2  # stays odd but leaves the lattice translate
+    with pytest.raises(NotLatticePoint):
+        ctx.mod_recover(lam2)
+
+
+@pytest.mark.parametrize("bad", ["float", "even", "off_lattice"])
+def test_mod_recover_rejects_non_translate_points(paper_lattice, bad):
+    ctx = paper_lattice
+    x = np.random.default_rng(6).integers(-100, 100, size=ctx.n)
+    lam = 2 * ctx.shape(x).lambda_prime - 1
+    assert np.array_equal(ctx.mod_recover(lam), x)
+    if bad == "float":
+        lam = lam.astype(np.float64)  # integer-valued, but not an integer dtype
+    elif bad == "even":
+        lam[ctx.k] += 1
+    else:
+        lam[ctx.k] += 2  # odd, but u_par - u_sys*A turns odd at that coordinate
+    with pytest.raises(NotLatticePoint):
+        ctx.mod_recover(lam)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(st.data())
+def test_encode_inverse_and_syndrome_ok_match_oracles(paper_lattice, toy_lattice, data):
+    """encode_inverse undoes encode; syndrome_ok agrees with the dense-H oracle.
+
+    The oracle is checked on the encoded point, on it moved by +-2 e_i (off
+    the lattice) and +-4 e_i (on it), and on a random all-odd vector.
+    """
+    ctx = data.draw(st.sampled_from([paper_lattice, toy_lattice]))
+    x = data.draw(arrays(np.int64, ctx.n, elements=st.integers(-(2**20), 2**20)))
+    lam = ctx.encode(x)
+    assert np.array_equal(ctx.encode_inverse(lam), x)
+    assert ctx.syndrome_ok(lam) and syndrome_ok_dense(ctx.code, lam)
+    i = data.draw(st.integers(0, ctx.n - 1))
+    for step in (2, -2, 4, -4):
+        moved = lam.copy()
+        moved[i] += step
+        assert ctx.syndrome_ok(moved) == syndrome_ok_dense(ctx.code, moved) == (step % 4 == 0)
+    odd = 2 * data.draw(arrays(np.int64, ctx.n, elements=st.integers(-50, 50))) + 1
+    assert ctx.syndrome_ok(odd) == syndrome_ok_dense(ctx.code, odd)
 
 
 def test_toy_exhaustive_box_roundtrip_and_oracle(toy_lattice):
