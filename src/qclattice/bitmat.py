@@ -1,8 +1,9 @@
 """Exact GF(2) linear algebra: circulants and multiplication matrices mod g.
 
-A circulant is kept as the support of its first row, and products and
-inverses of circulants are polynomial arithmetic mod x^b + 1.  The matrix
-of multiplication by c(x) in GF(2)[x]/(g) is kept in generator form
+A b x b circulant is its first row read as a polynomial mod x^b + 1, so
+products and inverses of circulants are gf2poly arithmetic on those
+polynomials, and ``circulant`` builds the dense matrix.  The matrix of
+multiplication by c(x) in GF(2)[x]/(g) is kept in generator form
 (:class:`PolyMulMatrix`): moving down one row shifts every column right by
 one, except at the taps of g, so between consecutive taps the columns form
 a Toeplitz block fixed by one bit sequence (Sunar & Koc, "Mastrovito
@@ -22,12 +23,11 @@ Larger vectors take the int64 correlate.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf2poly
-from .errors import InvalidParams, SingularCirculant
+from .errors import InvalidParams
 
 _FLOAT_EXACT = 1 << 53  # float64 holds every integer of smaller magnitude
 
@@ -43,58 +43,14 @@ def poly_to_bits(p: int, n: int) -> np.ndarray:
     return np.unpackbits(raw, count=n, bitorder="little")
 
 
-@dataclass(frozen=True)
-class Circulant:
-    """b x b circulant over GF(2), stored as the first row's support."""
+def circulant(b: int, p: int) -> np.ndarray:
+    """The b x b uint8 circulant whose first row is p (degree < b).
 
-    b: int
-    support: tuple
-
-    def __post_init__(self):
-        sup = tuple(sorted(set(int(s) for s in self.support)))
-        object.__setattr__(self, "support", sup)
-        object.__setattr__(self, "b", int(self.b))
-        if self.b <= 0:
-            raise InvalidParams("circulant size must be positive")
-        if any(s < 0 or s >= self.b for s in self.support):
-            raise InvalidParams("support indices must lie in [0, b)")
-
-    @classmethod
-    def from_poly(cls, b: int, p: int) -> "Circulant":
-        return cls(b, tuple(i for i in range(b) if (p >> i) & 1))
-
-    def poly(self) -> int:
-        v = 0
-        for s in self.support:
-            v |= 1 << s
-        return v
-
-    def to_dense(self) -> np.ndarray:
-        """The b x b uint8 matrix; row i is row 0 shifted right by i, cyclically."""
-        out = np.zeros((self.b, self.b), dtype=np.uint8)
-        rows = np.arange(self.b)[:, None]
-        out[rows, (rows + np.array(self.support, dtype=np.int64)) % self.b] = 1
-        return out
-
-    def transpose(self) -> "Circulant":
-        return Circulant(self.b, tuple(sorted((-s) % self.b for s in self.support)))
-
-
-def circulant_mul(a: Circulant, c: Circulant) -> Circulant:
-    """Product of circulants = polynomial product mod x^b - 1."""
-    if a.b != c.b:
-        raise InvalidParams("circulant size mismatch")
-    modulus = (1 << a.b) | 1  # x^b + 1
-    return Circulant.from_poly(a.b, gf2poly.mulmod(a.poly(), c.poly(), modulus))
-
-
-def circulant_inverse(a: Circulant) -> Circulant:
-    """Inverse circulant over GF(2), if gcd(a(x), x^b + 1) = 1."""
-    modulus = (1 << a.b) | 1
-    inv = gf2poly.invmod(a.poly(), modulus)
-    if inv is None:
-        raise SingularCirculant(f"circulant of size {a.b} is singular")
-    return Circulant.from_poly(a.b, inv)
+    Row i is row 0 shifted right by i, cyclically, so the product of two
+    circulants is the circulant of the product of their rows mod x^b + 1.
+    """
+    row = poly_to_bits(p, b)
+    return row[(np.arange(b) - np.arange(b)[:, None]) % b]
 
 
 @functools.lru_cache(maxsize=64)

@@ -11,6 +11,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,36 +132,33 @@ def run_sweep(key: SecretKey, spec: SweepSpec, workers: int | None = None, progr
     """Monte-Carlo SER/FER sweep over the VNR grid.
 
     Returns rows (vnr_db, ser, fer, trials, seed).  Deterministic for a
-    fixed spec regardless of the worker count.  Raises InvalidParams before
-    any trial when a grid point has no usable sigma.
+    fixed spec regardless of the worker count.  One process pool serves the
+    whole sweep, with min(workers, trials per point, CPU count) processes.
+    Raises InvalidParams before any trial when a grid point has no usable
+    sigma.
     """
     workers = workers if workers is not None else default_workers()
     sigmas = point_sigmas(key, spec)
+    trials = spec.trials_per_point
+    size = max(1, min(workers, trials, os.cpu_count() or 1))
+    per = -(-trials // size)  # trials per chunk, rounded up
     rows = []
     n = key.params.n
-    for idx, (vnr_db, sigma) in enumerate(zip(spec.points(), sigmas)):
-        trials = spec.trials_per_point
-        if workers <= 1:
-            tot = [_run_point_chunk(key, spec, idx, sigma, 0, trials)]
-        else:
-            per = (trials + workers - 1) // workers
-            jobs = []
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                start = 0
-                while start < trials:
-                    cnt = min(per, trials - start)
-                    jobs.append(
-                        pool.submit(_run_point_chunk, key, spec, idx, sigma, start, cnt)
-                    )
-                    start += cnt
+    with (ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext()) as pool:
+        for idx, (vnr_db, sigma) in enumerate(zip(spec.points(), sigmas)):
+            chunks = [(key, spec, idx, sigma, s, min(per, trials - s)) for s in range(0, trials, per)]
+            if pool is None:
+                tot = [_run_point_chunk(*c) for c in chunks]
+            else:
+                jobs = [pool.submit(_run_point_chunk, *c) for c in chunks]
                 tot = [j.result() for j in jobs]
-        sym_err = sum(t[0] for t in tot)
-        frame_err = sum(t[1] for t in tot)
-        rows.append(
-            (vnr_db, sym_err / (trials * n), frame_err / trials, trials, spec.rng_seed)
-        )
-        if progress:
-            progress(f"vnr {vnr_db:+.2f} dB: ser={rows[-1][1]:.3e} fer={rows[-1][2]:.3e}")
+            sym_err = sum(t[0] for t in tot)
+            frame_err = sum(t[1] for t in tot)
+            rows.append(
+                (vnr_db, sym_err / (trials * n), frame_err / trials, trials, spec.rng_seed)
+            )
+            if progress:
+                progress(f"vnr {vnr_db:+.2f} dB: ser={rows[-1][1]:.3e} fer={rows[-1][2]:.3e}")
     return rows
 
 

@@ -51,12 +51,9 @@ def tanner_arrays(code: QcCode):
     h = code.h_matrix()
     m, n = h.shape
     check_nbr = np.nonzero(h)[1].reshape(m, code.dc).astype(np.int64)
-    ve = [[] for _ in range(n)]
-    for c in range(m):
-        for slot, v in enumerate(check_nbr[c]):
-            ve[int(v)].append((c, slot))
-    ve_check = np.array([[e[0] for e in lst] for lst in ve], dtype=np.int64)
-    ve_slot = np.array([[e[1] for e in lst] for lst in ve], dtype=np.int64)
+    # edge c*dc + slot; the stable sort keeps each variable's edges in check order
+    edges = np.argsort(check_nbr, axis=None, kind="stable").reshape(n, code.dv)
+    ve_check, ve_slot = np.divmod(edges, code.dc)
     return check_nbr, ve_check, ve_slot
 
 

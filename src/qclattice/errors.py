@@ -13,10 +13,6 @@ class Singular(QclatticeError):
     """Matrix is not invertible over the required ring."""
 
 
-class SingularCirculant(Singular):
-    """Circulant block has no GF(2) inverse."""
-
-
 class SingularBlock(Singular):
     """Last circulant block of the parity-check matrix is singular."""
 

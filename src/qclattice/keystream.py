@@ -130,7 +130,7 @@ class Lfsr:
         if k * self.length < _JUMP_BY_ADVANCE_BELOW:
             self.advance(k)
             return
-        r = gf2poly.powmod(2, k, (1 << self.length) | self.taps)
+        r = gf2poly.xpowmod(k, (1 << self.length) | self.taps)
         ahead = self._output(2 * self.length - 1)
         state = 0
         while r:

@@ -9,9 +9,8 @@ describes the lattice: G^-1 = [[I_k, -A/2], [0, I/2]], and an integer
 vector u is a lattice point exactly when u_par - u_sys*A is even, which is
 the parity check H*u = 0 (mod 2) because [I_k | A] spans the null space of
 H.  The transmit alphabet is the translate {2*x*G - 1}, whose points all
-have odd coordinates.  Shaping replaces x by x' = x - z*diag(n*L_i - 1) so
-that x'G lands in a hypercube; recovery undoes the shift with a
-per-coordinate signed modulo.  Everything here is exact integer
+have odd coordinates.  Shaping replaces x by x' = x - z*(n*L - 1) so that
+x'G lands in a hypercube; recovery undoes the shift with a signed modulo.  Everything here is exact integer
 arithmetic; floats appear only in the VNR conversion and the noise sigma
 check.
 """
@@ -35,26 +34,21 @@ class ShapedPoint:
 
 
 class LatticeCtx:
-    """Immutable lattice context: code, the parity part A of G, shaping limits."""
+    """Immutable lattice context: code, the parity part A of G, shaping limit L."""
 
-    def __init__(self, code: QcCode, a, shaping_limits):
+    def __init__(self, code: QcCode, a, shaping_limit: int):
         self.code = code
         self.n = code.n
         self.k = code.k
-        limits = np.asarray(shaping_limits, dtype=np.int64)
-        if limits.shape == ():
-            limits = np.full(self.n, int(limits), dtype=np.int64)
-        if limits.shape != (self.n,):
-            raise InvalidParams("need one shaping limit per coordinate")
-        if (limits <= 0).any():
-            raise InvalidParams("shaping limits must be positive")
-        self.L = limits
+        self.L = int(shaping_limit)
+        if self.L <= 0:
+            raise InvalidParams("shaping limit must be positive")
         self.a = np.asarray(a, dtype=np.int64)  # k x (n-k)
-        # modulus n*L_i - 1 per coordinate; recovery's window is 2|x_i| < n*L_i
+        # shaping modulus n*L - 1; recovery's window is 2|x_i| < n*L
         self.mod_full = self.n * self.L - 1
 
     @classmethod
-    def from_code(cls, code: QcCode, shaping_limit) -> "LatticeCtx":
+    def from_code(cls, code: QcCode, shaping_limit: int) -> "LatticeCtx":
         return cls(code, systematic_generator(code), shaping_limit)
 
     # --- the translate map x -> 2*x*G - 1 and its inverse ------------------
@@ -101,10 +95,10 @@ class LatticeCtx:
     # --- hypercube shaping ----------------------------------------------
 
     def shape(self, x: np.ndarray) -> ShapedPoint:
-        """Shift x by multiples of (n*L_i - 1) so x'G fits the hypercube.
+        """Shift x by multiples of (n*L - 1) so x'G fits the hypercube.
 
         The systematic coordinates keep z_i = 0, so they must already sit
-        strictly inside the signed window 2*|x_i| < n*L_i that the modular
+        strictly inside the signed window 2*|x_i| < n*L that the modular
         recovery can invert; violations raise ShapingOverflow instead of
         silently corrupting.  (Round-trip recovery of the parity part needs
         the same window, but those coordinates are shifted into the box
@@ -113,20 +107,19 @@ class LatticeCtx:
         x = np.asarray(x, dtype=np.int64)
         if x.shape != (self.n,):
             raise InvalidParams("vector length mismatch")
-        if (2 * np.abs(x[: self.k]) >= self.n * self.L[: self.k]).any():
+        if (2 * np.abs(x[: self.k]) >= self.n * self.L).any():
             raise ShapingOverflow("coordinate outside the recoverable window")
         sys = x[: self.k]
         par = x[self.k :]
         s = sys @ self.a  # column sums of A weighted by x, length n-k
-        mod_par = self.mod_full[self.k :]
-        # z_i = round((x_i + s_i/2) / (n*L_i - 1)); ties round to even so that
+        # z_i = round((x_i + s_i/2) / (n*L - 1)); ties round to even so that
         # re-shaping an already-shaped vector is the identity even when a
         # coordinate sits exactly on the box wall
         num = 2 * par + s
-        den = 2 * mod_par
+        den = 2 * self.mod_full
         q, r = np.divmod(num, den)
         z_par = q + ((2 * r > den) | ((2 * r == den) & (q & 1 == 1)))
-        par_prime = par - z_par * mod_par
+        par_prime = par - z_par * self.mod_full
         x_prime = np.concatenate([sys, par_prime])
         lam = np.concatenate([sys, s + 2 * par_prime])  # x'G, reusing s
         z = np.concatenate([np.zeros(self.k, dtype=np.int64), z_par])
@@ -136,13 +129,12 @@ class LatticeCtx:
         """Invert shaping: lattice translate point -> original vector x.
 
         Solves x' = encode_inverse(lam) exactly, then maps each coordinate
-        back through the signed window of width n*L_i - 1.  Raises
+        back through the signed window of width n*L - 1.  Raises
         NotLatticePoint for anything but a translate point: a non-integer
         dtype, an even coordinate, or an odd vector off the lattice.
         """
         r = np.mod(self.encode_inverse(lam_tilde_prime), self.mod_full)
-        high = 2 * r >= self.n * self.L
-        r[high] -= self.mod_full[high]
+        r[2 * r >= self.n * self.L] -= self.mod_full
         return r
 
     # --- channel scaling --------------------------------------------------

@@ -8,13 +8,10 @@ matrix of x^alpha mod g, held in generator form
 of g, so an integer vector times U^alpha is one ``np.correlate`` per
 block and no n x n array is built).
 
-x^alpha mod g is built left to right over 8-bit windows of alpha:
-r <- F(r) x^w, where F(r) = r^256 mod g.  Squaring over GF(2) is linear,
-so F is the XOR of one table entry per 4-bit chunk of r, from tables
-built once per g (Hankerson, Menezes & Vanstone, *Guide to Elliptic Curve
-Cryptography*, 2004, sec. 2.3); x^w is a shift and a fold.  x^-alpha,
-needed only to invert, is x^-(2^d) x^(2^d - alpha): the same loop and one
-product with x^-(2^d), cached per (g, d).
+x^alpha mod g comes from gf2poly.xpowmod (8-bit windows of alpha, with
+table-driven r^256 mod g).  x^-alpha, needed only to invert, is
+x^-(2^d) x^(2^d - alpha): one more xpowmod and one product with
+x^-(2^d), cached per (g, d).
 
 F acts on integer vectors using the 0/1 matrix U^alpha (the encryption
 pipeline runs over the reals); the mod-2 view F' used by the analysis
@@ -41,71 +38,11 @@ from .errors import InvalidParams, NotInLattice, TooLarge
 
 _ANF_CAP = 24  # max n + d for exhaustive truth tables
 _VERIFY_BOUND = 1 << 52  # |v| above this cannot be verified in int64 safely
-_WINDOW = 8  # exponent bits per table pass: F(r) = r^(2^_WINDOW) mod g
-
-_LOW_NIBBLE = bytes(b & 15 for b in range(256))
-_HIGH_NIBBLE = bytes(b >> 4 for b in range(256))
-
-
-@functools.lru_cache(maxsize=16)
-def _frobenius(g: int):
-    """Tables of F(r) = r^(2^_WINDOW) mod g, one per 4-bit chunk of r.
-
-    Entry v of table j is F(v x^(4j)); F is GF(2)-linear, so F(r) is the
-    XOR of one entry per chunk.  Returned as the tables of the low and of
-    the high nibbles of r's bytes.  In the cipher workloads, 4-bit tables
-    (16 entries each) ran faster than 8-bit ones, whose 256-entry tables
-    are 16 times larger and fall out of cache between frames.
-    """
-    n = gf2poly.degree(g)
-    step = 1 << _WINDOW
-    tables = []
-    image = 1  # F(x^m) = x^(m 2^_WINDOW) mod g, for m = 0, 1, 2, ...
-    for _ in range(0, n, 4):
-        table = [0]
-        for _ in range(4):
-            table += [v ^ image for v in table]
-            image = gf2poly.mod(image << step, g)
-        tables.append(table)
-    return tables[0::2], tables[1::2], (n + 7) // 8
-
-
-def _frobenius_apply(r: int, tables) -> int:
-    """F(r) = r^(2^_WINDOW) mod g from the tables of _frobenius(g)."""
-    low, high, nbytes = tables
-    raw = r.to_bytes(nbytes, "little")
-    acc = 0
-    for table, v in zip(low, raw.translate(_LOW_NIBBLE)):
-        acc ^= table[v]
-    for table, v in zip(high, raw.translate(_HIGH_NIBBLE)):
-        acc ^= table[v]
-    return acc
-
-
-def _x_pow(g: int, e: int) -> int:
-    """x^e mod g for e >= 0, over _WINDOW-bit windows of e from the top."""
-    if e == 0:
-        return 1
-    tables = _frobenius(g)
-    mask = (1 << _WINDOW) - 1
-    shift = (e.bit_length() - 1) // _WINDOW * _WINDOW
-    r = gf2poly.mod(1 << (e >> shift), g)
-    while shift:
-        shift -= _WINDOW
-        r = gf2poly.mod(_frobenius_apply(r, tables) << ((e >> shift) & mask), g)
-    return r
-
 
 @functools.lru_cache(maxsize=16)
 def _x_neg_pow2(g: int, d: int) -> int:
-    """x^-(2^d) mod g: x^-1 = g >> 1, squared d times (by table passes)."""
-    r = g >> 1
-    tables = _frobenius(g)
-    for _ in range(d // _WINDOW):
-        r = _frobenius_apply(r, tables)
-    for _ in range(d % _WINDOW):
-        r = gf2poly.sqmod(r, g)
-    return r
+    """x^-(2^d) mod g, the inverse of x^(2^d) (a unit, since g(0) = 1)."""
+    return gf2poly.invmod(gf2poly.xpowmod(1 << d, g), g)
 
 
 class NlfContext:
@@ -134,9 +71,9 @@ class NlfContext:
         """x^alpha mod g, or x^-alpha = x^-(2^d) x^(2^d - alpha) mod g."""
         alpha = bits_to_poly(self._check_control(h))
         if not inverse:
-            return _x_pow(self.g, alpha)
+            return gf2poly.xpowmod(alpha, self.g)
         return gf2poly.mulmod(
-            _x_neg_pow2(self.g, self.d), _x_pow(self.g, (1 << self.d) - alpha), self.g
+            _x_neg_pow2(self.g, self.d), gf2poly.xpowmod((1 << self.d) - alpha, self.g), self.g
         )
 
     def matrix_for(self, h) -> PolyMulMatrix:
@@ -216,7 +153,7 @@ class NlfContext:
         w = poly_to_bits(weights, n).astype(np.int64)
         for alpha in range(1 << d):
             # bit j of col: component of row j of U^alpha along the weights
-            m = power_poly_matrix(self.g, gf2poly.powmod(2, alpha, self.g))
+            m = power_poly_matrix(self.g, gf2poly.xpowmod(alpha, self.g))
             col = bits_to_poly((m.to_dense() @ w) & 1)
             vals = (np.bitwise_count(a_vals & np.uint64(col)) & 1).astype(np.uint8)
             tt[alpha << n : (alpha + 1) << n] = vals

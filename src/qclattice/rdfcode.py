@@ -1,9 +1,10 @@
 """RDF-QC-LDPC code construction and validation.
 
 A code is a row of circulant blocks [H_0 | ... | H_{n0-1}], each b x b with
-column weight dv.  Supports are found by random-difference-family search:
-a block is accepted only if every cyclic difference it introduces is new,
-which is sufficient for a 4-cycle-free parity-check matrix.
+column weight dv and given by its first row, a polynomial mod x^b + 1.
+Supports are found by random-difference-family search: a block is accepted
+only if every cyclic difference it introduces is new, which is sufficient
+for a 4-cycle-free parity-check matrix.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bitmat import Circulant, circulant_inverse, circulant_mul
-from .errors import InvalidParams, SearchExhausted, SingularBlock, SingularCirculant
+from . import gf2poly
+from .bitmat import circulant
+from .errors import InvalidParams, SearchExhausted, SingularBlock
 
 
 @dataclass(frozen=True)
@@ -51,12 +53,13 @@ class QcCode:
     def dc(self) -> int:
         return self.n0 * self.dv
 
-    def blocks(self):
-        return [Circulant(self.b, sup) for sup in self.supports]
+    def polys(self) -> list:
+        """First row of each block as a polynomial mod x^b + 1."""
+        return [sum(1 << s for s in sup) for sup in self.supports]
 
     def h_matrix(self) -> np.ndarray:
         """H = [H_0 | ... | H_{n0-1}] as a (b, n) uint8 array."""
-        return np.hstack([c.to_dense() for c in self.blocks()])
+        return np.hstack([circulant(self.b, p) for p in self.polys()])
 
 
 def _grow_block(rng: random.Random, b: int, dv: int, used: set):
@@ -117,6 +120,7 @@ def rdf_search(
     if dv >= b:
         raise InvalidParams("dv must be smaller than b")
     rng = random.Random(rng_seed)
+    ring = (1 << b) | 1  # x^b + 1
     for _ in range(restarts):
         used: set = set()
         supports = []
@@ -127,11 +131,8 @@ def rdf_search(
                 if got is None:
                     continue
                 cand, local = got
-                if blk == n0 - 1:
-                    try:
-                        circulant_inverse(Circulant(b, cand))
-                    except SingularCirculant:
-                        continue
+                if blk == n0 - 1 and gf2poly.invmod(sum(1 << s for s in cand), ring) is None:
+                    continue
                 used |= local
                 supports.append(cand)
                 placed = True
@@ -164,18 +165,17 @@ def girth_ok(code: QcCode) -> bool:
 def systematic_generator(code: QcCode) -> np.ndarray:
     """A of the systematic generator [I_k | A], as a k x (n-k) uint8 array.
 
-    Block i of A is (H_last^-1 H_i)^T, so [I_k | A] H^T = 0 over GF(2).
-    Raises SingularBlock when the last circulant has no inverse.
+    Block i of A is (H_last^-1 H_i)^T, so [I_k | A] H^T = 0 over GF(2);
+    H_last^-1 H_i is the circulant of inv(p_last) p_i mod x^b + 1.  Raises
+    SingularBlock when the last circulant has no inverse.
     """
-    blocks = code.blocks()
-    try:
-        inv_last = circulant_inverse(blocks[-1])
-    except SingularCirculant as e:
-        raise SingularBlock(str(e)) from e
-    return np.vstack([
-        circulant_mul(inv_last, blocks[i]).transpose().to_dense()
-        for i in range(code.n0 - 1)
-    ])
+    modulus = (1 << code.b) | 1  # x^b + 1
+    *polys, last = code.polys()
+    inv_last = gf2poly.invmod(last, modulus)
+    if inv_last is None:
+        raise SingularBlock(f"last circulant of size {code.b} is singular")
+    blocks = (gf2poly.mulmod(inv_last, p, modulus) for p in polys)
+    return np.vstack([circulant(code.b, p).T for p in blocks])
 
 
 def count_rdf_lower_bound(b: int, dv: int, n0: int) -> int:

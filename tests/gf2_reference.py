@@ -1,8 +1,9 @@
 """Bit-serial GF(2)[x] routines and dense GF(2) matrices kept as oracles
-for qclattice.gf2poly, the windowed x^alpha in qclattice.nlf, the
-generator-form matrices of qclattice.bitmat, the 2-adic inverse of the
-NLF (invert_peel), the girth check of qclattice.rdfcode and the lattice
-membership test of qclattice.lattice (a product with the dense H).
+for qclattice.gf2poly (including the windowed x^e), the generator-form
+matrices of qclattice.bitmat, the parity-check matrix built from the
+supports (h_dense), the 2-adic inverse of the NLF (invert_peel), the girth
+check of qclattice.rdfcode and the lattice membership test of
+qclattice.lattice (a product with the dense H).
 
 These are the straightforward one-bit-at-a-time versions: a product is one
 shifted XOR per set bit, a remainder is one shifted XOR per bit above the
@@ -144,6 +145,16 @@ def matrix_order(u: np.ndarray, max_order: int):
             return e
         acc = matmul_mod2(acc, u)
     return None
+
+
+def h_dense(code) -> np.ndarray:
+    """H entry by entry: row i of block j has ones at (i + s) mod b, s in support j."""
+    h = np.zeros((code.b, code.n), dtype=np.uint8)
+    for j, support in enumerate(code.supports):
+        for i in range(code.b):
+            for s in support:
+                h[i, j * code.b + (i + s) % code.b] = 1
+    return h
 
 
 def girth_ok_dense(code) -> bool:

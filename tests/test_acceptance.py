@@ -113,9 +113,8 @@ def test_acceptance_3_shaping_and_region(joint_run):
 
 def test_acceptance_4_shaping_oracle_toy(toy_lattice):
     ctx = toy_lattice
-    mods = ctx.mod_full[ctx.k :]
-    axes = [np.arange(-(ctx.n * L) // 2 + 1, (ctx.n * L + 1) // 2) for L in ctx.L]
-    grids = np.meshgrid(*axes, indexing="ij")
+    axis = np.arange(-(ctx.n * ctx.L) // 2 + 1, (ctx.n * ctx.L + 1) // 2)
+    grids = np.meshgrid(*[axis] * ctx.n, indexing="ij")
     box = np.stack([g.ravel() for g in grids], axis=1)
     mism = 0
     for x in box:
@@ -123,7 +122,7 @@ def test_acceptance_4_shaping_oracle_toy(toy_lattice):
         s = x[: ctx.k] @ ctx.a
         for i in range(ctx.n - ctx.k):
             best = min(
-                abs(2 * (x[ctx.k + i] - z * mods[i]) + s[i]) for z in range(-8, 9)
+                abs(2 * (x[ctx.k + i] - z * ctx.mod_full) + s[i]) for z in range(-8, 9)
             )
             if abs(sp.lambda_prime[ctx.k + i]) != best:
                 mism += 1

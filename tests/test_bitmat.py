@@ -9,70 +9,85 @@ from gf2_reference import (
     rank_mod2,
 )
 from qclattice import gf2poly
-from qclattice.bitmat import Circulant, circulant_inverse, circulant_mul
-from qclattice.errors import Singular, SingularCirculant
+from qclattice.bitmat import circulant
+from qclattice.errors import Singular, SingularBlock
 from qclattice.primitives import poly
+from qclattice.rdfcode import QcCode, systematic_generator
 
 IDENT3 = np.eye(3, dtype=np.uint8)
 
 
-def shift_circulant(b, s):
-    return Circulant(b, (s,))
+def support_poly(support):
+    return sum(1 << s for s in support)
+
+
+def ring(b):
+    """x^b + 1, the modulus of b x b circulant algebra."""
+    return (1 << b) | 1
 
 
 def test_circulant_rows_are_shifts():
-    c = Circulant(7, (0, 2, 3))
-    dense = c.to_dense()
+    dense = circulant(7, support_poly((0, 2, 3)))
+    assert dense.dtype == np.uint8 and dense.shape == (7, 7)
+    assert np.array_equal(dense[0], [1, 0, 1, 1, 0, 0, 0])
     for i in range(7):
         assert np.array_equal(dense[i], np.roll(dense[0], i))
 
 
 def test_circulant_mul_identity():
-    x = Circulant(9, (1, 4, 6))
-    ident = Circulant(9, (0,))
-    assert circulant_mul(ident, x) == x
-    assert circulant_mul(x, ident) == x
+    x = support_poly((1, 4, 6))
+    assert gf2poly.mulmod(1, x, ring(9)) == x
+    assert gf2poly.mulmod(x, 1, ring(9)) == x
+    assert np.array_equal(circulant(9, 1), np.eye(9, dtype=np.uint8))
+    assert np.array_equal(matmul_mod2(circulant(9, 1), circulant(9, x)), circulant(9, x))
 
 
 def test_circulant_mul_shift_composition():
-    assert circulant_mul(shift_circulant(5, 1), shift_circulant(5, 2)) == shift_circulant(5, 3)
+    assert gf2poly.mulmod(1 << 1, 1 << 2, ring(5)) == 1 << 3
+    assert gf2poly.mulmod(1 << 3, 1 << 4, ring(5)) == 1 << 2  # x^7 = x^2
+    shift = [circulant(5, 1 << s) for s in range(5)]
+    assert np.array_equal(matmul_mod2(shift[1], shift[2]), shift[3])
+    assert np.array_equal(matmul_mod2(shift[3], shift[4]), shift[2])
 
 
 def test_circulant_mul_matches_dense_product():
     rng = np.random.default_rng(3)
     for _ in range(25):
-        a = Circulant(7, tuple(sorted(rng.choice(7, size=3, replace=False))))
-        b = Circulant(7, tuple(sorted(rng.choice(7, size=2, replace=False))))
-        got = circulant_mul(a, b).to_dense()
-        want = matmul_mod2(a.to_dense(), b.to_dense())
+        a = support_poly(rng.choice(7, size=3, replace=False).tolist())
+        b = support_poly(rng.choice(7, size=2, replace=False).tolist())
+        got = circulant(7, gf2poly.mulmod(a, b, ring(7)))
+        want = matmul_mod2(circulant(7, a), circulant(7, b))
         assert np.array_equal(got, want)
 
 
 def test_circulant_inverse_identity_and_shift():
-    assert circulant_inverse(Circulant(6, (0,))) == Circulant(6, (0,))
-    assert circulant_inverse(shift_circulant(5, 1)) == shift_circulant(5, 4)
+    assert gf2poly.invmod(1, ring(6)) == 1
+    assert gf2poly.invmod(1 << 1, ring(5)) == 1 << 4
+    assert np.array_equal(
+        matmul_mod2(circulant(5, 1 << 1), circulant(5, 1 << 4)), np.eye(5, dtype=np.uint8)
+    )
 
 
 def test_circulant_inverse_random_verified_by_product():
     rng = np.random.default_rng(4)
-    ident = Circulant(17, (0,))
+    ident = np.eye(17, dtype=np.uint8)
     found = 0
     while found < 10:
-        sup = tuple(sorted(rng.choice(17, size=5, replace=False)))
-        c = Circulant(17, sup)
-        try:
-            inv = circulant_inverse(c)
-        except SingularCirculant:
+        p = support_poly(rng.choice(17, size=5, replace=False).tolist())
+        inv = gf2poly.invmod(p, ring(17))
+        if inv is None:
             continue
         found += 1
-        assert circulant_mul(c, inv) == ident
-        assert circulant_mul(inv, c) == ident
+        assert np.array_equal(matmul_mod2(circulant(17, p), circulant(17, inv)), ident)
+        assert np.array_equal(matmul_mod2(circulant(17, inv), circulant(17, p)), ident)
 
 
 def test_circulant_inverse_singular():
     # even weight -> a(1) = 0 -> x+1 divides both a(x) and x^b + 1
-    with pytest.raises(SingularCirculant):
-        circulant_inverse(Circulant(5, (0, 2)))
+    assert gf2poly.invmod(support_poly((0, 2)), ring(5)) is None
+    assert rank_mod2(circulant(5, support_poly((0, 2)))) < 5
+    with pytest.raises(SingularBlock):
+        systematic_generator(QcCode(5, 2, 2, ((0, 1), (0, 2))))
 
 
 def test_companion_requires_unit_constant_term():
@@ -137,7 +152,7 @@ def test_gf2poly_helpers():
     # mul/mod consistency with known factorization (x^3+x+1)(x^3+x^2+1) = x^6+x^5+x^4+x^3+x^2+x+1
     assert gf2poly.mul(0b1011, 0b1101) == 0b1111111
     assert gf2poly.mod(0b1111111, 0b1011) == 0
-    assert gf2poly.invmod(0b10, 0b1011) == gf2poly.powmod(2, 6, 0b1011)
+    assert gf2poly.invmod(0b10, 0b1011) == gf2poly.xpowmod(6, 0b1011)
     assert gf2poly.order(0b1011) == 7
     assert gf2poly.is_irreducible(0b1011)
     assert not gf2poly.is_irreducible(0b1111111)

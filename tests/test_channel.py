@@ -1,8 +1,10 @@
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from qclattice import channel
 from qclattice.channel import (
     CSV_HEADER,
     MAX_SWEEP_POINTS,
@@ -105,6 +107,41 @@ def test_run_sweep_parallel_matches_serial(toy_key):
     serial = run_sweep(toy_key, spec, workers=1)
     parallel = run_sweep(toy_key, spec, workers=3)
     assert serial == parallel
+
+
+@pytest.mark.parametrize("workers, trials, cpus, pools", [
+    (100_000, 5, 3, [3]),  # the CPU count caps the pool
+    (100_000, 2, 64, [2]),  # so does the number of trials per point
+    (4, 7, 64, [4]),
+    (0, 5, 3, []),  # one worker or fewer runs in the caller, with no pool
+])
+def test_run_sweep_bounds_its_process_pool(toy_key, monkeypatch, workers, trials, cpus, pools):
+    made = []
+
+    class InlinePool:
+        """Records each construction and runs every job in the caller."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            job = Future()
+            job.set_result(fn(*args))
+            return job
+
+    monkeypatch.setattr(channel, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(channel.os, "cpu_count", lambda: cpus)
+    spec = SweepSpec(6.0, 8.0, 1.0, trials, 4)  # three grid points
+    serial = run_sweep(toy_key, spec, workers=1)
+    assert made == []
+    assert run_sweep(toy_key, spec, workers=workers) == serial
+    assert made == pools
 
 
 def test_lattice_sweep_monotone_direction():

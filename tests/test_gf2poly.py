@@ -68,10 +68,10 @@ def test_mulmod_matches_reference(am, b):
 
 
 @settings(deadline=None, max_examples=40)
-@given(operand_and_modulus(), st.integers(0, 1 << 64))
-def test_powmod_matches_reference(am, e):
-    a, m = am
-    assert gf2poly.powmod(a, e, m) == ref.powmod(a, e, m)
+@given(moduli, st.integers(0, 1 << 64))
+def test_powmod_matches_reference(m, e):
+    # every power in the package has base x
+    assert gf2poly.xpowmod(e, m) == ref.powmod(2, e, m)
 
 
 def test_mod_by_one_and_by_monomial():
@@ -94,7 +94,7 @@ def test_x_power_and_inverse(name, data):
     alpha = sum(int(b) << i for i, b in enumerate(h))
     c = ctx._x_power(h)
     cinv = ctx._x_power(h, inverse=True)
-    assert c == ref.powmod(2, alpha, ctx.g) == gf2poly.powmod(2, alpha, ctx.g)
+    assert c == ref.powmod(2, alpha, ctx.g) == gf2poly.xpowmod(alpha, ctx.g)
     assert ref.mod(ref.mul(c, cinv), ctx.g) == 1
 
 

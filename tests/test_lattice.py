@@ -13,9 +13,9 @@ from qclattice.rdfcode import rdf_search
 
 
 def all_window_vectors(ctx):
-    """Every integer vector in the recoverable box 2|x_i| < n*L_i."""
-    axes = [np.arange(-(ctx.n * L) // 2 + 1, (ctx.n * L + 1) // 2) for L in ctx.L]
-    grids = np.meshgrid(*axes, indexing="ij")
+    """Every integer vector in the recoverable box 2|x_i| < n*L."""
+    axis = np.arange(-(ctx.n * ctx.L) // 2 + 1, (ctx.n * ctx.L + 1) // 2)
+    grids = np.meshgrid(*[axis] * ctx.n, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
@@ -74,7 +74,7 @@ def test_shape_bounds_and_roundtrip_random(paper_lattice):
         sp = ctx.shape(x)
         assert (np.abs(sp.lambda_prime) <= ctx.n * ctx.L - 1).all()
         # systematic part satisfies the tighter half-window bound
-        assert (2 * np.abs(sp.lambda_prime[: ctx.k]) < ctx.n * ctx.L[: ctx.k]).all()
+        assert (2 * np.abs(sp.lambda_prime[: ctx.k]) < ctx.n * ctx.L).all()
         lam_t = 2 * sp.lambda_prime - 1
         assert np.array_equal(ctx.mod_recover(lam_t), x)
 
@@ -82,7 +82,7 @@ def test_shape_bounds_and_roundtrip_random(paper_lattice):
 def test_shape_overflow(paper_lattice):
     ctx = paper_lattice
     x = np.zeros(ctx.n, dtype=np.int64)
-    x[0] = ctx.n * ctx.L[0] // 2  # positive boundary is not recoverable
+    x[0] = ctx.n * ctx.L // 2  # positive boundary is not recoverable
     with pytest.raises(ShapingOverflow):
         ctx.shape(x)
 
@@ -165,7 +165,6 @@ def test_encode_inverse_and_syndrome_ok_match_oracles(paper_lattice, toy_lattice
 def test_toy_exhaustive_box_roundtrip_and_oracle(toy_lattice):
     ctx = toy_lattice
     box = all_window_vectors(ctx)
-    mods = ctx.mod_full[ctx.k :]
     for x in box:
         sp = ctx.shape(x)
         assert (np.abs(sp.lambda_prime) <= ctx.n * ctx.L - 1).all()
@@ -173,7 +172,7 @@ def test_toy_exhaustive_box_roundtrip_and_oracle(toy_lattice):
         s = x[: ctx.k] @ ctx.a
         for i in range(ctx.n - ctx.k):
             best = min(
-                (abs(2 * (x[ctx.k + i] - z * mods[i]) + s[i]), z)
+                (abs(2 * (x[ctx.k + i] - z * ctx.mod_full) + s[i]), z)
                 for z in range(-6, 7)
             )
             got = abs(sp.lambda_prime[ctx.k + i])
@@ -185,7 +184,7 @@ def test_shape_boundary_equality_case(toy_lattice):
     ctx = toy_lattice
     # engineer 2*x_par + s = n*L - 1 exactly: tie rounds half away from zero
     # and lands lambda' on the box wall
-    nL1 = ctx.n * ctx.L[ctx.k] - 1  # 7
+    nL1 = ctx.n * ctx.L - 1  # 7
     a_col = ctx.a[:, 0]
     j = int(np.nonzero(a_col)[0][0])
     x = np.zeros(ctx.n, dtype=np.int64)
