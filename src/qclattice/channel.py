@@ -146,7 +146,10 @@ def run_sweep(key: SecretKey, spec: SweepSpec, workers: int | None = None, progr
     n = key.params.n
     with (ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext()) as pool:
         for idx, (vnr_db, sigma) in enumerate(zip(spec.points(), sigmas)):
-            chunks = [(key, spec, idx, sigma, s, min(per, trials - s)) for s in range(0, trials, per)]
+            chunks = [
+                (key, spec, idx, sigma, start, min(per, trials - start))
+                for start in range(0, trials, per)
+            ]
             if pool is None:
                 tot = [_run_point_chunk(*c) for c in chunks]
             else:

@@ -39,7 +39,6 @@ def admissible_params(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(admissible_params(), st.integers(0, 2**64 - 1))
 def test_admissible_params_round_trip(params, seed):
-    params.validate()
     try:
         key = keygen(params, seed)
     except SearchExhausted:
