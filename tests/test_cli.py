@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -158,6 +159,25 @@ def test_analyze_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["key_bits"] == "214"
+
+
+# SHA-256 of the exact stdout of `analyze` (text, then --json) for the
+# reference parameters and for the largest shipped NLF degree, n = 1496
+@pytest.mark.parametrize("params, text_sha, json_sha", [
+    ("43 6 3 16 61",
+     "4eb1345c0243a6be5bf76a448ea0c6bb9cdbd7a91d940f27e18692055b26b948",
+     "11150ae87b181ecc3e591429f3439b5560f0632ef113883c04478136b8d707b8"),
+    ("187 8 5 16 77",
+     "40daee7d2980dc5ec27648ca788f1afd9b64eae6398973f87e11a580fd64db5a",
+     "7f629fe7971ec4a53cb765abe4a57b335b5d5cc49cd4ff8ccab0ce0ea3f361fc"),
+])
+def test_analyze_output_is_pinned(capsys, params, text_sha, json_sha):
+    b, n0, dv, L, d = params.split()
+    argv = ["analyze", "--b", b, "--n0", n0, "--dv", dv, "--L", L, "--d", d]
+    for extra, want in (([], text_sha), (["--json"], json_sha)):
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 def test_decrypt_bad_file_exit_1(tmp_path, capsys, keyfile):
