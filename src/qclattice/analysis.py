@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cipher import CipherParams
-from .rdfcode import count_rdf_lower_bound
+from .rdfcode import count_rdf_lower_bound_log2
 
 # The control width that the key-size formula assumes when no explicit d
 # is chosen: l2 = 7 * ceil(log2 n).
@@ -75,9 +75,8 @@ def bruteforce_cost_log2(params: CipherParams) -> float:
 
 def bruteforce_terms_log2(params: CipherParams) -> dict:
     p = params
-    nrdf = count_rdf_lower_bound(p.b, p.dv, p.n0)
     return {
-        "code": math.log2(nrdf) if nrdf > 0 else float("-inf"),
+        "code": count_rdf_lower_bound_log2(p.b, p.dv, p.n0),
         "error_vector": 2 * math.log2((1 << p.l1) - 1),
         "control_line": float(p.d),
         "permutation": float(p.v * p.gamma),
@@ -108,72 +107,52 @@ def differential_cost_log2_lfsr_rounds(params: CipherParams) -> float:
 
 @dataclass(frozen=True)
 class SchemeReport:
-    params: CipherParams
-    n: int
-    k: int
-    key_bits: int
-    l2_overridden: bool
-    rate_paper: float
-    rate_packed: float
-    expansion: float
-    expansion_exact: Fraction
-    nrdf_log2: float
-    bruteforce_log2: float
-    differential_log2: float
-    differential_log2_lfsr_rounds: float
+    """The analyze report: ordered (name, formatted value) items and text lines."""
+
+    items: tuple
+    text: tuple
 
     def kv_lines(self):
-        p = self.params
-        items = [
-            ("b", p.b), ("n0", p.n0), ("dv", p.dv), ("q", p.q), ("L", p.L),
-            ("d", p.d), ("n", self.n), ("k", self.k),
-            ("key_bits", self.key_bits),
-            ("l2_overridden", int(self.l2_overridden)),
-            ("rate_paper", f"{self.rate_paper:.6g}"),
-            ("rate_packed", f"{self.rate_packed:.6g}"),
-            ("expansion", f"{self.expansion:.6g}"),
-            ("nrdf_log2", f"{self.nrdf_log2:.4f}"),
-            ("bruteforce_log2", f"{self.bruteforce_log2:.4f}"),
-            ("differential_log2", f"{self.differential_log2:.4f}"),
-            ("differential_log2_lfsr_rounds",
-             f"{self.differential_log2_lfsr_rounds:.4f}"),
-        ]
-        return [f"{k}={v}" for k, v in items]
+        return [f"{k}={v}" for k, v in self.items]
 
     def text_lines(self):
-        p = self.params
-        return [
-            f"parameters        b={p.b} n0={p.n0} dv={p.dv} q={p.q} L={p.L} d={p.d}",
-            f"code              n={self.n} k={self.k} rate={p.n0 - 1}/{p.n0}",
-            f"key size          {self.key_bits} bits"
-            + ("  (explicit d overrides l2 = 7*ceil(log2 n))" if self.l2_overridden else ""),
-            f"information rate  {self.rate_paper:.4g} bit/symbol"
-            f"  (packed payload {self.rate_packed:.4g} bit/coordinate)",
-            f"message expansion {self.expansion:.4f}"
-            f"  ({self.expansion_exact.numerator}/{self.expansion_exact.denominator})",
-            f"code count        >= 2^{self.nrdf_log2:.2f} (search-family lower bound)",
-            f"brute force       ~2^{self.bruteforce_log2:.2f}",
-            f"differential      ~2^{self.differential_log2:.2f}"
-            f"  (2^{self.differential_log2_lfsr_rounds:.2f} with LFSR-period rounds)",
-        ]
+        return list(self.text)
 
 
 def build_report(params: CipherParams) -> SchemeReport:
-    params.validate()
-    exp = message_expansion(params.n, params.k, params.L)
-    nrdf = count_rdf_lower_bound(params.b, params.dv, params.n0)
-    return SchemeReport(
-        params=params,
-        n=params.n,
-        k=params.k,
-        key_bits=key_size_bits(params),
-        l2_overridden=l2_override_flag(params),
-        rate_paper=rate_paper(params.L),
-        rate_packed=rate_packed(params.L),
-        expansion=float(exp),
-        expansion_exact=exp,
-        nrdf_log2=math.log2(nrdf) if nrdf > 0 else float("-inf"),
-        bruteforce_log2=bruteforce_cost_log2(params),
-        differential_log2=differential_cost_log2(params),
-        differential_log2_lfsr_rounds=differential_cost_log2_lfsr_rounds(params),
+    p = params
+    p.validate()
+    key_bits = key_size_bits(p)
+    overridden = l2_override_flag(p)
+    r_paper, r_packed = rate_paper(p.L), rate_packed(p.L)
+    exp = message_expansion(p.n, p.k, p.L)
+    expansion = float(exp)
+    terms = bruteforce_terms_log2(p)
+    nrdf, brute = terms["code"], sum(terms.values())
+    diff, diff_lfsr = differential_cost_log2(p), differential_cost_log2_lfsr_rounds(p)
+    items = (
+        ("b", p.b), ("n0", p.n0), ("dv", p.dv), ("q", p.q), ("L", p.L),
+        ("d", p.d), ("n", p.n), ("k", p.k),
+        ("key_bits", key_bits),
+        ("l2_overridden", int(overridden)),
+        ("rate_paper", f"{r_paper:.6g}"),
+        ("rate_packed", f"{r_packed:.6g}"),
+        ("expansion", f"{expansion:.6g}"),
+        ("nrdf_log2", f"{nrdf:.4f}"),
+        ("bruteforce_log2", f"{brute:.4f}"),
+        ("differential_log2", f"{diff:.4f}"),
+        ("differential_log2_lfsr_rounds", f"{diff_lfsr:.4f}"),
     )
+    text = (
+        f"parameters        b={p.b} n0={p.n0} dv={p.dv} q={p.q} L={p.L} d={p.d}",
+        f"code              n={p.n} k={p.k} rate={p.n0 - 1}/{p.n0}",
+        f"key size          {key_bits} bits"
+        + ("  (explicit d overrides l2 = 7*ceil(log2 n))" if overridden else ""),
+        f"information rate  {r_paper:.4g} bit/symbol"
+        f"  (packed payload {r_packed:.4g} bit/coordinate)",
+        f"message expansion {expansion:.4f}  ({exp.numerator}/{exp.denominator})",
+        f"code count        >= 2^{nrdf:.2f} (search-family lower bound)",
+        f"brute force       ~2^{brute:.2f}",
+        f"differential      ~2^{diff:.2f}  (2^{diff_lfsr:.2f} with LFSR-period rounds)",
+    )
+    return SchemeReport(items, text)

@@ -169,11 +169,13 @@ def lattice_sweep(ctx: LatticeCtx, cfg: DecoderConfig, spec: SweepSpec, progress
     """SER/FER of bare lattice decoding (no cipher layer) over a VNR grid.
 
     Used for decoder-level comparisons between lattices whose parameters
-    are not admissible cipher keys.
+    are not admissible cipher keys.  Raises InvalidParams before any trial
+    when a grid point has no usable sigma.
     """
+    points = spec.points()
+    sigmas = [ctx.vnr_sigma(v) for v in points]
     rows = []
-    for idx, vnr_db in enumerate(spec.points()):
-        sigma = ctx.vnr_sigma(vnr_db)
+    for idx, (vnr_db, sigma) in enumerate(zip(points, sigmas)):
         sym_err = 0
         frame_err = 0
         for t in range(spec.trials_per_point):

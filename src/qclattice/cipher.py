@@ -101,11 +101,10 @@ class CipherParams:
             raise InvalidParams("q must equal b so permutation blocks stay aligned")
         if self.n % 2 != 0:
             raise InvalidParams("n must be even (constellation works in pairs)")
-        # keygen needs an NLF polynomial of degree n, and a session's dense
-        # m x n arrays grow with n
-        max_n = primitives.supported_degrees()[-1]
-        if self.n > max_n:
-            raise InvalidParams(f"n = {self.n} exceeds {max_n}, the largest shipped NLF degree")
+        # keygen needs an NLF polynomial of degree n, which also caps the
+        # dense m x n arrays of a session at n = 1496
+        if self.n not in primitives.supported_degrees():
+            raise InvalidParams(f"n = {self.n} has no shipped NLF polynomial of that degree")
         if self.L < 2 or self.L & (self.L - 1):
             raise InvalidParams("L must be a power of two >= 2")
         # shaped ciphertext coordinates reach 2nL - 1 and frames are int32
@@ -139,7 +138,7 @@ class SecretKey:
 @dataclass(frozen=True)
 class Ciphertext:
     y: np.ndarray
-    frame: tuple  # (counter, params digest)
+    counter: int
 
 
 def _draw_bits(rng: random.Random, nbits: int, nonzero: bool) -> int:
@@ -246,11 +245,9 @@ class CipherSession:
             raise InvalidParams("message length mismatch")
         self.check_constellation(m)
         j, e, h, perm = self._frame_material()
-        ebar = 1 - e
-        x = self.nlf.apply_f(m + ebar, h)
-        shaped = self.lattice.shape(x)
-        y = perm.apply(2 * shaped.lambda_prime - 1 + 2 * e)
-        return Ciphertext(y=y, frame=(j, self.key.digest()))
+        x = self.nlf.apply_f(m + (1 - e), h)
+        y = perm.apply(self.lattice.shape(x) + 2 * e)
+        return Ciphertext(y=y, counter=j)
 
     def decrypt_joint(self, r, sigma: float) -> np.ndarray:
         r = np.asarray(r, dtype=np.float64)

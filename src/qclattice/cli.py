@@ -36,9 +36,8 @@ class UsageError(Exception):
 def _params_from_args(args) -> CipherParams:
     if args.b is None or args.n0 is None or args.dv is None or args.L is None:
         raise UsageError("--b, --n0, --dv and --L are required")
-    q = args.q if args.q is not None else args.b
     d = args.d if args.d is not None else analysis.default_l2(args.b * args.n0)
-    return CipherParams(b=args.b, n0=args.n0, dv=args.dv, q=q, L=args.L, d=d)
+    return CipherParams(b=args.b, n0=args.n0, dv=args.dv, q=args.b, L=args.L, d=d)
 
 
 def cmd_keygen(args) -> int:
@@ -69,7 +68,7 @@ def cmd_encrypt(args) -> int:
                 break
             for m, payload in pack_bits(chunk, p.n, p.L):
                 ct = session.encrypt_joint(m)
-                writer.write_frame(ct.frame[0], payload, ct.y)
+                writer.write_frame(ct.counter, payload, ct.y)
     return 0
 
 
@@ -164,7 +163,6 @@ def _add_param_flags(sp):
     sp.add_argument("--b", type=int, help="circulant block size")
     sp.add_argument("--n0", type=int, help="number of circulant blocks")
     sp.add_argument("--dv", type=int, help="circulant column weight (odd)")
-    sp.add_argument("--q", type=int, help="permutation block size (default b)")
     sp.add_argument("--L", type=int, help="constellation limit, power of two")
     sp.add_argument("--d", type=int,
                     help="control-line width (default 7*ceil(log2 n))")

@@ -202,7 +202,8 @@ def inverse_series(f: int, nbits: int) -> int:
     return g & ((1 << nbits) - 1)
 
 
-def _prime_divisors(n: int):
+def prime_divisors(n: int):
+    """Distinct prime divisors of n >= 1, ascending, by trial division."""
     out = []
     d = 2
     while d * d <= n:
@@ -223,36 +224,17 @@ def is_irreducible(f: int) -> bool:
         return n == 1 and f == 2  # x itself is irreducible but has f(0)=0
     h = 2
     powers = {}
-    need = {n} | {n // p for p in _prime_divisors(n)}
+    need = {n} | {n // p for p in prime_divisors(n)}
     for i in range(1, n + 1):
         h = sqmod(h, f)
         if i in need:
             powers[i] = h
     if powers[n] != 2:
         return False
-    for p in _prime_divisors(n):
+    for p in prime_divisors(n):
         if gcd(powers[n // p] ^ 2, f) != 1:
             return False
     return True
-
-
-def order(f: int, limit: int = 1 << 24) -> int | None:
-    """Multiplicative order of x modulo ``f`` (requires f(0) = 1).
-
-    Steps x, x^2, x^3, ... until 1 reappears; returns None past ``limit``.
-    """
-    if not (f & 1):
-        raise ValueError("f(0) must be 1")
-    n = degree(f)
-    e, h = 1, mod(2, f)
-    while h != 1:
-        h <<= 1
-        if h >> n:
-            h ^= f
-        e += 1
-        if e > limit:
-            return None
-    return e
 
 
 def is_primitive(f: int, factors_of_order) -> bool:

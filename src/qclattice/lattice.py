@@ -10,7 +10,9 @@ vector u is a lattice point exactly when u_par - u_sys*A is even, which is
 the parity check H*u = 0 (mod 2) because [I_k | A] spans the null space of
 H.  The transmit alphabet is the translate {2*x*G - 1}, whose points all
 have odd coordinates.  Shaping replaces x by x' = x - z*(n*L - 1) so that
-x'G lands in a hypercube; recovery undoes the shift with a signed modulo.  Everything here is exact integer
+x'G lands in a hypercube and returns the translate point encode(x');
+recovery undoes the shift with a signed modulo, so shape/mod_recover pair
+up like encode/encode_inverse.  Everything here is exact integer
 arithmetic; floats appear only in the VNR conversion and the noise sigma
 check.
 """
@@ -18,19 +20,11 @@ check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParams, NotLatticePoint, ShapingOverflow
 from .rdfcode import QcCode, systematic_generator
-
-
-@dataclass(frozen=True)
-class ShapedPoint:
-    x_prime: np.ndarray
-    lambda_prime: np.ndarray
-    z: np.ndarray
 
 
 class LatticeCtx:
@@ -94,15 +88,17 @@ class LatticeCtx:
 
     # --- hypercube shaping ----------------------------------------------
 
-    def shape(self, x: np.ndarray) -> ShapedPoint:
-        """Shift x by multiples of (n*L - 1) so x'G fits the hypercube.
+    def shape(self, x: np.ndarray) -> np.ndarray:
+        """The translate point encode(x') = 2*x'G - 1 of the shaped vector x'.
 
-        The systematic coordinates keep z_i = 0, so they must already sit
-        strictly inside the signed window 2*|x_i| < n*L that the modular
-        recovery can invert; violations raise ShapingOverflow instead of
-        silently corrupting.  (Round-trip recovery of the parity part needs
-        the same window, but those coordinates are shifted into the box
-        regardless, which keeps re-shaping a shaped vector the identity.)
+        x' shifts x by multiples of (n*L - 1) so x'G fits the hypercube
+        |x'G| <= n*L - 1.  The systematic coordinates keep z_i = 0, so they
+        must already sit strictly inside the signed window 2*|x_i| < n*L
+        that the modular recovery can invert; violations raise
+        ShapingOverflow instead of silently corrupting.  (Round-trip
+        recovery of the parity part needs the same window, but those
+        coordinates are shifted into the box regardless, which keeps
+        re-shaping a shaped vector the identity.)
         """
         x = np.asarray(x, dtype=np.int64)
         if x.shape != (self.n,):
@@ -120,10 +116,7 @@ class LatticeCtx:
         q, r = np.divmod(num, den)
         z_par = q + ((2 * r > den) | ((2 * r == den) & (q & 1 == 1)))
         par_prime = par - z_par * self.mod_full
-        x_prime = np.concatenate([sys, par_prime])
-        lam = np.concatenate([sys, s + 2 * par_prime])  # x'G, reusing s
-        z = np.concatenate([np.zeros(self.k, dtype=np.int64), z_par])
-        return ShapedPoint(x_prime, lam, z)
+        return 2 * np.concatenate([sys, s + 2 * par_prime]) - 1  # 2*x'G - 1, reusing s
 
     def mod_recover(self, lam_tilde_prime: np.ndarray) -> np.ndarray:
         """Invert shaping: lattice translate point -> original vector x.

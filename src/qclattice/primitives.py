@@ -1,14 +1,16 @@
 """Shipped table of primitive polynomials over GF(2).
 
-Entries for degrees 2..80 are fully verified: irreducibility by the Ben-Or
-test and maximal order against the complete factorization of 2**n - 1.
-Degree 258 is likewise fully verified (2**258 - 1 factors completely through
-its cyclotomic parts; the factor list is shipped below so the check can be
-re-run).  Degree 1496 is verified irreducible with its order checked against
-every prime factor of 2**1496 - 1 below 2e6; a complete primitivity proof
-would require factoring a ~450-digit number, which is out of reach.  The
-encryption pipeline itself only requires invertibility (constant term 1);
-maximal order is a key-space-size property.
+Entries for degrees 2..80 were verified offline: irreducibility by the
+Ben-Or test and maximal order against the complete factorization of
+2**n - 1.  Degree 258 is likewise fully verified (2**258 - 1 factors
+completely through its cyclotomic parts; the factor list is shipped below).
+Degree 1496 is verified irreducible with its order checked against every
+prime factor of 2**1496 - 1 below 2e6; a complete primitivity proof would
+require factoring a ~450-digit number, which is out of reach.
+``verify_entry`` re-runs the full check for degrees up to 24 and for 258,
+and irreducibility alone for the rest.  The encryption pipeline itself only
+requires invertibility (constant term 1); maximal order is a
+key-space-size property.
 """
 
 from . import gf2poly
@@ -80,7 +82,7 @@ def reciprocal(deg: int) -> int:
 def nlf_poly(n: int) -> int:
     """Companion-matrix polynomial of degree ``n`` for the nonlinear map.
 
-    The shipped table entry; the table covers every n from 2 to 80.
+    The shipped table entry; the table covers n = 2..80, 258 and 1496.
     """
     return poly(n)
 
@@ -88,15 +90,15 @@ def nlf_poly(n: int) -> int:
 def verify_entry(deg: int) -> bool:
     """Re-run the verification that backs the shipped entry.
 
-    Full primitivity for degrees with a known factorization of 2**deg - 1
-    (<= 64 via brute-force order or factor list for 258); irreducibility
-    otherwise.
+    Full primitivity where the prime divisors of 2**deg - 1 are at hand
+    (trial division for deg <= 24, the shipped list for 258);
+    irreducibility otherwise.
     """
     f = poly(deg)
     if not gf2poly.is_irreducible(f):
         return False
     if deg <= 24:
-        return gf2poly.order(f) == (1 << deg) - 1
+        return gf2poly.is_primitive(f, gf2poly.prime_divisors((1 << deg) - 1))
     if deg == 258:
         return gf2poly.is_primitive(f, FACTORS_2_258_MINUS_1)
     return True

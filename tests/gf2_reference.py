@@ -3,7 +3,8 @@ for qclattice.gf2poly (including the windowed x^e), the generator-form
 matrices of qclattice.bitmat, the parity-check matrix built from the
 supports (h_dense), the 2-adic inverse of the NLF (invert_peel), the girth
 check of qclattice.rdfcode and the lattice membership test of
-qclattice.lattice (a product with the dense H).
+qclattice.lattice (a product with the dense H), and the brute-force order
+of x that backs the primitivity checks of qclattice.primitives.
 
 These are the straightforward one-bit-at-a-time versions: a product is one
 shifted XOR per set bit, a remainder is one shifted XOR per bit above the
@@ -59,6 +60,25 @@ def reverse(a: int, n: int) -> int:
         if (a >> i) & 1:
             r |= 1 << (n - i)
     return r
+
+
+def order(f: int, limit: int = 1 << 24):
+    """Multiplicative order of x modulo ``f`` (requires f(0) = 1).
+
+    Steps x, x^2, x^3, ... until 1 reappears; returns None past ``limit``.
+    """
+    if not (f & 1):
+        raise ValueError("f(0) must be 1")
+    n = f.bit_length() - 1
+    e, h = 1, mod(2, f)
+    while h != 1:
+        h <<= 1
+        if h >> n:
+            h ^= f
+        e += 1
+        if e > limit:
+            return None
+    return e
 
 
 def power_poly_rows(g: int, c: int) -> list:

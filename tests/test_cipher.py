@@ -82,12 +82,14 @@ def test_validate_caps_n_at_the_largest_nlf_degree():
     largest = CipherParams(b=187, n0=8, dv=5, q=187, L=16, d=77)
     largest.validate()
     assert load_key(_crafted_key_text(largest)).params == largest
-    # n = 1512, and n = 65498, whose session used to allocate ~4 GiB of dense H
+    # n = 1512, and n = 65498, whose session used to allocate ~4 GiB of dense
+    # H; n = 84 is below the cap but has no NLF polynomial, so keygen failed late
     for p in (CipherParams(b=189, n0=8, dv=5, q=189, L=16, d=77),
-              CipherParams(b=32749, n0=2, dv=3, q=32749, L=2, d=8)):
-        with pytest.raises(InvalidParams, match="exceeds 1496"):
+              CipherParams(b=32749, n0=2, dv=3, q=32749, L=2, d=8),
+              CipherParams(b=42, n0=2, dv=3, q=42, L=4, d=8)):
+        with pytest.raises(InvalidParams, match="no shipped NLF polynomial"):
             p.validate()
-        with pytest.raises(InvalidParams, match="exceeds 1496"):
+        with pytest.raises(InvalidParams, match="no shipped NLF polynomial"):
             load_key(_crafted_key_text(p))
 
 

@@ -158,7 +158,7 @@ def test_observation_file_decrypts_under_noise(tmp_path):
             m[1::2] = rng.integers(-4, 0, size=params.n // 2)
             msgs.append(m)
             ct = tx.encrypt_joint(m)
-            w.write_frame(ct.frame[0], 0, ct.y + rng.normal(0, sigma, params.n))
+            w.write_frame(ct.counter, 0, ct.y + rng.normal(0, sigma, params.n))
 
     rx = CipherSession(key)
     with open(path, "rb") as fh:

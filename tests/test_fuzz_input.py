@@ -47,8 +47,8 @@ def _files():
     data = bytes(range(7 * FRAMES))
     for m, payload in pack_bits(data, N, PARAMS.L):
         c = tx.encrypt_joint(m)
-        ct_w.write_frame(c.frame[0], payload, c.y)
-        obs_w.write_frame(c.frame[0], payload, c.y + noise.normal(0, 0.3, N))
+        ct_w.write_frame(c.counter, payload, c.y)
+        obs_w.write_frame(c.counter, payload, c.y + noise.normal(0, 0.3, N))
     return key, ct.getvalue(), obs.getvalue()
 
 

@@ -60,9 +60,9 @@ def test_shape_in_box_identity(paper_lattice):
     # small x keeps x G inside the box already
     x = np.zeros(ctx.n, dtype=np.int64)
     x[:5] = [1, -2, 3, 0, 1]
-    sp = ctx.shape(x)
-    assert not sp.z.any()
-    assert np.array_equal(2 * sp.lambda_prime - 1, ctx.encode(x))
+    lam = ctx.shape(x)
+    assert np.array_equal(ctx.encode_inverse(lam), x)  # z = 0: x' = x
+    assert np.array_equal(lam, ctx.encode(x))
 
 
 def test_shape_bounds_and_roundtrip_random(paper_lattice):
@@ -71,11 +71,11 @@ def test_shape_bounds_and_roundtrip_random(paper_lattice):
     half = ctx.n * ctx.L // 2
     for _ in range(300):
         x = rng.integers(-half + 1, half, size=ctx.n)
-        sp = ctx.shape(x)
-        assert (np.abs(sp.lambda_prime) <= ctx.n * ctx.L - 1).all()
+        lam_t = ctx.shape(x)
+        lambda_prime = (lam_t + 1) // 2
+        assert (np.abs(lambda_prime) <= ctx.n * ctx.L - 1).all()
         # systematic part satisfies the tighter half-window bound
-        assert (2 * np.abs(sp.lambda_prime[: ctx.k]) < ctx.n * ctx.L).all()
-        lam_t = 2 * sp.lambda_prime - 1
+        assert (2 * np.abs(lambda_prime[: ctx.k]) < ctx.n * ctx.L).all()
         assert np.array_equal(ctx.mod_recover(lam_t), x)
 
 
@@ -93,10 +93,11 @@ def test_shape_idempotent_on_shaped_output(paper_lattice):
     half = ctx.n * ctx.L // 2
     for _ in range(50):
         x = rng.integers(-half + 1, half, size=ctx.n)
-        sp = ctx.shape(x)
-        again = ctx.shape(sp.x_prime)
-        assert not again.z.any()
-        assert np.array_equal(again.x_prime, sp.x_prime)
+        lam = ctx.shape(x)
+        x_prime = ctx.encode_inverse(lam)
+        again = ctx.shape(x_prime)
+        assert np.array_equal(ctx.encode_inverse(again), x_prime)  # z = 0
+        assert np.array_equal(again, lam)
 
 
 def test_mod_recover_zero(paper_lattice):
@@ -117,7 +118,7 @@ def test_mod_recover_sensitivity_to_perturbation(paper_lattice):
     ctx = paper_lattice
     rng = np.random.default_rng(4)
     x = rng.integers(-100, 100, size=ctx.n)
-    lam = 2 * ctx.shape(x).lambda_prime - 1
+    lam = ctx.shape(x)
     lam2 = lam.copy()
     lam2[10] += 2  # stays odd but leaves the lattice translate
     with pytest.raises(NotLatticePoint):
@@ -128,7 +129,7 @@ def test_mod_recover_sensitivity_to_perturbation(paper_lattice):
 def test_mod_recover_rejects_non_translate_points(paper_lattice, bad):
     ctx = paper_lattice
     x = np.random.default_rng(6).integers(-100, 100, size=ctx.n)
-    lam = 2 * ctx.shape(x).lambda_prime - 1
+    lam = ctx.shape(x)
     assert np.array_equal(ctx.mod_recover(lam), x)
     if bad == "float":
         lam = lam.astype(np.float64)  # integer-valued, but not an integer dtype
@@ -166,8 +167,9 @@ def test_toy_exhaustive_box_roundtrip_and_oracle(toy_lattice):
     ctx = toy_lattice
     box = all_window_vectors(ctx)
     for x in box:
-        sp = ctx.shape(x)
-        assert (np.abs(sp.lambda_prime) <= ctx.n * ctx.L - 1).all()
+        lam = ctx.shape(x)
+        lambda_prime = (lam + 1) // 2
+        assert (np.abs(lambda_prime) <= ctx.n * ctx.L - 1).all()
         # oracle: per-coordinate exhaustive z minimizing |lambda'_i|
         s = x[: ctx.k] @ ctx.a
         for i in range(ctx.n - ctx.k):
@@ -175,9 +177,9 @@ def test_toy_exhaustive_box_roundtrip_and_oracle(toy_lattice):
                 (abs(2 * (x[ctx.k + i] - z * ctx.mod_full) + s[i]), z)
                 for z in range(-6, 7)
             )
-            got = abs(sp.lambda_prime[ctx.k + i])
+            got = abs(lambda_prime[ctx.k + i])
             assert got == best[0]
-        assert np.array_equal(ctx.mod_recover(2 * sp.lambda_prime - 1), x)
+        assert np.array_equal(ctx.mod_recover(lam), x)
 
 
 def test_shape_boundary_equality_case(toy_lattice):
@@ -190,9 +192,9 @@ def test_shape_boundary_equality_case(toy_lattice):
     x = np.zeros(ctx.n, dtype=np.int64)
     x[j] = 1
     x[ctx.k] = (nL1 - 1) // 2  # 2*3 + 1 = 7
-    sp = ctx.shape(x)
-    assert abs(sp.lambda_prime[ctx.k]) == nL1
-    assert np.array_equal(ctx.mod_recover(2 * sp.lambda_prime - 1), x)
+    lam = ctx.shape(x)
+    assert abs((lam[ctx.k] + 1) // 2) == nL1
+    assert np.array_equal(ctx.mod_recover(lam), x)
 
 
 def test_vnr_sigma_unit_point(paper_lattice):
@@ -228,5 +230,4 @@ def test_lattice_ctx_from_other_code():
     rng = np.random.default_rng(5)
     for _ in range(200):
         x = rng.integers(-(ctx.n * 4) // 2 + 1, (ctx.n * 4) // 2, size=ctx.n)
-        sp = ctx.shape(x)
-        assert np.array_equal(ctx.mod_recover(2 * sp.lambda_prime - 1), x)
+        assert np.array_equal(ctx.mod_recover(ctx.shape(x)), x)
