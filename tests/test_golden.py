@@ -8,6 +8,12 @@ leave every ciphertext bit-identical.  Each frame contributes its counter
 The code-layer digests pin A, H and the three Tanner arrays of two codes,
 so a rewrite of the circulant algebra or the graph build must leave every
 array byte-identical: same dtype, same shape, same bytes.
+
+The sweep digests pin the decoder end to end: the `simulate` CSV for the
+reference key over 0..6 dB (sigma 0.54 down to 0.27) and the lattice_sweep
+rows of the (128, 256) lattice over -3..3 dB (sigma 0.97 down to 0.48), so
+LLR or SPA rewrites must leave every frame's outcome unchanged, with sigma
+on both sides of 0.63.
 """
 
 import hashlib
@@ -16,7 +22,10 @@ import numpy as np
 
 from conftest import PAPER_PARAMS, random_message
 from qclattice import CipherSession, keygen, rdf_search
-from qclattice.decoder import tanner_arrays
+from qclattice.channel import SweepSpec, lattice_sweep
+from qclattice.cli import main
+from qclattice.decoder import DecoderConfig, tanner_arrays
+from qclattice.lattice import LatticeCtx
 from qclattice.rdfcode import systematic_generator
 
 FRAMES = 2000
@@ -24,6 +33,8 @@ JOINT_SHA256 = "4fd01fe041ba2620431743456df5962b0ef1fbd1f56e4d6ce946a1b913f85a6c
 RAW_SHA256 = "62fc6355bf7216ad723164c0f0a7972085881d9ab1bb69744dbe95be89c2669c"
 PAPER_CODE_SHA256 = "eade37d4ef45f478c870235949804e8c6178e2408612667ae23caffe7b4439e2"
 RDF_187_SHA256 = "003844709c62f9a96313eb131b29347c34477f479275eed8d97677fc37d3800e"
+SIMULATE_CSV_SHA256 = "83419d69cd27cdb711b7ffeaf98993170e88a0cdd5e2850c4a87ad70498ffb51"
+LATTICE_SWEEP_SHA256 = "29912b1fa3296d5cdc5540c81090559072a7efaab1ae5bfa21218f6dfd0fcef4"
 
 
 def _digest(key, encrypt, msg_seed):
@@ -65,3 +76,19 @@ def test_golden_code_layer_paper_key():
 
 def test_golden_code_layer_rdf_187():
     assert _code_digest(rdf_search(187, 8, 5, 7)) == RDF_187_SHA256
+
+
+def test_golden_simulate_csv(tmp_path, capsys):
+    key, csv = tmp_path / "k.key", tmp_path / "sweep.csv"
+    keygen_argv = "keygen --b 43 --n0 6 --dv 3 --L 16 --d 61 --seed 1 -o".split()
+    assert main(keygen_argv + [str(key)]) == 0
+    assert main(["simulate", "--key", str(key), "--vnr-db", "0:1:6", "--trials", "100",
+                 "--seed", "3", "--workers", "1", "-o", str(csv)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == SIMULATE_CSV_SHA256
+
+
+def test_golden_lattice_sweep():
+    ctx = LatticeCtx.from_code(rdf_search(128, 2, 7, rng_seed=5), 16)
+    rows = lattice_sweep(ctx, DecoderConfig(), SweepSpec(-3.0, 3.0, 1.0, 50, 9))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == LATTICE_SWEEP_SHA256
