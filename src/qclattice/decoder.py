@@ -4,16 +4,28 @@ The observation is r = lam + noise with lam = c + 4z, c the +-1 image of a
 codeword.  Per-symbol LLRs marginalize the 4Z translates in a symmetric
 window, binary SPA on H recovers c, and the integer part follows as
 z = round((r - c) / 4).
+
+channel_llr lays the translate terms of both bits out as one
+(2, translates, n) array, so its max and its sum run across rows, and it
+adds the rows in the order np.add.reduce gives a contiguous row of
+2*window + 1 terms.  Translates two or more steps from the nearest one lie
+at least 16/sigma^2 below their partner in every addition of that order;
+once that gap exceeds NEAR_TRANSLATES_GAP (sigma < 0.632) they cannot
+change a sum, so only the three nearest are computed.  LLRs are therefore
+the full window's bit for bit, at every sigma; cfg.coset_window stays the
+cap on the window.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import spa_core
+from ._kernels import add_order, spa_core, tree_sum
 from .errors import DecodeFailure, InvalidParams
 from .lattice import LatticeCtx, check_sigma
 from .rdfcode import QcCode
@@ -36,8 +48,14 @@ class DecoderConfig:
     coset_window: int = 4  # number of 4Z translates marginalized per side
 
     def __post_init__(self):
-        if self.max_iterations < 1 or self.coset_window < 1 or self.llr_clip <= 0:
-            raise InvalidParams("bad decoder configuration")
+        for name in ("max_iterations", "coset_window"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < 1:
+                raise InvalidParams(f"{name} must be an integer >= 1, not {v!r}")
+        clip = self.llr_clip
+        if not (isinstance(clip, numbers.Real) and not isinstance(clip, bool)
+                and math.isfinite(clip) and clip > 0):
+            raise InvalidParams(f"llr_clip must be finite and positive, not {clip!r}")
 
 
 @functools.lru_cache(maxsize=16)
@@ -57,9 +75,14 @@ def tanner_arrays(code: QcCode):
     return check_nbr, ve_check, ve_slot
 
 
-def _logsumexp(a, axis):
-    m = np.max(a, axis=axis, keepdims=True)
-    return (m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))).squeeze(axis)
+# In every addition of numpy's summation order, translates with |t| >= 2
+# meet a partner holding a kept term at least 16/sigma^2 above them (the
+# tests walk that order for every window).  Past this gap, e^-gap is under
+# 2^-54 / 13, so even two such terms added up stay below half an ulp of the
+# partner, and only t in {-1, 0, 1} can change the sum.
+NEAR_TRANSLATES_GAP = 40.0
+
+_REPRESENTATIVE = np.array([1.0, -1.0])  # bit-1 and bit-0 coset offsets
 
 
 def channel_llr(r, sigma: float, window: int, clip: float = 30.0):
@@ -69,20 +92,37 @@ def channel_llr(r, sigma: float, window: int, clip: float = 30.0):
     observation: bit-1 representatives 1 + 4t and bit-0 representatives
     -1 + 4t with t centered on round((r -+ 1)/4).  The two translate sets
     mirror each other under r -> -r, so the result is an odd function of
-    r.  Clipped to +-clip.  Raises InvalidParams for a sigma that
+    r.  Clipped to +-clip.  r is a scalar (the result is then a float) or
+    a 1-D array.  Raises InvalidParams for a sigma that
     lattice.check_sigma rejects.
+
+    Both sides lie in one (2, translates, n) array, so the max and the
+    log-sum-exp run across rows.  The rows are added in the order
+    np.add.reduce gives a contiguous (n, 2*window + 1) row, and once
+    16/sigma^2 exceeds NEAR_TRANSLATES_GAP only t in {-1, 0, 1} are
+    computed, added as that order associates them: the result is bit for
+    bit the full window's.
     """
     check_sigma(sigma)
-    scalar = np.isscalar(r)
+    scalar = np.ndim(r) == 0
     r = np.atleast_1d(np.asarray(r, dtype=np.float64))
-    t = np.arange(-window, window + 1, dtype=np.float64)
     inv = -1.0 / (2.0 * sigma * sigma)
-    z1 = np.rint((r - 1.0) / 4.0)[:, None] + t[None, :]
-    z0 = np.rint((r + 1.0) / 4.0)[:, None] + t[None, :]
-    pos = inv * (r[:, None] - (1.0 + 4.0 * z1)) ** 2
-    neg = inv * (r[:, None] - (-1.0 + 4.0 * z0)) ** 2
-    llr = _logsumexp(pos, 1) - _logsumexp(neg, 1)
-    llr = np.clip(llr, -clip, clip)
+    near = min(window, 1) if 16.0 / (sigma * sigma) > NEAR_TRANSLATES_GAP else window
+    t = np.arange(-near, near + 1, dtype=np.float64)[:, None]
+    c = _REPRESENTATIVE[:, None]
+    z = np.rint((r - c) / 4.0)
+    a = z[:, None, :] + t  # (2, 2*near + 1, n): translate indices
+    a *= 4.0
+    a += c[:, :, None]
+    np.subtract(r, a, out=a)
+    np.square(a, out=a)
+    a *= inv
+    top = a.max(axis=1)
+    a -= top[:, None, :]
+    np.exp(a, out=a)
+    order = add_order(2 * window + 1, window - near, window + near + 1)
+    lse = top + np.log(tree_sum(order, a.transpose(1, 0, 2)))
+    llr = np.clip(lse[0] - lse[1], -clip, clip)
     return float(llr[0]) if scalar else llr
 
 

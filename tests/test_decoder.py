@@ -2,12 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qclattice._kernels import spa_core
-from qclattice.decoder import DecoderConfig, channel_llr, decode, tanner_arrays
+import decoder_reference as ref
+from qclattice._kernels import add_order, spa_core, tree_sum
+from qclattice.decoder import (
+    NEAR_TRANSLATES_GAP,
+    DecoderConfig,
+    channel_llr,
+    decode,
+    tanner_arrays,
+)
 from qclattice.errors import DecodeFailure, InvalidParams
 from qclattice.lattice import LatticeCtx
-from qclattice.rdfcode import rdf_search
+from qclattice.rdfcode import QcCode, rdf_search
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +91,34 @@ def test_decoder_config_validation():
         DecoderConfig(max_iterations=0)
     with pytest.raises(InvalidParams):
         DecoderConfig(coset_window=0)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("llr_clip", math.nan), ("llr_clip", math.inf), ("llr_clip", -math.inf),
+    ("llr_clip", True), ("llr_clip", "30"),
+    ("max_iterations", 2.5), ("max_iterations", 50.0), ("max_iterations", True),
+    ("max_iterations", "50"), ("coset_window", 1.5), ("coset_window", True),
+    ("coset_window", np.float64(4.0)),
+])
+def test_decoder_config_rejects_wrong_types(field, bad):
+    # a NaN clip used to turn every LLR into NaN, and max_iterations=2.5 to
+    # raise TypeError inside spa_core
+    with pytest.raises(InvalidParams, match=field):
+        DecoderConfig(**{field: bad})
+
+
+def test_decoder_config_accepts_numpy_integers():
+    cfg = DecoderConfig(max_iterations=np.int64(7), coset_window=np.int32(2),
+                        llr_clip=np.float64(25.0))
+    assert cfg.max_iterations == 7
+
+
+def test_llr_zero_d_input_returns_float():
+    # a 0-d array used to come back as a shape-(1,) array
+    for r in (1.0, np.float64(1.0), np.array(1.0)):
+        out = channel_llr(r, 0.5, 4)
+        assert type(out) is float
+        assert out == channel_llr(np.array([1.0]), 0.5, 4)[0]
 
 
 def test_tanner_arrays_regular(small_ctx):
@@ -183,3 +220,123 @@ def test_numpy_core_decodes_noiseless(small_ctx):
     bits, ok, iters = spa_core(chan, check_nbr, ve_check, ve_slot, 10, 30.0)
     assert ok and iters == 0
     assert np.array_equal(bits, ((lam + 1) // 2) % 2)
+
+
+# --- the rewritten kernels against the check-major oracles -----------------------------
+
+
+def _dominates(t, k):
+    # translate t lies >= 32 |inv| below kept translate k for every offset
+    # u in [-2, 2] of r from the nearest representative: (u - 4t)^2 - (u - 4k)^2
+    return min(8 * (t - k) * (2 * (t + k) - u) for u in (-2, 2)) >= 32
+
+
+def test_far_translates_meet_a_dominating_partner():
+    """The exactness rule behind NEAR_TRANSLATES_GAP, on numpy's order.
+
+    Wherever the order of any window adds a sum of far translates
+    (|t| >= 2) to a sum holding kept ones, some kept term there is at least
+    16/sigma^2 above each far term.
+    """
+    def walk(tree, window):
+        if not isinstance(tree, tuple):
+            return [tree - window]
+        a, b = walk(tree[0], window), walk(tree[1], window)
+        for far, other in ((a, b), (b, a)):
+            kept = [k for k in other if abs(k) <= 1]
+            if kept and all(abs(t) >= 2 for t in far):
+                assert any(all(_dominates(t, k) for t in far) for k in kept), (window, far)
+        return a + b
+
+    for window in [*range(1, 300), 500, 1000, 2048]:
+        walk(add_order(2 * window + 1), window)
+
+
+@pytest.mark.parametrize("terms", [*range(1, 40), 127, 128, 129, 130, 255, 300, 1001])
+def test_add_order_matches_numpy_sum(terms):
+    rng = np.random.default_rng(terms)
+    # wide exponent spread, so a different association shows in the last bits
+    a = rng.normal(size=(64, terms)) * np.exp2(rng.integers(-30, 30, size=(64, terms)))
+    a = np.abs(a)
+    assert np.array_equal(tree_sum(add_order(terms), a.T), a.sum(axis=1))
+
+
+def test_add_order_prunes_to_kept_terms():
+    assert add_order(3, 0, 3) == ((0, 1), 2)
+    assert add_order(9, 3, 6) == (0, (1, 2))  # e_-1 + (e_0 + e_1)
+    assert add_order(5, 1, 4) == ((0, 1), 2)
+    assert add_order(7, 2, 5) == ((0, 1), 2)
+
+
+_BOUND_SIGMA = math.sqrt(16.0 / NEAR_TRANSLATES_GAP)
+_SIGMAS = st.one_of(
+    st.floats(0.05, 2.0),
+    st.floats(_BOUND_SIGMA * 0.97, _BOUND_SIGMA * 1.03),
+    st.sampled_from([_BOUND_SIGMA, math.nextafter(_BOUND_SIGMA, 0.0),
+                     math.nextafter(_BOUND_SIGMA, 1.0)]),
+)
+_HUGE = 2.0**52
+_OBSERVATIONS = st.one_of(
+    st.floats(-8.0, 8.0),
+    st.floats(-_HUGE, _HUGE, exclude_min=True, exclude_max=True),
+    st.integers(-(2**49), 2**49).map(lambda k: k / 2.0),  # halves: rint ties
+    st.integers(-(2**50), 2**50).map(lambda k: float(2 * k + 1)),  # odd: (r -+ 1)/4 ties
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_OBSERVATIONS, min_size=1, max_size=24), _SIGMAS, st.integers(1, 6),
+       st.sampled_from([30.0, 1e300]))
+def test_llr_bit_identical_to_full_window(r, sigma, window, clip):
+    r = np.array(r)
+    new = channel_llr(r, sigma, window, clip)
+    old = ref.channel_llr(r, sigma, window, clip)
+    assert new.tobytes() == old.tobytes()
+
+
+def _test_codes():
+    return [
+        rdf_search(13, 2, 3, rng_seed=2),  # dv 3, dc 6
+        rdf_search(2, 2, 1, rng_seed=0),  # dv 1, dc 2
+        rdf_search(43, 6, 3, rng_seed=5),  # dc 18, the reference shape
+        # dv 9 takes numpy's pairwise branch for the variable sums; the SPA
+        # does not need the graph to be free of 4-cycles
+        QcCode(11, 2, 9, (tuple(range(9)), tuple(range(1, 10)))),
+    ]
+
+
+_CODES = _test_codes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data(), st.sampled_from(range(len(_CODES))), st.integers(1, 5),
+       st.sampled_from([30.0, 2.5, 1e300]))
+def test_spa_matches_check_major_oracle(data, which, max_iter, clip):
+    code = _CODES[which]
+    value = st.one_of(st.floats(-2 * clip, 2 * clip, allow_subnormal=False),
+                      st.sampled_from([clip, -clip, 0.0, -0.0]))
+    chan = np.array(data.draw(st.lists(value, min_size=code.n, max_size=code.n)))
+    arrays = tanner_arrays(code)
+    bits, ok, iters = spa_core(chan, *arrays, max_iter, clip)
+    bits_ref, ok_ref, iters_ref = ref.spa_core(chan, *arrays, max_iter, clip)
+    assert (ok, iters) == (ok_ref, iters_ref)
+    assert bits.dtype == np.uint8
+    assert np.array_equal(bits, bits_ref)
+
+
+def test_decode_matches_oracles_over_the_waterfall(paper_lattice):
+    """LLRs and SPA results equal the oracles' on 0..6 dB, noisy frames."""
+    ctx = paper_lattice
+    arrays = tanner_arrays(ctx.code)
+    rng = np.random.default_rng(41)
+    for vnr_db in np.arange(0.0, 6.5, 0.5):
+        sigma = ctx.vnr_sigma(vnr_db)
+        for _ in range(8):
+            lam = ctx.encode(rng.integers(0, 2, size=ctx.n))
+            r = lam + rng.normal(0, sigma, ctx.n)
+            chan = channel_llr(r, sigma, 4)
+            assert chan.tobytes() == ref.channel_llr(r, sigma, 4).tobytes()
+            got = spa_core(chan, *arrays, 50, 30.0)
+            want = ref.spa_core(chan, *arrays, 50, 30.0)
+            assert got[1:] == want[1:]
+            assert np.array_equal(got[0], want[0])
