@@ -77,9 +77,9 @@ def tanner_arrays(code: QcCode):
 
 # In every addition of numpy's summation order, translates with |t| >= 2
 # meet a partner holding a kept term at least 16/sigma^2 above them (the
-# tests walk that order for every window).  Past this gap, e^-gap is under
-# 2^-54 / 13, so even two such terms added up stay below half an ulp of the
-# partner, and only t in {-1, 0, 1} can change the sum.
+# tests walk that order for windows up to 2048).  Past this gap, e^-gap is
+# under 2^-54 / 13, so even two such terms added up stay below half an ulp
+# of the partner, and only t in {-1, 0, 1} can change the sum.
 NEAR_TRANSLATES_GAP = 40.0
 
 _REPRESENTATIVE = np.array([1.0, -1.0])  # bit-1 and bit-0 coset offsets
