@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import decoder_reference as ref
 from qclattice._kernels import add_order, spa_core, tree_sum
@@ -315,10 +316,10 @@ def test_spa_matches_check_major_oracle(data, which, max_iter, clip):
     code = _CODES[which]
     value = st.one_of(st.floats(-2 * clip, 2 * clip, allow_subnormal=False),
                       st.sampled_from([clip, -clip, 0.0, -0.0]))
-    chan = np.array(data.draw(st.lists(value, min_size=code.n, max_size=code.n)))
-    arrays = tanner_arrays(code)
-    bits, ok, iters = spa_core(chan, *arrays, max_iter, clip)
-    bits_ref, ok_ref, iters_ref = ref.spa_core(chan, *arrays, max_iter, clip)
+    chan = data.draw(arrays(np.float64, code.n, elements=value))
+    graph = tanner_arrays(code)
+    bits, ok, iters = spa_core(chan, *graph, max_iter, clip)
+    bits_ref, ok_ref, iters_ref = ref.spa_core(chan, *graph, max_iter, clip)
     assert (ok, iters) == (ok_ref, iters_ref)
     assert bits.dtype == np.uint8
     assert np.array_equal(bits, bits_ref)
@@ -327,7 +328,7 @@ def test_spa_matches_check_major_oracle(data, which, max_iter, clip):
 def test_decode_matches_oracles_over_the_waterfall(paper_lattice):
     """LLRs and SPA results equal the oracles' on 0..6 dB, noisy frames."""
     ctx = paper_lattice
-    arrays = tanner_arrays(ctx.code)
+    graph = tanner_arrays(ctx.code)
     rng = np.random.default_rng(41)
     for vnr_db in np.arange(0.0, 6.5, 0.5):
         sigma = ctx.vnr_sigma(vnr_db)
@@ -336,7 +337,7 @@ def test_decode_matches_oracles_over_the_waterfall(paper_lattice):
             r = lam + rng.normal(0, sigma, ctx.n)
             chan = channel_llr(r, sigma, 4)
             assert chan.tobytes() == ref.channel_llr(r, sigma, 4).tobytes()
-            got = spa_core(chan, *arrays, 50, 30.0)
-            want = ref.spa_core(chan, *arrays, 50, 30.0)
+            got = spa_core(chan, *graph, 50, 30.0)
+            want = ref.spa_core(chan, *graph, 50, 30.0)
             assert got[1:] == want[1:]
             assert np.array_equal(got[0], want[0])
