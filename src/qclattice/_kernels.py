@@ -26,24 +26,20 @@ def _pair(a, b):
 def _order(start, n, lo, hi):
     if hi <= start or start + n <= lo:
         return None
-    if n < 8:
-        tree = None
-        for i in range(max(start, lo), min(start + n, hi)):
-            tree = _pair(tree, i - lo)
-        return tree
-    if n <= 128:
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pair(_order(start, half, lo, hi), _order(start + half, n - half, lo, hi))
+    tree, tail = None, start
+    if n >= 8:
+        tail = start + n - n % 8
         acc = [None] * 8
-        stop = start + n - n % 8
-        for i in range(start, stop):
-            acc[(i - start) % 8] = _pair(acc[(i - start) % 8], i - lo if lo <= i < hi else None)
-        a = [_pair(acc[j], acc[j + 1]) for j in range(0, 8, 2)]
+        for i in range(max(start, lo), min(tail, hi)):
+            acc[(i - start) % 8] = _pair(acc[(i - start) % 8], i - lo)
+        a = [_pair(acc[j], acc[j + 1]) for j in (0, 2, 4, 6)]
         tree = _pair(_pair(a[0], a[1]), _pair(a[2], a[3]))
-        for i in range(max(stop, lo), min(start + n, hi)):
-            tree = _pair(tree, i - lo)
-        return tree
-    half = n // 2
-    half -= half % 8
-    return _pair(_order(start, half, lo, hi), _order(start + half, n - half, lo, hi))
+    for i in range(max(tail, lo), min(start + n, hi)):
+        tree = _pair(tree, i - lo)
+    return tree
 
 
 @functools.lru_cache(maxsize=64)
