@@ -8,6 +8,22 @@ variable sums its dv incoming messages in the order ``np.add.reduce`` gives
 a contiguous row (add_order), so decisions, flags and iteration counts are
 those of the check-major kernel bit for bit.  ``USE_NUMBA`` is always
 False; perfbench records it with each result.
+
+Two of the check-major kernel's clips cannot bind for most (clip, dc), and
+spa_core decides once per call which to skip:
+
+- After tanh.  Messages enter tanh as q/2 with |q| <= clip, so
+  |tanh(q/2)| <= tanh(clip/2).  For clip/2 <= _TANH_FREE = 18 that is at
+  most tanh(18) = 1 - 4*2^-53, two ulps inside _TANH_CAP = 1 - 2*2^-53
+  (atanh(_TANH_CAP) = 18.37), so the cap is kept only for clip > 36.
+- After 2*arctanh, when dc >= 3.  Every extrinsic product then has at
+  least two factors of magnitude at most t = min(tanh(clip/2), _TANH_CAP),
+  and rounding is monotone, so |lr| <= 2*atanh(t^2) <= 0.988*clip at every
+  clip (the ratio peaks near clip = 36.5; at large clip the bound is
+  2*atanh(_TANH_CAP^2) = 36.04).  With dc = 2 a message is one factor's
+  2*atanh(t), which can reach clip, so that clip stays.
+
+Either way the messages are those of the check-major kernel bit for bit.
 """
 
 import functools
@@ -15,6 +31,7 @@ import functools
 import numpy as np
 
 _TANH_CAP = 0.9999999999999998  # keep atanh finite
+_TANH_FREE = 18.0  # |tanh(x)| < _TANH_CAP for |x| <= _TANH_FREE
 
 USE_NUMBA = False
 
@@ -69,19 +86,28 @@ def _clip(x, lim, out=None):
     return np.minimum(np.maximum(x, -lim, out=out), lim, out=out)
 
 
-def spa_core(chan, check_nbr, ve_check, ve_slot, max_iter, clip):
+def slot_major(check_nbr, ve_check, ve_slot):
+    """spa_core's index arrays from the edge grids of decoder.tanner_arrays.
+
+    Returns (nbr (dc, m): the variable on the s-th edge of each check,
+    edge (dv, n): the flat position of each variable's edges in the
+    (dc, m) messages).
+    """
+    m = len(check_nbr)
+    return check_nbr.T.copy(), (ve_slot * m + ve_check).T.copy()
+
+
+def spa_core(chan, nbr, edge, max_iter, clip):
     """Flooding SPA, vectorized over slot-major (dc, m) message arrays.
 
     chan: channel LLRs, sign convention log P(bit=1)/P(bit=0).
-    check_nbr: (m, dc) variable index per check edge.
-    ve_check/ve_slot: (n, dv) edge coordinates of each variable.
+    nbr, edge: the graph as slot_major returns it.
     Returns (bits uint8, ok, iterations).
     """
-    m, dc = check_nbr.shape
-    nbr = check_nbr.T.copy()  # (dc, m)
-    # flat position of each variable's edges in the (dc, m) messages, (dv, n)
-    edge = (ve_slot * m + ve_check).T.copy()
+    dc, m = nbr.shape
     order = add_order(len(edge))
+    cap_tanh = clip / 2.0 > _TANH_FREE
+    clip_lr = dc < 3
     lr = np.zeros((dc, m))
     left = np.empty((dc - 1, m))
     tot = chan + 0.0  # what zero messages add
@@ -95,7 +121,8 @@ def spa_core(chan, check_nbr, ve_check, ve_slot, max_iter, clip):
         _clip(q, clip, out=q)
         q /= 2.0
         np.tanh(q, out=q)
-        _clip(q, _TANH_CAP, out=q)
+        if cap_tanh:
+            _clip(q, _TANH_CAP, out=q)
         # extrinsic products t_0..t_{s-1} * t_{s+1}..t_{dc-1}; factors within
         # +-_TANH_CAP keep them there, so they need no second cap
         np.multiply.accumulate(q[:-1], axis=0, out=left)
@@ -104,6 +131,7 @@ def spa_core(chan, check_nbr, ve_check, ve_slot, max_iter, clip):
         lr[-1] = left[-1]
         np.arctanh(lr, out=lr)
         lr *= 2.0
-        _clip(lr, clip, out=lr)
+        if clip_lr:
+            _clip(lr, clip, out=lr)
         tot = chan + tree_sum(order, lr.take(edge))
     return (tot > 0).view(np.uint8), False, max_iter

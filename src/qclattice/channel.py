@@ -1,13 +1,16 @@
 """AWGN simulation: noise injection, VNR sweeps, CSV output.
 
 Per-trial randomness comes from a counter-based Philox generator keyed by
-(seed, point index, trial index), so results are independent of execution
-order and identical for any worker count.
+(seed, (point index << 32) ^ trial index), so results are independent of
+execution order and identical for any worker count.  A sweep, or each
+chunk of one, builds one generator and re-keys it per trial: each trial
+draws exactly the stream of a fresh Generator(Philox(key=...)).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -23,6 +26,8 @@ from .lattice import LatticeCtx
 
 WORKERS_ENV = "QCLATTICE_WORKERS"
 MAX_SWEEP_POINTS = 10_000
+# trial t of point p is keyed (p << 32) ^ t, which collides once t reaches 2^32
+MAX_TRIALS = 2**32 - 1
 
 
 @dataclass(frozen=True)
@@ -31,7 +36,9 @@ class SweepSpec:
 
     The grid must be finite, hold at most MAX_SWEEP_POINTS points and
     advance at every step after rounding to 9 decimals; anything else
-    raises InvalidParams, so points() always ends.
+    raises InvalidParams, so points() always ends.  trials_per_point and
+    rng_seed must be integers (not bool), with 1 <= trials_per_point <=
+    MAX_TRIALS; any integer seed is used modulo 2^64.
     """
 
     vnr_db_start: float
@@ -45,8 +52,12 @@ class SweepSpec:
             raise InvalidParams("VNR start, stop and step must be finite")
         if self.vnr_db_step <= 0:
             raise InvalidParams("step must be positive")
-        if self.trials_per_point < 1:
-            raise InvalidParams("trials must be >= 1")
+        for name in ("trials_per_point", "rng_seed"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise InvalidParams(f"{name} must be an integer, not {v!r}")
+        if not 1 <= self.trials_per_point <= MAX_TRIALS:
+            raise InvalidParams(f"trials must be between 1 and {MAX_TRIALS}")
         # inf when the span overflows or the step is tiny
         if not self._span() < MAX_SWEEP_POINTS:
             raise InvalidParams(f"VNR grid has more than {MAX_SWEEP_POINTS} points")
@@ -63,18 +74,39 @@ class SweepSpec:
 
 
 def add_awgn(x, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """x + N(0, sigma^2) noise; sigma = 0 returns x exactly."""
-    if sigma < 0:
-        raise InvalidParams("sigma must be nonnegative")
+    """x + N(0, sigma^2) noise; sigma = 0 returns x exactly.
+
+    Raises InvalidParams for a negative or non-finite sigma.
+    """
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise InvalidParams(f"sigma must be finite and nonnegative, not {sigma!r}")
     x = np.asarray(x, dtype=np.float64)
     if sigma == 0:
         return x.copy()
     return x + rng.normal(0.0, sigma, size=x.shape)
 
 
-def _trial_rng(seed: int, point: int, trial: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, (point << 32) ^ trial], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _trial_streams(seed: int):
+    """rekey(point, trial) -> one Philox Generator, set to that trial's key.
+
+    Each call sets the generator's key to (seed mod 2^64, (point << 32) ^
+    trial), with a zero counter, an empty buffer and no cached 32-bit draw:
+    the state of a fresh Generator(Philox(key=...)), so it draws the same
+    stream without building a generator, and its OS entropy, per trial.
+    """
+    key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    rng = np.random.Generator(bitgen)
+    zeros = np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def rekey(point: int, trial: int) -> np.random.Generator:
+        key[1] = (point << 32) ^ trial
+        bitgen.state = state  # copies the arrays into the generator
+        return rng
+
+    return rekey
 
 
 def _random_message(rng: np.random.Generator, n: int, L: int) -> np.ndarray:
@@ -104,10 +136,11 @@ def _run_point_chunk(key, spec, point_idx, sigma, start_trial, count):
     # seeks to its first frame in O(log start_trial) time)
     tx.advance_to(start_trial)
     rx.advance_to(start_trial)
+    rekey = _trial_streams(spec.rng_seed)
     sym_err = 0
     frame_err = 0
     for t in range(start_trial, start_trial + count):
-        rng = _trial_rng(spec.rng_seed, point_idx, t)
+        rng = rekey(point_idx, t)
         m = _random_message(rng, p.n, p.L)
         ct = tx.encrypt_joint(m)
         r = add_awgn(ct.y, sigma, rng)
@@ -174,12 +207,13 @@ def lattice_sweep(ctx: LatticeCtx, cfg: DecoderConfig, spec: SweepSpec, progress
     """
     points = spec.points()
     sigmas = [ctx.vnr_sigma(v) for v in points]
+    rekey = _trial_streams(spec.rng_seed)
     rows = []
     for idx, (vnr_db, sigma) in enumerate(zip(points, sigmas)):
         sym_err = 0
         frame_err = 0
         for t in range(spec.trials_per_point):
-            rng = _trial_rng(spec.rng_seed, idx, t)
+            rng = rekey(idx, t)
             xi = rng.integers(0, 2, size=ctx.n)
             lam = ctx.encode(xi)
             r = add_awgn(lam, sigma, rng)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import add_order, spa_core, tree_sum
+from ._kernels import _clip, add_order, slot_major, spa_core, tree_sum
 from .errors import DecodeFailure, InvalidParams
 from .lattice import LatticeCtx, check_sigma
 from .rdfcode import QcCode
@@ -75,6 +75,27 @@ def tanner_arrays(code: QcCode):
     return check_nbr, ve_check, ve_slot
 
 
+# id of a tanner_arrays result -> (that result, nbr, edge); each entry holds
+# its graph, so no other object can take the id while the entry lives
+_SLOT_MAJOR: dict = {}
+
+
+def _slot_major_arrays(code: QcCode):
+    """spa_core's (nbr, edge) for code, derived once per Tanner graph.
+
+    Each call looks the graph up in tanner_arrays' cache and derives the
+    slot-major arrays again only when that cache has built a new graph, so
+    tanner_arrays does no extra work and a cleared cache is seen here too.
+    """
+    graph = tanner_arrays(code)
+    hit = _SLOT_MAJOR.get(id(graph))
+    if hit is None:
+        if len(_SLOT_MAJOR) >= 16:
+            _SLOT_MAJOR.clear()
+        hit = _SLOT_MAJOR[id(graph)] = (graph, *slot_major(*graph))
+    return hit[1:]
+
+
 # In every addition of numpy's summation order, translates with |t| >= 2
 # meet a partner holding a kept term at least 16/sigma^2 above them (the
 # tests walk that order for windows up to 2048).  Past this gap, e^-gap is
@@ -122,7 +143,8 @@ def channel_llr(r, sigma: float, window: int, clip: float = 30.0):
     np.exp(a, out=a)
     order = add_order(2 * window + 1, window - near, window + near + 1)
     lse = top + np.log(tree_sum(order, a.transpose(1, 0, 2)))
-    llr = np.clip(lse[0] - lse[1], -clip, clip)
+    llr = lse[0] - lse[1]
+    _clip(llr, clip, out=llr)
     return float(llr[0]) if scalar else llr
 
 
@@ -143,10 +165,8 @@ def decode(ctx: LatticeCtx, cfg: DecoderConfig, r, sigma: float):
     if not observation_ok(r):
         raise DecodeFailure("observation is not finite, or reaches 2^52", iterations=0)
     chan = channel_llr(r, sigma, cfg.coset_window, cfg.llr_clip)
-    check_nbr, ve_check, ve_slot = tanner_arrays(ctx.code)
-    bits, ok, iters = spa_core(
-        chan, check_nbr, ve_check, ve_slot, cfg.max_iterations, cfg.llr_clip,
-    )
+    nbr, edge = _slot_major_arrays(ctx.code)
+    bits, ok, iters = spa_core(chan, nbr, edge, cfg.max_iterations, cfg.llr_clip)
     if not ok:
         raise DecodeFailure(
             f"syndrome nonzero after {cfg.max_iterations} iterations",

@@ -3,9 +3,11 @@ oracles for qclattice.decoder.channel_llr and qclattice._kernels.spa_core.
 
 channel_llr marginalizes all 2*window + 1 translates of each side in an
 (n, 2*window + 1) array and reduces along that axis with a max-shifted
-log-sum-exp.  spa_core keeps check-major (m, dc) messages and builds the
-extrinsic products with forward and backward cumprod along each check row.
-The rewritten kernels must agree with these bit for bit.
+log-sum-exp.  spa_core keeps check-major (m, dc) messages, takes the edge
+grids of tanner_arrays as they are (the kernel takes them through
+_kernels.slot_major), clips after every step, and builds the extrinsic
+products with forward and backward cumprod along each check row.  The
+rewritten kernels must agree with these bit for bit.
 """
 
 import numpy as np

@@ -3,11 +3,14 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qclattice import channel
 from qclattice.channel import (
     CSV_HEADER,
     MAX_SWEEP_POINTS,
+    MAX_TRIALS,
     SweepSpec,
     add_awgn,
     lattice_sweep,
@@ -43,6 +46,52 @@ def test_awgn_reproducible():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, -1.0])
+def test_awgn_rejects_negative_or_non_finite_sigma(sigma):
+    # nan used to return all-NaN noise, inf +-inf
+    with pytest.raises(InvalidParams):
+        add_awgn(np.zeros(4), sigma, np.random.default_rng(0))
+
+
+def _trial_rng(seed, point, trial):
+    """A fresh generator per trial: the streams sweeps are defined by."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, (point << 32) ^ trial], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _draws(rng, odd):
+    # an odd count of 0/1 integers leaves a buffered 32-bit draw behind,
+    # which the 64-bit normals do not use
+    out = rng.integers(0, 2, size=odd).tobytes() + rng.normal(0.0, 1.0, size=3).tobytes()
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return out
+
+
+_NEAR_2_32 = st.one_of(st.integers(0, 40), st.integers(2**32 - 40, 2**32 - 1),
+                       st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(st.sampled_from([0, 2**64 - 1, -1, 2**64, -(2**70)]),
+                 st.integers(-(2**80), 2**80)),
+       st.lists(st.tuples(_NEAR_2_32, _NEAR_2_32), min_size=1, max_size=4),
+       st.integers(0, 7).map(lambda k: 2 * k + 1))
+def test_rekeyed_generator_draws_the_fresh_one(seed, trials, odd):
+    rekey = channel._trial_streams(seed)
+    for point, trial in trials:
+        assert _draws(rekey(point, trial), odd) == _draws(_trial_rng(seed, point, trial), odd)
+
+
+def test_trial_keys_are_distinct_up_to_the_trial_cap():
+    # point 0, trial 2^32 would draw the noise of point 1, trial 0
+    a = _trial_rng(3, 0, 2**32).normal(size=8)
+    assert np.array_equal(a, _trial_rng(3, 1, 0).normal(size=8))
+    assert MAX_TRIALS == 2**32 - 1
+    SweepSpec(0.0, 0.0, 1.0, MAX_TRIALS, 0)
+    with pytest.raises(InvalidParams):
+        SweepSpec(0.0, 0.0, 1.0, MAX_TRIALS + 1, 0)
+
+
 def test_sweep_spec_points_and_validation():
     spec = SweepSpec(0.0, 6.0, 0.5, 10, 1)
     assert len(spec.points()) == 13
@@ -50,6 +99,34 @@ def test_sweep_spec_points_and_validation():
         SweepSpec(0.0, 6.0, 0.0, 10, 1)
     with pytest.raises(InvalidParams):
         SweepSpec(0.0, 6.0, 0.5, 0, 1)
+
+
+@pytest.mark.parametrize("trials, seed", [
+    (2.5, 0),  # lattice_sweep raised TypeError
+    (True, 0),  # the row's trials field read True
+    (np.float64(3.0), 0),
+    ("7", 0),
+    (1, 1.5),  # the first trial raised TypeError
+    (1, "7"),
+    (1, False),
+    (1, None),
+])
+def test_sweep_spec_requires_integer_trials_and_seed(trials, seed):
+    with pytest.raises(InvalidParams):
+        SweepSpec(0.0, 0.0, 1.0, trials, seed)
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**64 - 1, 2**64 + 5, np.int64(-3), np.uint64(7)])
+def test_sweep_spec_accepts_any_integer_seed(seed):
+    SweepSpec(0.0, 0.0, 1.0, np.int32(2), seed)
+
+
+def test_lattice_sweep_seed_is_taken_mod_2_64():
+    ctx = LatticeCtx.from_code(rdf_search(13, 2, 3, rng_seed=2), 4)
+    cfg = DecoderConfig()
+    a = lattice_sweep(ctx, cfg, SweepSpec(2.0, 2.0, 1.0, 6, 2**64 + 9))
+    b = lattice_sweep(ctx, cfg, SweepSpec(2.0, 2.0, 1.0, 6, np.int64(9)))
+    assert [r[:4] for r in a] == [r[:4] for r in b]
 
 
 def test_sweep_spec_points_are_the_grid():

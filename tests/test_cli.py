@@ -120,6 +120,16 @@ def test_simulate_zero_trials_usage_error(capsys, keyfile):
     assert code == 2
 
 
+def test_simulate_trial_count_past_the_key_space_exits_2(capsys, keyfile):
+    # trial 2^32 of a point would draw the noise of trial 0 of the next one;
+    # the count used to be accepted, and then ran
+    with deadline(10):
+        code, out, err = run(capsys, "simulate", "--key", keyfile, "--vnr-db", "0:1:0",
+                             "--trials", str(2**32))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("grid", ["3100:1:3100", "0:1:inf", "nan:1:nan", "-3100:1:-3100",
                                   "0:1e-300:1", "0:0:1"])
 def test_simulate_unusable_grid_exits_2(capsys, keyfile, grid):

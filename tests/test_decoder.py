@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import decoder_reference as ref
-from qclattice._kernels import add_order, spa_core, tree_sum
+from qclattice._kernels import _TANH_CAP, _TANH_FREE, add_order, slot_major, spa_core, tree_sum
 from qclattice.decoder import (
     NEAR_TRANSLATES_GAP,
     DecoderConfig,
@@ -215,10 +215,10 @@ def test_decode_deterministic(small_ctx):
 
 def test_numpy_core_decodes_noiseless(small_ctx):
     code = small_ctx.code
-    check_nbr, ve_check, ve_slot = tanner_arrays(code)
+    nbr, edge = slot_major(*tanner_arrays(code))
     lam = small_ctx.encode(np.arange(small_ctx.n))
     chan = channel_llr(lam.astype(float), 0.5, 4)
-    bits, ok, iters = spa_core(chan, check_nbr, ve_check, ve_slot, 10, 30.0)
+    bits, ok, iters = spa_core(chan, nbr, edge, 10, 30.0)
     assert ok and iters == 0
     assert np.array_equal(bits, ((lam + 1) // 2) % 2)
 
@@ -309,16 +309,37 @@ def _test_codes():
 _CODES = _test_codes()
 
 
-@settings(deadline=None, max_examples=200)
-@given(st.data(), st.sampled_from(range(len(_CODES))), st.integers(1, 5),
-       st.sampled_from([30.0, 2.5, 1e300]))
+# spa_core keeps the tanh cap only for clip > 2 * _TANH_FREE = 36, and the
+# clip after arctanh only for dc = 2; its bound at dc >= 3 peaks near 36.5
+_TANH_FREE_CLIP = 2 * _TANH_FREE
+_CLIPS = st.one_of(
+    st.sampled_from([30.0, 2.5, 1e300, 36.0, 36.5, 37.5, _TANH_FREE_CLIP,
+                     math.nextafter(_TANH_FREE_CLIP, math.inf),
+                     2 * math.atanh(_TANH_CAP), 1e-300]),
+    st.floats(0.01, 80.0),
+)
+
+
+def test_elided_clips_cannot_bind():
+    """The bounds behind spa_core's two skipped clips, on numpy's tanh and arctanh."""
+    x = np.linspace(0.0, _TANH_FREE, 1_000_001)
+    assert np.abs(np.tanh(x)).max() < _TANH_CAP
+    clip = np.concatenate([np.geomspace(1e-300, 1e300, 100_001),
+                           np.linspace(30.0, 45.0, 100_001)])
+    t = np.minimum(np.tanh(clip / 2.0), _TANH_CAP)
+    # two or more factors of magnitude <= t: the dc >= 3 extrinsic messages
+    assert (2.0 * np.arctanh(t * t) <= 0.988 * clip).all()
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data(), st.sampled_from(range(len(_CODES))), st.integers(1, 5), _CLIPS)
 def test_spa_matches_check_major_oracle(data, which, max_iter, clip):
     code = _CODES[which]
     value = st.one_of(st.floats(-2 * clip, 2 * clip, allow_subnormal=False),
                       st.sampled_from([clip, -clip, 0.0, -0.0]))
     chan = data.draw(arrays(np.float64, code.n, elements=value))
     graph = tanner_arrays(code)
-    bits, ok, iters = spa_core(chan, *graph, max_iter, clip)
+    bits, ok, iters = spa_core(chan, *slot_major(*graph), max_iter, clip)
     bits_ref, ok_ref, iters_ref = ref.spa_core(chan, *graph, max_iter, clip)
     assert (ok, iters) == (ok_ref, iters_ref)
     assert bits.dtype == np.uint8
@@ -329,6 +350,7 @@ def test_decode_matches_oracles_over_the_waterfall(paper_lattice):
     """LLRs and SPA results equal the oracles' on 0..6 dB, noisy frames."""
     ctx = paper_lattice
     graph = tanner_arrays(ctx.code)
+    slots = slot_major(*graph)
     rng = np.random.default_rng(41)
     for vnr_db in np.arange(0.0, 6.5, 0.5):
         sigma = ctx.vnr_sigma(vnr_db)
@@ -337,7 +359,7 @@ def test_decode_matches_oracles_over_the_waterfall(paper_lattice):
             r = lam + rng.normal(0, sigma, ctx.n)
             chan = channel_llr(r, sigma, 4)
             assert chan.tobytes() == ref.channel_llr(r, sigma, 4).tobytes()
-            got = spa_core(chan, *graph, 50, 30.0)
+            got = spa_core(chan, *slots, 50, 30.0)
             want = ref.spa_core(chan, *graph, 50, 30.0)
             assert got[1:] == want[1:]
             assert np.array_equal(got[0], want[0])
