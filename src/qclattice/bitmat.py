@@ -2,15 +2,19 @@
 
 A b x b circulant is its first row read as a polynomial mod x^b + 1, so
 products and inverses of circulants are gf2poly arithmetic on those
-polynomials, and ``circulant`` builds the dense matrix.  The matrix of
-multiplication by c(x) in GF(2)[x]/(g) is kept in generator form
-(:class:`PolyMulMatrix`): moving down one row shifts every column right by
-one, except at the taps of g, so between consecutive taps the columns form
-a Toeplitz block fixed by one bit sequence (Sunar & Koc, "Mastrovito
-Multiplier for All Trinomials", IEEE Trans. Computers 48(5), 1999).  A
-trinomial gives two blocks, and an integer vector times the matrix is one
-``np.correlate`` per block, with no n x n array.  Dense 0/1 matrices, where
-a caller needs one, are plain uint8 arrays.
+polynomials.  ``circulants`` expands a batch of rows into dense blocks at
+once: entry (i, j) of a block is bit b + j - i of its row written twice, so
+every block is a strided window over one unpacked bit string, with no index
+grid and no modulo.
+
+The matrix of multiplication by c(x) in GF(2)[x]/(g) is kept in generator
+form (:class:`PolyMulMatrix`): moving down one row shifts every column
+right by one, except at the taps of g, so between consecutive taps the
+columns form a Toeplitz block fixed by one bit sequence (Sunar & Koc,
+"Mastrovito Multiplier for All Trinomials", IEEE Trans. Computers 48(5),
+1999).  A trinomial gives two blocks, and an integer vector times the
+matrix is one ``np.correlate`` per block, with no n x n array.  Dense 0/1
+matrices, where a caller needs one, are plain uint8 arrays.
 
 The bit sequences are float64, used only as a carrier of exact integers:
 each output of a product sums at most n entries of the vector against 0/1
@@ -43,14 +47,29 @@ def poly_to_bits(p: int, n: int) -> np.ndarray:
     return np.unpackbits(raw, count=n, bitorder="little")
 
 
-def circulant(b: int, p: int) -> np.ndarray:
-    """The b x b uint8 circulant whose first row is p (degree < b).
+def circulants(b: int, rows) -> np.ndarray:
+    """Read-only (len(rows), b, b) uint8 view of the circulants with these
+    first rows: row i of a block is its row 0 shifted right by i, cyclically.
 
-    Row i is row 0 shifted right by i, cyclically, so the product of two
-    circulants is the circulant of the product of their rows mod x^b + 1.
+    Raises InvalidParams for a row outside [0, 2^b), which would spill into
+    its neighbour in the packed bits.
     """
-    row = poly_to_bits(p, b)
-    return row[(np.arange(b) - np.arange(b)[:, None]) % b]
+    packed = 0
+    for r in reversed(rows):
+        if not 0 <= r < 1 << b:
+            raise InvalidParams(f"circulant row must lie in [0, 2^{b})")
+        packed = packed << 2 * b | r << b | r
+    bits = poly_to_bits(packed, 2 * b * len(rows))
+    # entry (k, i, j) is bits[2b*k + b - i + j], inside row k's 2b bits; the
+    # entries alias one another, so the view is read-only
+    out = np.ndarray((len(rows), b, b), np.uint8, bits, b, (2 * b, -1, 1))
+    out.flags.writeable = False
+    return out
+
+
+def circulant(b: int, p: int) -> np.ndarray:
+    """The b x b uint8 circulant whose first row is p: ``circulants`` on one row."""
+    return circulants(b, (p,))[0].copy()
 
 
 @functools.lru_cache(maxsize=64)

@@ -119,8 +119,8 @@ def cmd_simulate(args) -> int:
         start, step, stop = (float(x) for x in args.vnr_db.split(":"))
     except ValueError:
         raise UsageError("--vnr-db must be start:step:stop")
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
+    if not 1 <= args.trials <= channel.MAX_TRIALS:
+        raise UsageError(f"--trials {args.trials}: must be between 1 and {channel.MAX_TRIALS}")
     try:
         spec = channel.SweepSpec(
             vnr_db_start=start, vnr_db_stop=stop, vnr_db_step=step,

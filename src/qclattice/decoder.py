@@ -60,17 +60,22 @@ class DecoderConfig:
 
 @functools.lru_cache(maxsize=16)
 def tanner_arrays(code: QcCode):
-    """Edge grids of the regular Tanner graph of H.
+    """Edge grids of the regular Tanner graph of H, built from the supports.
 
     Returns (check_nbr (m, dc), ve_check (n, dv), ve_slot (n, dv)); the
     graph is regular, so every check row has exactly dc edges and every
-    variable exactly dv.
+    variable exactly dv.  Row r of block i has its ones at columns
+    i*b + (r + s) mod b, s in support i; check_nbr lists them in increasing
+    column order, as np.nonzero(H) would, without building the dense H.
     """
-    h = code.h_matrix()
-    m, n = h.shape
-    check_nbr = np.nonzero(h)[1].reshape(m, code.dc).astype(np.int64)
+    # (b, n0, dv): the column of each one of H, row by row and block by block
+    cols = np.arange(code.b)[:, None, None] + np.array(code.supports, dtype=np.int64)
+    cols %= code.b
+    cols.sort(axis=2)
+    cols += np.arange(0, code.n, code.b)[:, None]
+    check_nbr = cols.reshape(code.b, code.dc)
     # edge c*dc + slot; the stable sort keeps each variable's edges in check order
-    edges = np.argsort(check_nbr, axis=None, kind="stable").reshape(n, code.dv)
+    edges = np.argsort(check_nbr, axis=None, kind="stable").reshape(code.n, code.dv)
     ve_check, ve_slot = np.divmod(edges, code.dc)
     return check_nbr, ve_check, ve_slot
 

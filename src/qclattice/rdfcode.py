@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import gf2poly
-from .bitmat import circulant
+from .bitmat import circulants
 from .errors import InvalidParams, SearchExhausted, SingularBlock
 
 
@@ -59,7 +59,8 @@ class QcCode:
 
     def h_matrix(self) -> np.ndarray:
         """H = [H_0 | ... | H_{n0-1}] as a (b, n) uint8 array."""
-        return np.hstack([circulant(self.b, p) for p in self.polys()])
+        blocks = circulants(self.b, self.polys())
+        return blocks.transpose(1, 0, 2).copy().reshape(self.b, self.n)
 
 
 def _grow_block(rng: random.Random, b: int, dv: int, used: set):
@@ -174,8 +175,8 @@ def systematic_generator(code: QcCode) -> np.ndarray:
     inv_last = gf2poly.invmod(last, modulus)
     if inv_last is None:
         raise SingularBlock(f"last circulant of size {code.b} is singular")
-    blocks = (gf2poly.mulmod(inv_last, p, modulus) for p in polys)
-    return np.vstack([circulant(code.b, p).T for p in blocks])
+    blocks = circulants(code.b, [gf2poly.mulmod(inv_last, p, modulus) for p in polys])
+    return blocks.transpose(0, 2, 1).copy().reshape(code.k, code.b)
 
 
 def count_rdf_lower_bound(b: int, dv: int, n0: int) -> int:

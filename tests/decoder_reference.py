@@ -1,5 +1,7 @@
 """The decoder kernels as they stood before the slot-major rewrite, kept as
-oracles for qclattice.decoder.channel_llr and qclattice._kernels.spa_core.
+oracles for qclattice.decoder.channel_llr and qclattice._kernels.spa_core,
+and the Tanner graph read off the dense H, kept as the oracle for
+qclattice.decoder.tanner_arrays.
 
 channel_llr marginalizes all 2*window + 1 translates of each side in an
 (n, 2*window + 1) array and reduces along that axis with a max-shifted
@@ -12,6 +14,7 @@ rewritten kernels must agree with these bit for bit.
 
 import numpy as np
 
+from gf2_reference import h_dense
 from qclattice.lattice import check_sigma
 
 _TANH_CAP = 0.9999999999999998
@@ -59,3 +62,13 @@ def spa_core(chan, check_nbr, ve_check, ve_slot, max_iter, clip):
         lr = 2.0 * np.arctanh(np.clip(ext, -_TANH_CAP, _TANH_CAP))
         np.clip(lr, -clip, clip, out=lr)
     return bits, False, max_iter
+
+
+def tanner_arrays(code):
+    """(check_nbr, ve_check, ve_slot) from np.nonzero of the dense H."""
+    h = h_dense(code)
+    m, n = h.shape
+    check_nbr = np.nonzero(h)[1].reshape(m, code.dc).astype(np.int64)
+    edges = np.argsort(check_nbr, axis=None, kind="stable").reshape(n, code.dv)
+    ve_check, ve_slot = np.divmod(edges, code.dc)
+    return check_nbr, ve_check, ve_slot

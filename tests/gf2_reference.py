@@ -1,10 +1,13 @@
 """Bit-serial GF(2)[x] routines and dense GF(2) matrices kept as oracles
 for qclattice.gf2poly (including the windowed x^e), the generator-form
 matrices of qclattice.bitmat, the parity-check matrix built from the
-supports (h_dense), the 2-adic inverse of the NLF (invert_peel), the girth
-check of qclattice.rdfcode and the lattice membership test of
-qclattice.lattice (a product with the dense H), and the brute-force order
-of x that backs the primitivity checks of qclattice.primitives.
+supports (h_dense), the circulant blocks and the systematic generator A
+built block by block through a modular index grid (circulant_grid,
+systematic_generator_blocks), the 2-adic inverse of the NLF
+(invert_peel), the girth check of qclattice.rdfcode and the lattice
+membership test of qclattice.lattice (a product with the dense H), and the
+brute-force order of x that backs the primitivity checks of
+qclattice.primitives.
 
 These are the straightforward one-bit-at-a-time versions: a product is one
 shifted XOR per set bit, a remainder is one shifted XOR per bit above the
@@ -18,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from qclattice import gf2poly
 from qclattice.errors import NotInLattice, Singular
 
 
@@ -175,6 +179,22 @@ def h_dense(code) -> np.ndarray:
             for s in support:
                 h[i, j * code.b + (i + s) % code.b] = 1
     return h
+
+
+def circulant_grid(b: int, p: int) -> np.ndarray:
+    """The b x b circulant of row p, entry (i, j) = bit (j - i) mod b of p,
+    read through a modular index grid."""
+    row = np.array([p >> t & 1 for t in range(b)], dtype=np.uint8)
+    return row[(np.arange(b) - np.arange(b)[:, None]) % b]
+
+
+def systematic_generator_blocks(code) -> np.ndarray:
+    """A of [I_k | A] stacked from the blocks (H_last^-1 H_i)^T, one
+    circulant_grid at a time (the inverse from gf2poly.invmod)."""
+    ring = (1 << code.b) | 1
+    *polys, last = code.polys()
+    inv_last = gf2poly.invmod(last, ring)
+    return np.vstack([circulant_grid(code.b, mod(mul(inv_last, p), ring)).T for p in polys])
 
 
 def girth_ok_dense(code) -> bool:

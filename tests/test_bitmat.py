@@ -3,6 +3,7 @@ import pytest
 
 from gf2_reference import (
     CompanionMatrix,
+    circulant_grid,
     companion_power_mod2,
     matmul_mod2,
     matrix_order,
@@ -10,8 +11,8 @@ from gf2_reference import (
     rank_mod2,
 )
 from qclattice import gf2poly
-from qclattice.bitmat import circulant
-from qclattice.errors import Singular, SingularBlock
+from qclattice.bitmat import circulant, circulants
+from qclattice.errors import InvalidParams, Singular, SingularBlock
 from qclattice.primitives import poly
 from qclattice.rdfcode import QcCode, systematic_generator
 
@@ -33,6 +34,28 @@ def test_circulant_rows_are_shifts():
     assert np.array_equal(dense[0], [1, 0, 1, 1, 0, 0, 0])
     for i in range(7):
         assert np.array_equal(dense[i], np.roll(dense[0], i))
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 7, 8, 43, 64, 187])
+def test_circulants_match_grid_oracle(b):
+    rng = np.random.default_rng(b)
+    for count in (1, 2, 5):
+        rows = [int.from_bytes(rng.bytes(b // 8 + 1), "little") % (1 << b) for _ in range(count)]
+        rows[0] = (1 << b) - 1  # all ones: each bit of the doubled row in use
+        got = circulants(b, rows)
+        assert got.dtype == np.uint8 and got.shape == (count, b, b)
+        assert np.array_equal(got, [circulant_grid(b, r) for r in rows])
+    assert np.array_equal(circulant(b, rows[-1]), circulant_grid(b, rows[-1]))
+
+
+@pytest.mark.parametrize("row", [1 << 43, 1 << 45, 1 << 50, -1, -(1 << 50)])
+def test_circulant_rejects_row_outside_its_block(row):
+    # 1 << 45 used to vanish into the byte padding (an all-zero matrix),
+    # 1 << 50 and negative rows escaped as OverflowError
+    with pytest.raises(InvalidParams):
+        circulant(43, row)
+    with pytest.raises(InvalidParams):
+        circulants(43, [1, row, 2])
 
 
 def test_circulant_mul_identity():

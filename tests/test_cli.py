@@ -130,6 +130,15 @@ def test_simulate_trial_count_past_the_key_space_exits_2(capsys, keyfile):
     assert err.startswith("usage error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("trials", [-1, 0, 2**32])
+def test_simulate_out_of_range_trials_names_the_flag(capsys, keyfile, trials):
+    # 2^32 used to be reported as a fault of --vnr-db
+    code, out, err = run(capsys, "simulate", "--key", keyfile, "--vnr-db", "0:1:0",
+                         "--trials", str(trials))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: --trials {trials}: ")
+
+
 @pytest.mark.parametrize("grid", ["3100:1:3100", "0:1:inf", "nan:1:nan", "-3100:1:-3100",
                                   "0:1e-300:1", "0:0:1"])
 def test_simulate_unusable_grid_exits_2(capsys, keyfile, grid):

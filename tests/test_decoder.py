@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import decoder_reference as ref
+from gf2_reference import h_dense
 from qclattice._kernels import _TANH_CAP, _TANH_FREE, add_order, slot_major, spa_core, tree_sum
 from qclattice.decoder import (
     NEAR_TRANSLATES_GAP,
@@ -127,7 +128,7 @@ def test_tanner_arrays_regular(small_ctx):
     check_nbr, ve_check, ve_slot = tanner_arrays(code)
     assert check_nbr.shape == (code.b, code.dc)
     assert ve_check.shape == (code.n, code.dv)
-    h = code.h_matrix()
+    h = h_dense(code)
     for c in range(code.b):
         assert sorted(check_nbr[c]) == list(np.nonzero(h[c])[0])
 

@@ -2,20 +2,22 @@
 
 Each drawn set (b <= 40, n0 <= 4, odd dv, q = b, n <= 80 so that an NLF
 polynomial of degree n is shipped) gets a key; the test checks the code
-layer against the dense oracle, [I | A] H^T = 0, and that joint and raw
-frames decrypt to their messages.  A 4-cycle-free code needs
-n0 * dv * (dv - 1) distinct nonzero differences mod b, so the strategy
-draws only sets with at most b - 1 of them, and a search that still
-exhausts (0.2-0.5 s each) is rejected.
+layer against the dense oracles (H, A and the Tanner arrays, dtypes
+included), [I | A] H^T = 0, and that joint and raw frames decrypt to their
+messages.  A 4-cycle-free code needs n0 * dv * (dv - 1) distinct nonzero
+differences mod b, so the strategy draws only sets with at most b - 1 of
+them, and a search that still exhausts (0.2-0.5 s each) is rejected.
 """
 
 import numpy as np
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import decoder_reference
 from conftest import random_message
-from gf2_reference import h_dense, matmul_mod2
+from gf2_reference import h_dense, matmul_mod2, systematic_generator_blocks
 from qclattice import CipherParams, CipherSession, keygen
+from qclattice.decoder import tanner_arrays
 from qclattice.errors import SearchExhausted
 from qclattice.rdfcode import systematic_generator
 
@@ -45,8 +47,10 @@ def test_admissible_params_round_trip(params, seed):
         reject()
     code = key.code
     h = h_dense(code)
-    assert np.array_equal(code.h_matrix(), h)
     a = systematic_generator(code)
+    for got, want in ((code.h_matrix(), h), (a, systematic_generator_blocks(code)),
+                      *zip(tanner_arrays(code), decoder_reference.tanner_arrays(code))):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
     g = np.hstack([np.eye(code.k, dtype=np.uint8), a])
     assert not matmul_mod2(g, h.T).any()
 
