@@ -2,8 +2,9 @@
 
 One numpy kernel with the exact tanh rule and forward/backward partial
 products.  Row s of every message array holds the s-th edge of each check,
-so the partial products are ``np.multiply.accumulate`` along axis 0, in the
-same per-check sequence as a ``cumprod`` along each check-major row.  Each
+the layout in which decoder.tanner_arrays builds the graph, so the partial
+products are ``np.multiply.accumulate`` along axis 0, in the same per-check
+sequence as a ``cumprod`` along each check-major row.  Each
 variable sums its dv incoming messages in the order ``np.add.reduce`` gives
 a contiguous row (add_order), so decisions, flags and iteration counts are
 those of the check-major kernel bit for bit.  ``USE_NUMBA`` is always
@@ -86,22 +87,13 @@ def _clip(x, lim, out=None):
     return np.minimum(np.maximum(x, -lim, out=out), lim, out=out)
 
 
-def slot_major(check_nbr, ve_check, ve_slot):
-    """spa_core's index arrays from the edge grids of decoder.tanner_arrays.
-
-    Returns (nbr (dc, m): the variable on the s-th edge of each check,
-    edge (dv, n): the flat position of each variable's edges in the
-    (dc, m) messages).
-    """
-    m = len(check_nbr)
-    return check_nbr.T.copy(), (ve_slot * m + ve_check).T.copy()
-
-
 def spa_core(chan, nbr, edge, max_iter, clip):
     """Flooding SPA, vectorized over slot-major (dc, m) message arrays.
 
     chan: channel LLRs, sign convention log P(bit=1)/P(bit=0).
-    nbr, edge: the graph as slot_major returns it.
+    nbr, edge: the graph as decoder.tanner_arrays returns it; nbr[s, c]
+    is the variable on the s-th edge of check c, and edge[:, v] the flat
+    positions of variable v's edges in the messages.
     Returns (bits uint8, ok, iterations).
     """
     dc, m = nbr.shape
@@ -111,8 +103,10 @@ def spa_core(chan, nbr, edge, max_iter, clip):
     lr = np.zeros((dc, m))
     left = np.empty((dc - 1, m))
     tot = chan + 0.0  # what zero messages add
+    # indexing, not take: take copies an index array that is not writeable,
+    # and tanner_arrays' are read-only
     for it in range(max_iter + 1):
-        q = tot.take(nbr)
+        q = tot[nbr]
         if not np.logical_xor.reduce(q > 0, axis=0).any():
             return (tot > 0).view(np.uint8), True, it
         if it == max_iter:
@@ -133,5 +127,5 @@ def spa_core(chan, nbr, edge, max_iter, clip):
         lr *= 2.0
         if clip_lr:
             _clip(lr, clip, out=lr)
-        tot = chan + tree_sum(order, lr.take(edge))
+        tot = chan + tree_sum(order, lr.ravel()[edge])
     return (tot > 0).view(np.uint8), False, max_iter

@@ -8,6 +8,7 @@ standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -168,6 +169,9 @@ def _add_param_flags(sp):
                     help="control-line width (default 7*ceil(log2 n))")
 
 
+# built once per process: parse_args leaves the parser unchanged, and building
+# it costs far more than parsing
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qclattice",

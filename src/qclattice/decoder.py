@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _clip, add_order, slot_major, spa_core, tree_sum
+from ._kernels import _clip, add_order, spa_core, tree_sum
 from .errors import DecodeFailure, InvalidParams
 from .lattice import LatticeCtx, check_sigma
 from .rdfcode import QcCode
@@ -60,13 +60,17 @@ class DecoderConfig:
 
 @functools.lru_cache(maxsize=16)
 def tanner_arrays(code: QcCode):
-    """Edge grids of the regular Tanner graph of H, built from the supports.
+    """spa_core's index arrays for the regular Tanner graph of H.
 
-    Returns (check_nbr (m, dc), ve_check (n, dv), ve_slot (n, dv)); the
-    graph is regular, so every check row has exactly dc edges and every
-    variable exactly dv.  Row r of block i has its ones at columns
-    i*b + (r + s) mod b, s in support i; check_nbr lists them in increasing
-    column order, as np.nonzero(H) would, without building the dense H.
+    Returns (nbr (dc, m), edge (dv, n)), slot-major: nbr[s, c] is the
+    variable on the s-th edge of check c, and edge[:, v] lists the flat
+    positions s*m + c of variable v's edges in a (dc, m) message array, in
+    check order, so nbr.flat[edge[:, v]] == v.  Both are C-contiguous,
+    int64 and read-only, since every decode of the code shares them.
+
+    Built from the supports without the dense H: row r of block i has its
+    ones at columns i*b + (r + s) mod b, s in support i, and each check
+    lists them in increasing column order, as np.nonzero(H) would.
     """
     # (b, n0, dv): the column of each one of H, row by row and block by block
     cols = np.arange(code.b)[:, None, None] + np.array(code.supports, dtype=np.int64)
@@ -76,29 +80,11 @@ def tanner_arrays(code: QcCode):
     check_nbr = cols.reshape(code.b, code.dc)
     # edge c*dc + slot; the stable sort keeps each variable's edges in check order
     edges = np.argsort(check_nbr, axis=None, kind="stable").reshape(code.n, code.dv)
-    ve_check, ve_slot = np.divmod(edges, code.dc)
-    return check_nbr, ve_check, ve_slot
-
-
-# id of a tanner_arrays result -> (that result, nbr, edge); each entry holds
-# its graph, so no other object can take the id while the entry lives
-_SLOT_MAJOR: dict = {}
-
-
-def _slot_major_arrays(code: QcCode):
-    """spa_core's (nbr, edge) for code, derived once per Tanner graph.
-
-    Each call looks the graph up in tanner_arrays' cache and derives the
-    slot-major arrays again only when that cache has built a new graph, so
-    tanner_arrays does no extra work and a cleared cache is seen here too.
-    """
-    graph = tanner_arrays(code)
-    hit = _SLOT_MAJOR.get(id(graph))
-    if hit is None:
-        if len(_SLOT_MAJOR) >= 16:
-            _SLOT_MAJOR.clear()
-        hit = _SLOT_MAJOR[id(graph)] = (graph, *slot_major(*graph))
-    return hit[1:]
+    check, slot = np.divmod(edges, code.dc)
+    nbr = check_nbr.T.copy()
+    edge = (slot * code.b + check).T.copy()
+    nbr.flags.writeable = edge.flags.writeable = False
+    return nbr, edge
 
 
 # In every addition of numpy's summation order, translates with |t| >= 2
@@ -170,7 +156,7 @@ def decode(ctx: LatticeCtx, cfg: DecoderConfig, r, sigma: float):
     if not observation_ok(r):
         raise DecodeFailure("observation is not finite, or reaches 2^52", iterations=0)
     chan = channel_llr(r, sigma, cfg.coset_window, cfg.llr_clip)
-    nbr, edge = _slot_major_arrays(ctx.code)
+    nbr, edge = tanner_arrays(ctx.code)
     bits, ok, iters = spa_core(chan, nbr, edge, cfg.max_iterations, cfg.llr_clip)
     if not ok:
         raise DecodeFailure(

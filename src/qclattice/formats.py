@@ -116,9 +116,15 @@ def read_key_text(text: str) -> dict:
         if "=" not in ln:
             raise FormatError(f"bad key line {ln!r}")
         name, _, value = ln.partition("=")
-        fields[name.strip()] = value.strip()
+        name = name.strip()
+        if name in fields:
+            raise FormatError(f"duplicate key field {name!r}")
+        fields[name] = value.strip()
     if fields.get("version") != str(KEY_VERSION):
         raise FormatError("unsupported key version")
+    unknown = [f for f in fields if f not in KEY_FIELDS]
+    if unknown:
+        raise FormatError(f"unknown key fields: {unknown}")
     _check_key_fields(fields)
     return fields
 

@@ -5,11 +5,11 @@ qclattice.decoder.tanner_arrays.
 
 channel_llr marginalizes all 2*window + 1 translates of each side in an
 (n, 2*window + 1) array and reduces along that axis with a max-shifted
-log-sum-exp.  spa_core keeps check-major (m, dc) messages, takes the edge
-grids of tanner_arrays as they are (the kernel takes them through
-_kernels.slot_major), clips after every step, and builds the extrinsic
-products with forward and backward cumprod along each check row.  The
-rewritten kernels must agree with these bit for bit.
+log-sum-exp.  spa_core keeps check-major (m, dc) messages, takes the
+check-major edge grids of the tanner_arrays below, clips after every step,
+and builds the extrinsic products with forward and backward cumprod along
+each check row.  The rewritten kernels must agree with these bit for bit,
+and qclattice.decoder.tanner_arrays must equal slot_major of those grids.
 """
 
 import numpy as np
@@ -72,3 +72,13 @@ def tanner_arrays(code):
     edges = np.argsort(check_nbr, axis=None, kind="stable").reshape(n, code.dv)
     ve_check, ve_slot = np.divmod(edges, code.dc)
     return check_nbr, ve_check, ve_slot
+
+
+def slot_major(check_nbr, ve_check, ve_slot):
+    """(nbr (dc, m), edge (dv, n)) from the check-major edge grids.
+
+    nbr[s, c] is the variable on the s-th edge of check c; edge[:, v] is the
+    flat position of each of variable v's edges in a (dc, m) message array.
+    """
+    m = len(check_nbr)
+    return check_nbr.T.copy(), (ve_slot * m + ve_check).T.copy()

@@ -199,7 +199,7 @@ def systematic_generator_blocks(code) -> np.ndarray:
 
 def girth_ok_dense(code) -> bool:
     """No two columns of H share two or more rows (no 4-cycles)."""
-    h = code.h_matrix().astype(np.int32)
+    h = h_dense(code).astype(np.int32)
     gram = h.T @ h
     np.fill_diagonal(gram, 0)
     return int(gram.max()) <= 1
@@ -211,7 +211,7 @@ def syndrome_ok_dense(code, lam) -> bool:
     if ((lam & 1) == 0).any():
         return False
     word = ((lam + 1) >> 1) & 1
-    return not ((code.h_matrix().astype(np.int64) @ word) & 1).any()
+    return not ((h_dense(code).astype(np.int64) @ word) & 1).any()
 
 
 def code_rate(code) -> Fraction:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import PAPER_PARAMS, random_message
-from gf2_reference import CompanionMatrix, matrix_order
+from gf2_reference import CompanionMatrix, h_dense, matrix_order
 from keystream_reference import joint_state
 from qclattice.analysis import (
     bruteforce_cost_log2,
@@ -165,7 +165,7 @@ def test_acceptance_7_rdf_validity():
     for seed in range(100):
         code = rdf_search(43, 6, 3, rng_seed=seed)
         assert girth_ok(code)
-        h = code.h_matrix()
+        h = h_dense(code)
         assert (h.sum(axis=0) == 3).all()
         assert (h.sum(axis=1) == 18).all()
         systematic_generator(code)  # raises if the last block is singular

@@ -370,6 +370,18 @@ def test_key_file_digest_tamper_detected(paper_key):
         load_key(bad)
 
 
+def test_key_file_duplicate_or_unknown_field_rejected(paper_key):
+    # a second s line used to win silently, and an unknown name was ignored
+    text = save_key(paper_key)
+    other = save_key(keygen(paper_key.params, 2))
+    s_line = re.search(r"^s = \w+$", other, re.M).group(0)
+    assert s_line not in text
+    for extra, message in ((s_line, "duplicate key field 's'"),
+                           ("colour = blue", "unknown key fields")):
+        with pytest.raises(FormatError, match=message):
+            load_key(text + extra + "\n")
+
+
 def _mutated_value(data, old):
     """A replacement for one key field value: well-formed but arbitrary, or junk."""
     if ":" in old:  # poly id of the register's degree with random taps

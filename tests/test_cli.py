@@ -342,6 +342,23 @@ def test_malformed_key_field_exits_1(tmp_path, capsys, keyfile, field, value, me
     assert message in err
 
 
+def test_decrypt_duplicate_or_unknown_key_field_exits_1(tmp_path, capsys, keyfile):
+    src = tmp_path / "plain.bin"
+    src.write_bytes(b"data")
+    ct = tmp_path / "ct.bin"
+    assert run(capsys, "encrypt", "--key", keyfile, "-i", str(src), "-o", str(ct))[0] == 0
+    text = open(keyfile).read()
+    s_line = re.search(r"^s = \w+$", text, re.M).group(0)
+    for extra, message in ((s_line, "duplicate key field 's'"),
+                           ("colour = blue", "unknown key fields: ['colour']")):
+        bad = tmp_path / "extra.key"
+        bad.write_text(text + extra + "\n")
+        code, _, err = run(capsys, "decrypt", "--key", str(bad), "-i", str(ct),
+                           "-o", str(tmp_path / "out.bin"))
+        _assert_clean_error(code, err)
+        assert message in err
+
+
 @pytest.mark.parametrize("cut", [5, 12, 13, 15, 16])
 def test_decrypt_truncated_file_header_exits_1(tmp_path, capsys, keyfile, cut):
     src = tmp_path / "plain.bin"

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import decoder_reference as ref
 from gf2_reference import h_dense
-from qclattice._kernels import _TANH_CAP, _TANH_FREE, add_order, slot_major, spa_core, tree_sum
+from qclattice._kernels import _TANH_CAP, _TANH_FREE, add_order, spa_core, tree_sum
 from qclattice.decoder import (
     NEAR_TRANSLATES_GAP,
     DecoderConfig,
@@ -125,12 +125,22 @@ def test_llr_zero_d_input_returns_float():
 
 def test_tanner_arrays_regular(small_ctx):
     code = small_ctx.code
-    check_nbr, ve_check, ve_slot = tanner_arrays(code)
-    assert check_nbr.shape == (code.b, code.dc)
-    assert ve_check.shape == (code.n, code.dv)
+    nbr, edge = tanner_arrays(code)
+    assert nbr.shape == (code.dc, code.b) and edge.shape == (code.dv, code.n)
+    for arr in (nbr, edge):
+        assert arr.dtype == np.int64 and arr.flags.c_contiguous
     h = h_dense(code)
     for c in range(code.b):
-        assert sorted(check_nbr[c]) == list(np.nonzero(h[c])[0])
+        assert np.array_equal(nbr[:, c], np.nonzero(h[c])[0])
+    for v in range(code.n):
+        assert (nbr.flat[edge[:, v]] == v).all()
+
+
+def test_tanner_arrays_are_read_only(small_ctx):
+    # every decode of the code shares the cached arrays
+    for arr in tanner_arrays(small_ctx.code):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 0
 
 
 def test_decode_noiseless_exact(small_ctx, paper_lattice):
@@ -216,7 +226,7 @@ def test_decode_deterministic(small_ctx):
 
 def test_numpy_core_decodes_noiseless(small_ctx):
     code = small_ctx.code
-    nbr, edge = slot_major(*tanner_arrays(code))
+    nbr, edge = tanner_arrays(code)
     lam = small_ctx.encode(np.arange(small_ctx.n))
     chan = channel_llr(lam.astype(float), 0.5, 4)
     bits, ok, iters = spa_core(chan, nbr, edge, 10, 30.0)
@@ -308,6 +318,7 @@ def _test_codes():
 
 
 _CODES = _test_codes()
+_REF_GRAPHS = [ref.tanner_arrays(code) for code in _CODES]
 
 
 # spa_core keeps the tanh cap only for clip > 2 * _TANH_FREE = 36, and the
@@ -339,9 +350,8 @@ def test_spa_matches_check_major_oracle(data, which, max_iter, clip):
     value = st.one_of(st.floats(-2 * clip, 2 * clip, allow_subnormal=False),
                       st.sampled_from([clip, -clip, 0.0, -0.0]))
     chan = data.draw(arrays(np.float64, code.n, elements=value))
-    graph = tanner_arrays(code)
-    bits, ok, iters = spa_core(chan, *slot_major(*graph), max_iter, clip)
-    bits_ref, ok_ref, iters_ref = ref.spa_core(chan, *graph, max_iter, clip)
+    bits, ok, iters = spa_core(chan, *tanner_arrays(code), max_iter, clip)
+    bits_ref, ok_ref, iters_ref = ref.spa_core(chan, *_REF_GRAPHS[which], max_iter, clip)
     assert (ok, iters) == (ok_ref, iters_ref)
     assert bits.dtype == np.uint8
     assert np.array_equal(bits, bits_ref)
@@ -350,8 +360,8 @@ def test_spa_matches_check_major_oracle(data, which, max_iter, clip):
 def test_decode_matches_oracles_over_the_waterfall(paper_lattice):
     """LLRs and SPA results equal the oracles' on 0..6 dB, noisy frames."""
     ctx = paper_lattice
-    graph = tanner_arrays(ctx.code)
-    slots = slot_major(*graph)
+    graph = ref.tanner_arrays(ctx.code)
+    slots = tanner_arrays(ctx.code)
     rng = np.random.default_rng(41)
     for vnr_db in np.arange(0.0, 6.5, 0.5):
         sigma = ctx.vnr_sigma(vnr_db)

@@ -63,8 +63,12 @@ def test_golden_raw(paper_key):
 
 
 def _code_digest(code):
+    # the digests were pinned on the check-major triple (check_nbr, ve_check,
+    # ve_slot), rebuilt here from the slot-major pair
+    nbr, edge = tanner_arrays(code)
+    ve_slot, ve_check = np.divmod(edge.T, code.b)
     h = hashlib.sha256()
-    for arr in (systematic_generator(code), code.h_matrix(), *tanner_arrays(code)):
+    for arr in (systematic_generator(code), code.h_matrix(), nbr.T, ve_check, ve_slot):
         h.update(f"{arr.dtype.str}{arr.shape}".encode())
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gf2_reference import syndrome_ok_dense
+from gf2_reference import h_dense, syndrome_ok_dense
 from qclattice.errors import InvalidParams, NotLatticePoint, ShapingOverflow
 from qclattice.lattice import LatticeCtx
 from qclattice.rdfcode import rdf_search
@@ -37,7 +37,7 @@ def test_encode_unit_vector(paper_lattice):
 def test_encode_syndrome_oracle(paper_lattice):
     ctx = paper_lattice
     rng = np.random.default_rng(0)
-    h = ctx.code.h_matrix().astype(np.int64)
+    h = h_dense(ctx.code).astype(np.int64)
     for _ in range(20):
         xi = rng.integers(-50, 50, size=ctx.n)
         lam = ctx.encode(xi)

@@ -48,8 +48,9 @@ def test_admissible_params_round_trip(params, seed):
     code = key.code
     h = h_dense(code)
     a = systematic_generator(code)
+    graph = decoder_reference.slot_major(*decoder_reference.tanner_arrays(code))
     for got, want in ((code.h_matrix(), h), (a, systematic_generator_blocks(code)),
-                      *zip(tanner_arrays(code), decoder_reference.tanner_arrays(code))):
+                      *zip(tanner_arrays(code), graph)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     g = np.hstack([np.eye(code.k, dtype=np.uint8), a])
     assert not matmul_mod2(g, h.T).any()
