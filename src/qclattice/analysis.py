@@ -68,12 +68,8 @@ def _log2_sum(log_terms) -> float:
     return m + math.log2(sum(2.0 ** (t - m) for t in log_terms))
 
 
-def bruteforce_cost_log2(params: CipherParams) -> float:
-    """log2 of the product of the four key-space factors."""
-    return sum(bruteforce_terms_log2(params).values())
-
-
 def bruteforce_terms_log2(params: CipherParams) -> dict:
+    """log2 of each of the four key-space factors; the cost is their sum."""
     p = params
     return {
         "code": count_rdf_lower_bound_log2(p.b, p.dv, p.n0),

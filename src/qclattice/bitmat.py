@@ -67,11 +67,6 @@ def circulants(b: int, rows) -> np.ndarray:
     return out
 
 
-def circulant(b: int, p: int) -> np.ndarray:
-    """The b x b uint8 circulant whose first row is p: ``circulants`` on one row."""
-    return circulants(b, (p,))[0].copy()
-
-
 @functools.lru_cache(maxsize=64)
 def _mul_layout(g: int):
     """Block starts (the exponents of g below its degree) and the exponents
@@ -158,13 +153,6 @@ class PolyMulMatrix:
         for t, w, e in zip(self.starts, self.widths, self.gens):
             y[t : t + w] = np.correlate(e, a, "valid")[::-1]
         return y
-
-    def to_dense(self) -> np.ndarray:
-        """The matrix as an n x n uint8 array."""
-        out = np.empty((self.rows, self.cols), dtype=np.uint8)
-        for t, w, e in zip(self.starts, self.widths, self.gens):
-            out[:, t : t + w] = np.lib.stride_tricks.sliding_window_view(e, w)[:, ::-1]
-        return out
 
 
 def power_poly_matrix(g: int, c: int) -> PolyMulMatrix:

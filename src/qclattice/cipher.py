@@ -21,6 +21,7 @@ and the int32 ciphertext format can serve.
 
 from __future__ import annotations
 
+import numbers
 import random
 from dataclasses import dataclass
 
@@ -149,9 +150,17 @@ def _draw_bits(rng: random.Random, nbits: int, nonzero: bool) -> int:
 
 
 def keygen(params: CipherParams, master_seed: int) -> SecretKey:
-    """Deterministic key generation from a 64-bit master seed."""
+    """Deterministic key generation from a 64-bit master seed.
+
+    Raises InvalidParams unless master_seed is an integer (not bool) in
+    [0, 2^64): random.Random would fold a negative seed onto its absolute
+    value and accept any wider one.
+    """
+    if not (isinstance(master_seed, numbers.Integral) and not isinstance(master_seed, bool)
+            and 0 <= master_seed < 1 << 64):
+        raise InvalidParams(f"master seed must be an integer in [0, 2^64), not {master_seed!r}")
     params.validate()
-    rng = random.Random(master_seed)
+    rng = random.Random(int(master_seed))
     code = rdf_search(params.b, params.n0, params.dv, rng.getrandbits(64))
     s = _draw_bits(rng, params.l1, nonzero=True)
     h_seed = _draw_bits(rng, params.d, nonzero=True)
@@ -181,7 +190,6 @@ class CipherSession:
 
     def __init__(self, key: SecretKey):
         p = key.params
-        self.key = key
         self.params = p
         self.lattice = LatticeCtx.from_code(key.code, p.L)
         self.nlf = NlfContext(key.nlf_poly, p.d)

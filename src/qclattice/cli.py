@@ -43,6 +43,8 @@ def _params_from_args(args) -> CipherParams:
 
 def cmd_keygen(args) -> int:
     params = _params_from_args(args)
+    if not 0 <= args.seed < 1 << 64:
+        raise UsageError(f"--seed {args.seed}: must be between 0 and 2^64 - 1")
     key = keygen(params, args.seed)
     text = save_key(key)
     with open(args.output, "w") as fh:

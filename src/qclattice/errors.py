@@ -49,9 +49,5 @@ class ConstellationViolation(QclatticeError):
     """Message coordinate lies outside the transmit constellation."""
 
 
-class TooLarge(QclatticeError):
-    """Requested exhaustive computation exceeds the feasibility cap."""
-
-
 class FormatError(QclatticeError):
     """Malformed key, ciphertext or observation file."""

@@ -11,7 +11,7 @@ Reduction folds the part above the leading term of the modulus back down
 with one shift-XOR per lower term (Hankerson, Menezes & Vanstone, *Guide
 to Elliptic Curve Cryptography*, 2004, sec. 2.3.5).  That is fast for the
 sparse moduli used here (trinomials, pentanomials, x^b + 1); Euclid's
-remainders are dense, so ``gcd`` and ``invmod`` divide bit-serially.
+remainders are dense, so ``invmod`` divides bit-serially.
 """
 
 import functools
@@ -166,12 +166,6 @@ def xpowmod(e: int, m: int) -> int:
     return r
 
 
-def gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, divmod2(a, b)[1]
-    return a
-
-
 def invmod(a: int, m: int):
     """Inverse of ``a`` modulo ``m`` via extended Euclid, or None."""
     if mod(a, m) == 0:
@@ -200,47 +194,3 @@ def inverse_series(f: int, nbits: int) -> int:
         have *= 2
         g = mul(sqmod(g, 1 << have), f) & ((1 << have) - 1)
     return g & ((1 << nbits) - 1)
-
-
-def prime_divisors(n: int):
-    """Distinct prime divisors of n >= 1, ascending, by trial division."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def is_irreducible(f: int) -> bool:
-    """Ben-Or / Rabin irreducibility test for ``f`` over GF(2)."""
-    n = degree(f)
-    if n <= 0 or not (f & 1):
-        return n == 1 and f == 2  # x itself is irreducible but has f(0)=0
-    h = 2
-    powers = {}
-    need = {n} | {n // p for p in prime_divisors(n)}
-    for i in range(1, n + 1):
-        h = sqmod(h, f)
-        if i in need:
-            powers[i] = h
-    if powers[n] != 2:
-        return False
-    for p in prime_divisors(n):
-        if gcd(powers[n // p] ^ 2, f) != 1:
-            return False
-    return True
-
-
-def is_primitive(f: int, factors_of_order) -> bool:
-    """Primitivity given the distinct prime factors of 2**deg(f) - 1."""
-    n = degree(f)
-    big = (1 << n) - 1
-    if xpowmod(big, f) != 1:
-        return False
-    return all(xpowmod(big // p, f) != 1 for p in factors_of_order)

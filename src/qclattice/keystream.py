@@ -71,9 +71,7 @@ class Lfsr:
     nonzero states.
     """
 
-    __slots__ = (
-        "length", "poly", "taps", "state", "_mask", "_recip", "_tap_list", "_word",
-    )
+    __slots__ = ("length", "taps", "state", "_mask", "_recip", "_tap_list", "_word")
 
     def __init__(self, length: int, poly: int, seed: int):
         if length < 1:
@@ -82,7 +80,6 @@ class Lfsr:
         if seed & mask == 0:
             raise InvalidParams("LFSR seed must be nonzero")
         self.length = length
-        self.poly = poly
         self.taps = poly & mask
         self.state = seed & mask
         self._mask = mask
@@ -151,7 +148,6 @@ class ReseedingLfsr:
     """
 
     def __init__(self, length: int, q_poly: int, p_poly: int, seed: int):
-        self.length = length
         self.main = Lfsr(length, q_poly, seed)
         self.companion = Lfsr(length, p_poly, seed)
         self.seed = self.main.state
@@ -282,8 +278,7 @@ class BlockPermutation:
         # at -1 means that another one repeats
         if np.minimum.reduce(inv) < 0:
             raise InvalidParams("block is not a permutation")
-        self.q, self.v, self.n = q, v, q * v
-        self.perms = blocks
+        self.n = q * v
         self._fwd, self._inv = fwd, inv
 
     def apply(self, x: np.ndarray) -> np.ndarray:

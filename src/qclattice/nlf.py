@@ -14,16 +14,17 @@ x^-(2^d) x^(2^d - alpha): one more xpowmod and one product with
 x^-(2^d), cached per (g, d).
 
 F acts on integer vectors using the 0/1 matrix U^alpha (the encryption
-pipeline runs over the reals); the mod-2 view F' used by the analysis
-tooling is exposed separately as f_mod2.  The integer inverse solves
-v * M = x exactly by 2-adic digit peeling: M has odd determinant, so it is
-invertible mod 2^k for every k.  M^-1 mod 2 is the multiplication matrix
-of x^-alpha, built once per call in the same generator form, so each
-binary digit of v is ((residual mod 2) M^-1) mod 2, and the residual then
-drops by digit * M and halves.  Both products take 0/1 vectors, so every
-sum is at most n: they run as float64 correlates, which carry these
-integers exactly (bitmat holds the 2^53 guard for general vectors).  The
-cipher path stays exact; no rounded float reaches it.
+pipeline runs over the reals); its mod-2 view F' is apply_f(a, h) & 1, on
+which the tests check the paper's algebraic-degree claims.  The integer
+inverse solves v * M = x exactly by 2-adic digit peeling: M has odd
+determinant, so it is invertible mod 2^k for every k.  M^-1 mod 2 is the
+multiplication matrix of x^-alpha, built once per call in the same
+generator form, so each binary digit of v is ((residual mod 2) M^-1) mod 2,
+and the residual then drops by digit * M and halves.  Both products take
+0/1 vectors, so every sum is at most n: they run as float64 correlates,
+which carry these integers exactly (bitmat holds the 2^53 guard for
+general vectors).  The cipher path stays exact; no rounded float reaches
+it.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ import functools
 import numpy as np
 
 from . import gf2poly
-from .bitmat import PolyMulMatrix, bits_to_poly, poly_to_bits, power_poly_matrix
-from .errors import InvalidParams, NotInLattice, TooLarge
+from .bitmat import PolyMulMatrix, bits_to_poly, power_poly_matrix
+from .errors import InvalidParams, NotInLattice
 
-_ANF_CAP = 24  # max n + d for exhaustive truth tables
 _VERIFY_BOUND = 1 << 52  # |v| above this cannot be verified in int64 safely
+
 
 @functools.lru_cache(maxsize=16)
 def _x_neg_pow2(g: int, d: int) -> int:
@@ -76,13 +77,9 @@ class NlfContext:
             _x_neg_pow2(self.g, self.d), gf2poly.xpowmod((1 << self.d) - alpha, self.g), self.g
         )
 
-    def matrix_for(self, h) -> PolyMulMatrix:
+    def _entry(self, h) -> PolyMulMatrix:
         """The 0/1 matrix U^alpha selected by h, in generator form."""
         return power_poly_matrix(self.g, self._x_power(h))
-
-    def _entry(self, h) -> PolyMulMatrix:
-        """U^alpha for one apply_f or invert_f call."""
-        return self.matrix_for(h)
 
     # --- the map and its inverse ------------------------------------------
 
@@ -130,80 +127,3 @@ class NlfContext:
         if not np.array_equal(m.vecmul(v), x):
             raise NotInLattice("no integer preimage exists")
         return v
-
-    # --- mod-2 view and analysis tooling -----------------------------------
-
-    def f_mod2(self, a, h) -> np.ndarray:
-        """F' = F mod 2 on a binary vector, as polynomial multiplication."""
-        a = np.asarray(a, dtype=np.int64) & 1
-        c = self._x_power(h)
-        pa = bits_to_poly(a.astype(np.uint8))
-        return poly_to_bits(gf2poly.mulmod(pa, c, self.g), self.n)
-
-    def _component_truth_table(self, weights: int) -> np.ndarray:
-        """Truth table of sum_i w_i f_i(a, b) over all 2^(n+d) inputs.
-
-        Index layout: low n bits = a, high d bits = b.
-        """
-        if self.n + self.d > _ANF_CAP:
-            raise TooLarge(f"truth table needs n + d <= {_ANF_CAP}")
-        n, d = self.n, self.d
-        a_vals = np.arange(1 << n, dtype=np.uint64)
-        tt = np.empty((1 << d) << n, dtype=np.uint8)
-        w = poly_to_bits(weights, n).astype(np.int64)
-        for alpha in range(1 << d):
-            # bit j of col: component of row j of U^alpha along the weights
-            m = power_poly_matrix(self.g, gf2poly.xpowmod(alpha, self.g))
-            col = bits_to_poly((m.to_dense() @ w) & 1)
-            vals = (np.bitwise_count(a_vals & np.uint64(col)) & 1).astype(np.uint8)
-            tt[alpha << n : (alpha + 1) << n] = vals
-        return tt
-
-    @staticmethod
-    def _anf_degree(tt: np.ndarray) -> int:
-        """Algebraic degree via the in-place Moebius transform."""
-        m = int(np.log2(len(tt)))
-        tt = tt.copy()
-        for v in range(m):
-            view = tt.reshape(-1, 2, 1 << v)
-            view[:, 1, :] ^= view[:, 0, :]
-        idx = np.nonzero(tt)[0].astype(np.uint64)
-        if len(idx) == 0:
-            return 0
-        return int(np.bitwise_count(idx).max())
-
-    def component_anf_degree(self, i: int) -> int:
-        """Exact algebraic degree of component i of F' over GF(2)^(n+d)."""
-        if not (0 <= i < self.n):
-            raise InvalidParams("component index out of range")
-        return self._anf_degree(self._component_truth_table(1 << i))
-
-    def combination_anf_degree(self, weights) -> int:
-        """Degree of a nonzero GF(2) combination of components of F'."""
-        w = bits_to_poly(np.asarray(weights, dtype=np.uint8) % 2)
-        if w == 0:
-            raise InvalidParams("combination must be nonzero")
-        return self._anf_degree(self._component_truth_table(w))
-
-    def higher_derivative(self, l: int, directions, base, h) -> np.ndarray:
-        """Sum of F'(base + c, h) over the 2^l span points of the directions.
-
-        directions are distinct coordinate indices (unit vectors); addition
-        is over GF(2).
-        """
-        dirs = [int(i) for i in directions]
-        if len(dirs) != l or len(set(dirs)) != l:
-            raise InvalidParams("need l distinct direction coordinates")
-        if any(i < 0 or i >= self.n for i in dirs):
-            raise InvalidParams("direction index out of range")
-        base = np.asarray(base, dtype=np.uint8) % 2
-        if base.shape != (self.n,):
-            raise InvalidParams("base vector length mismatch")
-        out = np.zeros(self.n, dtype=np.uint8)
-        for mask in range(1 << l):
-            pt = base.copy()
-            for bit, coord in enumerate(dirs):
-                if (mask >> bit) & 1:
-                    pt[coord] ^= 1
-            out ^= self.f_mod2(pt, h)
-        return out

@@ -3,14 +3,15 @@
 Entries for degrees 2..80 were verified offline: irreducibility by the
 Ben-Or test and maximal order against the complete factorization of
 2**n - 1.  Degree 258 is likewise fully verified (2**258 - 1 factors
-completely through its cyclotomic parts; the factor list is shipped below).
-Degree 1496 is verified irreducible with its order checked against every
-prime factor of 2**1496 - 1 below 2e6; a complete primitivity proof would
-require factoring a ~450-digit number, which is out of reach.
-``verify_entry`` re-runs the full check for degrees up to 24 and for 258,
-and irreducibility alone for the rest.  The encryption pipeline itself only
-requires invertibility (constant term 1); maximal order is a
-key-space-size property.
+completely through its cyclotomic parts).  Degree 1496 is verified
+irreducible with its order checked against every prime factor of
+2**1496 - 1 below 2e6; a complete primitivity proof would require
+factoring a ~450-digit number, which is out of reach.  The test suite
+re-runs the check on public gf2poly calls (tests/test_primitives.py):
+Rabin's irreducibility test on every entry, and full primitivity for
+degrees up to 24 and for 258, whose factor list it holds.  The encryption
+pipeline itself only requires invertibility (constant term 1); maximal
+order is a key-space-size property.
 """
 
 from . import gf2poly
@@ -39,30 +40,15 @@ _TAPS = {
     1496: (13, 11, 4),
 }
 
-# Complete factorization of 2**258 - 1 (distinct primes), used to verify the
-# degree-258 entry end to end.
-FACTORS_2_258_MINUS_1 = (
-    3, 7, 431, 1033, 9719, 2099863, 1591582393, 2932031007403,
-    15686603697451, 11053036065049294753459639,
-)
 
-
-def poly(deg: int, taps=None) -> int:
-    """Integer encoding of x^deg + sum(x^t for t in taps) + 1."""
-    if taps is None:
-        taps = _TAPS.get(deg)
-        if taps is None:
-            raise InvalidParams(f"no shipped primitive polynomial of degree {deg}")
-    v = (1 << deg) | 1
-    for t in taps:
-        v |= 1 << t
-    return v
-
-
-def taps(deg: int):
+def poly(deg: int) -> int:
+    """The shipped x^deg + sum(x^t for t in its taps) + 1, as an integer."""
     if deg not in _TAPS:
         raise InvalidParams(f"no shipped primitive polynomial of degree {deg}")
-    return _TAPS[deg]
+    v = (1 << deg) | 1
+    for t in _TAPS[deg]:
+        v |= 1 << t
+    return v
 
 
 def supported_degrees():
@@ -85,20 +71,3 @@ def nlf_poly(n: int) -> int:
     The shipped table entry; the table covers n = 2..80, 258 and 1496.
     """
     return poly(n)
-
-
-def verify_entry(deg: int) -> bool:
-    """Re-run the verification that backs the shipped entry.
-
-    Full primitivity where the prime divisors of 2**deg - 1 are at hand
-    (trial division for deg <= 24, the shipped list for 258);
-    irreducibility otherwise.
-    """
-    f = poly(deg)
-    if not gf2poly.is_irreducible(f):
-        return False
-    if deg <= 24:
-        return gf2poly.is_primitive(f, gf2poly.prime_divisors((1 << deg) - 1))
-    if deg == 258:
-        return gf2poly.is_primitive(f, FACTORS_2_258_MINUS_1)
-    return True

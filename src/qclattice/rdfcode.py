@@ -57,11 +57,6 @@ class QcCode:
         """First row of each block as a polynomial mod x^b + 1."""
         return [sum(1 << s for s in sup) for sup in self.supports]
 
-    def h_matrix(self) -> np.ndarray:
-        """H = [H_0 | ... | H_{n0-1}] as a (b, n) uint8 array."""
-        blocks = circulants(self.b, self.polys())
-        return blocks.transpose(1, 0, 2).copy().reshape(self.b, self.n)
-
 
 def _grow_block(rng: random.Random, b: int, dv: int, used: set):
     """One random block, element by element; None on a dead end.
@@ -146,21 +141,6 @@ def rdf_search(
         f"no 4-cycle-free code found for b={b}, n0={n0}, dv={dv} "
         f"within {restarts} restarts"
     )
-
-
-def girth_ok(code: QcCode) -> bool:
-    """True iff H has no 4-cycles: no cyclic difference value repeats."""
-    seen: set = set()
-    for sup in code.supports:
-        for s in sup:
-            for t in sup:
-                if s == t:
-                    continue
-                d = (s - t) % code.b
-                if d in seen:
-                    return False
-                seen.add(d)
-    return True
 
 
 def systematic_generator(code: QcCode) -> np.ndarray:

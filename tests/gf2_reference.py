@@ -4,7 +4,7 @@ matrices of qclattice.bitmat, the parity-check matrix built from the
 supports (h_dense), the circulant blocks and the systematic generator A
 built block by block through a modular index grid (circulant_grid,
 systematic_generator_blocks), the 2-adic inverse of the NLF
-(invert_peel), the girth check of qclattice.rdfcode and the lattice
+(invert_peel), the 4-cycle check of a code (girth_ok_dense) and the lattice
 membership test of qclattice.lattice (a product with the dense H), and the
 brute-force order of x that backs the primitivity checks of
 qclattice.primitives.
@@ -15,6 +15,10 @@ modulus degree, a square spreads the binary string, and row i + 1 of a
 multiplication matrix is row i times x, reduced by one conditional XOR.
 Matrices are plain uint8 arrays; companion powers come from those rows and
 the bit-serial powmod, so they share no code with qclattice.bitmat.
+
+The paper's claims are checked on the library's public calls: the
+irreducibility and order tests run on gf2poly.xpowmod and gf2poly.invmod,
+and the algebraic degree and derivatives of F mod 2 on NlfContext.apply_f.
 """
 
 from fractions import Fraction
@@ -261,3 +265,78 @@ def invert_peel(g: int, x, h) -> np.ndarray:
     if not np.array_equal(v @ dense, x):
         raise NotInLattice("no integer preimage exists")
     return v
+
+
+# --- the paper's claims, checked on public calls ------------------------------
+
+
+def prime_divisors(n: int) -> list:
+    """Distinct prime divisors of n >= 1, ascending, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
+def is_irreducible(f: int) -> bool:
+    """Rabin's test for f of degree n >= 2: x^(2^n) = x mod f, and
+    x^(2^(n/p)) - x is a unit mod f for every prime p dividing n."""
+    n = gf2poly.degree(f)
+    return gf2poly.xpowmod(1 << n, f) == 2 and all(
+        gf2poly.invmod(gf2poly.xpowmod(1 << (n // p), f) ^ 2, f) is not None
+        for p in prime_divisors(n)
+    )
+
+
+def is_primitive(f: int, primes) -> bool:
+    """x has order 2^deg(f) - 1 mod f, given the primes dividing that order."""
+    order = (1 << gf2poly.degree(f)) - 1
+    return gf2poly.xpowmod(order, f) == 1 and all(
+        gf2poly.xpowmod(order // p, f) != 1 for p in primes
+    )
+
+
+def matrix_of(linear_map, n: int) -> np.ndarray:
+    """The int64 matrix M with linear_map(a) = a M: row i is the image of e_i."""
+    return np.stack([linear_map(e) for e in np.eye(n, dtype=np.int64)])
+
+
+def nlf_truth_table(ctx) -> np.ndarray:
+    """F mod 2 at every input (a, h): row a + (alpha << n), column j.
+
+    U^alpha mod 2 is apply_f on the n unit vectors; alpha = sum h_i 2^i.
+    """
+    n, d = ctx.n, ctx.d
+    a = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    tables = []
+    for alpha in range(1 << d):
+        h = (alpha >> np.arange(d)) & 1
+        tables.append(a @ matrix_of(lambda e: ctx.apply_f(e, h), n) & 1)
+    return np.concatenate(tables)
+
+
+def anf_degree(tt) -> int:
+    """Algebraic degree of a Boolean function from its truth table, by the
+    Moebius transform: the largest weight of an index with a nonzero
+    algebraic normal form coefficient."""
+    tt = np.array(tt, dtype=np.uint8)
+    for v in range(len(tt).bit_length() - 1):
+        view = tt.reshape(-1, 2, 1 << v)
+        view[:, 1, :] ^= view[:, 0, :]
+    return max((bin(i).count("1") for i in np.flatnonzero(tt)), default=0)
+
+
+def nlf_derivative(ctx, dirs, base, h) -> np.ndarray:
+    """Order-len(dirs) derivative of F mod 2 at base: the sum over GF(2) of
+    apply_f(base + c, h) & 1 over the span c of the unit vectors dirs."""
+    out = np.zeros(ctx.n, dtype=np.int64)
+    for mask in range(1 << len(dirs)):
+        point = np.array(base, dtype=np.int64) & 1
+        for bit, coord in enumerate(dirs):
+            point[coord] ^= mask >> bit & 1
+        out ^= ctx.apply_f(point, h) & 1
+    return out

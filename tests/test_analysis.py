@@ -5,7 +5,6 @@ import pytest
 
 from conftest import PAPER_PARAMS
 from qclattice.analysis import (
-    bruteforce_cost_log2,
     bruteforce_terms_log2,
     build_report,
     default_l2,
@@ -78,7 +77,7 @@ def test_rates():
 
 
 def test_bruteforce_headline():
-    lg = bruteforce_cost_log2(PAPER_PARAMS)
+    lg = sum(bruteforce_terms_log2(PAPER_PARAMS).values())
     assert abs(lg - 176) <= 1.0
 
 

@@ -5,13 +5,14 @@ from gf2_reference import (
     CompanionMatrix,
     circulant_grid,
     companion_power_mod2,
+    is_irreducible,
     matmul_mod2,
     matrix_order,
     order,
     rank_mod2,
 )
 from qclattice import gf2poly
-from qclattice.bitmat import circulant, circulants
+from qclattice.bitmat import circulants
 from qclattice.errors import InvalidParams, Singular, SingularBlock
 from qclattice.primitives import poly
 from qclattice.rdfcode import QcCode, systematic_generator
@@ -26,6 +27,11 @@ def support_poly(support):
 def ring(b):
     """x^b + 1, the modulus of b x b circulant algebra."""
     return (1 << b) | 1
+
+
+def circulant(b, p):
+    """The b x b circulant of first row p: ``circulants`` on one row."""
+    return circulants(b, (p,))[0]
 
 
 def test_circulant_rows_are_shifts():
@@ -178,5 +184,5 @@ def test_gf2poly_helpers():
     assert gf2poly.mod(0b1111111, 0b1011) == 0
     assert gf2poly.invmod(0b10, 0b1011) == gf2poly.xpowmod(6, 0b1011)
     assert order(0b1011) == 7
-    assert gf2poly.is_irreducible(0b1011)
-    assert not gf2poly.is_irreducible(0b1111111)
+    assert is_irreducible(0b1011)
+    assert not is_irreducible(0b1111111)

@@ -40,6 +40,16 @@ def test_keygen_deterministic():
     assert keygen(TOY, 99) != keygen(TOY, 100)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, True, 1.0])
+def test_keygen_takes_a_64_bit_seed(seed):
+    with pytest.raises(InvalidParams):
+        keygen(TOY, seed)
+
+
+def test_keygen_seed_range_edges():
+    assert save_key(keygen(TOY, 2**64 - 1)) != save_key(keygen(TOY, 0))
+
+
 def test_keygen_rejects_even_dv():
     with pytest.raises(InvalidParams):
         keygen(CipherParams(b=13, n0=2, dv=4, q=13, L=4, d=8), 1)

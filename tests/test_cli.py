@@ -43,6 +43,15 @@ def test_keygen_deterministic_files(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_keygen_out_of_range_seed_names_the_flag(tmp_path, capsys, seed):
+    # random.Random would fold -1 onto 1 and take a seed of any width
+    code, _, err = run(capsys, *KEYGEN[:-1], str(seed), "-o", str(tmp_path / "k.key"))
+    assert code == 2
+    assert err.startswith(f"usage error: --seed {seed}: ")
+    assert not (tmp_path / "k.key").exists()
+
+
 def test_keygen_invalid_params_exit_1(tmp_path, capsys):
     code, _, err = run(capsys, "keygen", "--b", "13", "--n0", "2", "--dv", "4",
                        "--L", "4", "--d", "8", "--seed", "1",

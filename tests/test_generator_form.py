@@ -65,7 +65,7 @@ def test_generator_form_matches_row_oracle(g, data, seed, bound):
     want = oracle_dense(g, c)
     assert isinstance(m, PolyMulMatrix)
     assert (m.rows, m.cols) == want.shape
-    assert np.array_equal(m.to_dense(), want)
+    assert np.array_equal(ref.matrix_of(m.vecmul, m.rows), want)
     a = np.random.default_rng(seed).integers(-bound, bound, size=m.rows, endpoint=True)
     assert np.array_equal(m.vecmul(a), a @ want.astype(np.int64))
 
@@ -75,10 +75,10 @@ def test_block_count_follows_taps():
     assert len(power_poly_matrix(PENTANOMIAL, 1).gens) == 4
 
 
-def test_matrix_for_holds_no_square_array():
-    ctx = NlfContext(TRINOMIAL, 61)
-    h = np.random.default_rng(0).integers(0, 2, size=61)
-    m = ctx.matrix_for(h)
+def test_power_matrix_holds_no_square_array():
+    # U^alpha as apply_f builds it, for a random 61-bit alpha
+    alpha = int(np.random.default_rng(0).integers(0, 2**61))
+    m = power_poly_matrix(TRINOMIAL, gf2poly.xpowmod(alpha, TRINOMIAL))
     buffers = {}
     for name in type(m).__slots__:
         value = getattr(m, name)

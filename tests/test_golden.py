@@ -21,6 +21,7 @@ import hashlib
 import numpy as np
 
 from conftest import PAPER_PARAMS, random_message
+from gf2_reference import h_dense
 from qclattice import CipherSession, keygen, rdf_search
 from qclattice.channel import SweepSpec, lattice_sweep
 from qclattice.cli import main
@@ -68,7 +69,7 @@ def _code_digest(code):
     nbr, edge = tanner_arrays(code)
     ve_slot, ve_check = np.divmod(edge.T, code.b)
     h = hashlib.sha256()
-    for arr in (systematic_generator(code), code.h_matrix(), nbr.T, ve_check, ve_slot):
+    for arr in (systematic_generator(code), h_dense(code), nbr.T, ve_check, ve_slot):
         h.update(f"{arr.dtype.str}{arr.shape}".encode())
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()

@@ -1,16 +1,30 @@
 import numpy as np
 import pytest
 
-from gf2_reference import CompanionMatrix, companion_power_mod2, matmul_mod2, powmod
+from gf2_reference import (
+    CompanionMatrix,
+    anf_degree,
+    companion_power_mod2,
+    matmul_mod2,
+    matrix_of,
+    nlf_derivative,
+    nlf_truth_table,
+    powmod,
+)
 from qclattice import gf2poly
 from qclattice.bitmat import power_poly_matrix
-from qclattice.errors import InvalidParams, NotInLattice, TooLarge
+from qclattice.errors import InvalidParams, NotInLattice
 from qclattice.nlf import NlfContext
 from qclattice.primitives import nlf_poly, poly
 
 
 def bits_from_int(val, width):
     return np.array([(val >> i) & 1 for i in range(width)], dtype=np.uint8)
+
+
+def f_matrix(ctx, h):
+    """U^alpha for control h, read off apply_f."""
+    return matrix_of(lambda e: ctx.apply_f(e, h), ctx.n)
 
 
 @pytest.fixture(scope="module")
@@ -53,11 +67,12 @@ def test_stage_decomposition_equals_direct_power_exhaustive():
     d = 4
     ctx = NlfContext(g, d)
     u = CompanionMatrix(g)
-    stages = [power_poly_matrix(g, gf2poly.xpowmod(1 << i, g)).to_dense() for i in range(d)]
+    stages = [matrix_of(power_poly_matrix(g, gf2poly.xpowmod(1 << i, g)).vecmul, 16)
+              for i in range(d)]
     for hval in range(1 << d):
         h = bits_from_int(hval, d)
         direct = companion_power_mod2(u, hval)
-        assert np.array_equal(ctx.matrix_for(h).to_dense(), direct)
+        assert np.array_equal(f_matrix(ctx, h), direct)
         chained = np.eye(16, dtype=np.uint8)
         for i in range(d):
             if (hval >> i) & 1:
@@ -71,7 +86,7 @@ def test_stage_decomposition_random_large(ctx_paper):
     for _ in range(3):
         h = rng.integers(0, 2, size=61)
         alpha = int(sum(int(b) << i for i, b in enumerate(h)))
-        assert np.array_equal(ctx_paper.matrix_for(h).to_dense(), companion_power_mod2(u, alpha))
+        assert np.array_equal(f_matrix(ctx_paper, h), companion_power_mod2(u, alpha))
 
 
 def test_invert_roundtrip_small(ctx_small):
@@ -103,7 +118,7 @@ def test_invert_detects_missing_preimage():
     rng = np.random.default_rng(4)
     for hval in range(1, 8):
         h = bits_from_int(hval, 3)
-        dense = ctx.matrix_for(h).to_dense().astype(np.int64)
+        dense = f_matrix(ctx, h)
         det = round(float(np.linalg.det(dense.astype(float))))
         if abs(det) == 1:
             continue
@@ -123,51 +138,45 @@ def test_invert_detects_missing_preimage():
 
 
 def test_f_mod2_matches_matrix(ctx_small):
+    # F' = apply_f mod 2 is a times the companion power U^alpha over GF(2)
+    u = CompanionMatrix(ctx_small.g)
     rng = np.random.default_rng(5)
     for _ in range(30):
         a = rng.integers(0, 2, size=6)
         h = rng.integers(0, 2, size=2)
-        want = (a @ ctx_small.matrix_for(h).to_dense().astype(np.int64)) % 2
-        assert np.array_equal(ctx_small.f_mod2(a, h), want.astype(np.uint8))
+        want = (a @ companion_power_mod2(u, int(h[0] + 2 * h[1]))) % 2
+        assert np.array_equal(ctx_small.apply_f(a, h) & 1, want)
 
 
 def test_anf_degree_zero_control_width():
-    ctx = NlfContext(nlf_poly(6), 0)
+    tt = nlf_truth_table(NlfContext(nlf_poly(6), 0))
     for i in range(6):
-        assert ctx.component_anf_degree(i) == 1
+        assert anf_degree(tt[:, i]) == 1
 
 
 @pytest.mark.parametrize("n,d", [(6, 2), (8, 3)])
 def test_anf_degree_components(n, d):
-    ctx = NlfContext(nlf_poly(n), d)
+    tt = nlf_truth_table(NlfContext(nlf_poly(n), d))
     for i in range(n):
-        assert ctx.component_anf_degree(i) == d + 1
+        assert anf_degree(tt[:, i]) == d + 1
 
 
 @pytest.mark.parametrize("n,d", [(6, 2), (8, 3)])
 def test_anf_degree_combinations(n, d):
-    ctx = NlfContext(nlf_poly(n), d)
+    tt = nlf_truth_table(NlfContext(nlf_poly(n), d))
     rng = np.random.default_rng(6)
     for _ in range(20):
         w = rng.integers(0, 2, size=n)
         while not w.any():
             w = rng.integers(0, 2, size=n)
-        assert ctx.combination_anf_degree(w) == d + 1
-
-
-def test_anf_cap():
-    ctx = NlfContext(poly(258), 4)
-    with pytest.raises(TooLarge):
-        ctx.component_anf_degree(0)
+        assert anf_degree(tt @ w & 1) == d + 1
 
 
 def test_higher_derivative_order_zero(ctx_small):
     rng = np.random.default_rng(7)
     base = rng.integers(0, 2, size=6)
     h = np.array([1, 0], dtype=np.uint8)
-    assert np.array_equal(
-        ctx_small.higher_derivative(0, [], base, h), ctx_small.f_mod2(base, h)
-    )
+    assert np.array_equal(nlf_derivative(ctx_small, [], base, h), ctx_small.apply_f(base, h) & 1)
 
 
 def test_higher_derivative_order_one_linearity(ctx_small):
@@ -177,8 +186,8 @@ def test_higher_derivative_order_one_linearity(ctx_small):
     e2[2] = 1
     for _ in range(10):
         base = rng.integers(0, 2, size=6)
-        d1 = ctx_small.higher_derivative(1, [2], base, h)
-        assert np.array_equal(d1, ctx_small.f_mod2(e2, h))
+        d1 = nlf_derivative(ctx_small, [2], base, h)
+        assert np.array_equal(d1, ctx_small.apply_f(e2, h) & 1)
 
 
 def test_higher_derivative_top_order_base_independent(ctx_small):
@@ -189,15 +198,10 @@ def test_higher_derivative_top_order_base_independent(ctx_small):
     ref = None
     for _ in range(50):
         base = rng.integers(0, 2, size=6)
-        val = ctx_small.higher_derivative(d + 1, dirs, base, h)
+        val = nlf_derivative(ctx_small, dirs, base, h)
         if ref is None:
             ref = val
         assert np.array_equal(val, ref)
-
-
-def test_higher_derivative_validates_directions(ctx_small):
-    with pytest.raises(InvalidParams):
-        ctx_small.higher_derivative(2, [1, 1], np.zeros(6, dtype=np.uint8), [0, 0])
 
 
 def test_control_vector_length_enforced(ctx_small):
@@ -228,7 +232,7 @@ def test_invert_rejects_int64_wrapped_preimage(ctx_small):
     # -2**63, so an abs-based bound check would let this v through
     h = np.array([1, 0], dtype=np.uint8)
     v = np.array([-(2**63), 0, 0, 0, 0, -3], dtype=np.int64)
-    dense = ctx_small.matrix_for(h).to_dense().astype(np.int64)
+    dense = f_matrix(ctx_small, h)
     x = v @ dense
     assert any(int(xi) != sum(int(vi) * int(mi) for vi, mi in zip(v, col))
                for xi, col in zip(x, dense.T))

@@ -1,16 +1,22 @@
+"""The shipped table against the primitivity claims its docstring makes.
+
+Irreducibility is Rabin's test and the order of x is checked against the
+primes dividing 2^n - 1 (gf2_reference, on gf2poly.xpowmod and invmod):
+trial division finds them up to degree 24, and degree 258 uses the complete
+factorization below.  Other degrees are checked irreducible only.
+"""
+
 import pytest
 
-from gf2_reference import order
+from gf2_reference import is_irreducible, is_primitive, order, prime_divisors
 from qclattice import gf2poly
 from qclattice.errors import InvalidParams
-from qclattice.primitives import (
-    FACTORS_2_258_MINUS_1,
-    nlf_poly,
-    poly,
-    reciprocal,
-    supported_degrees,
-    taps,
-    verify_entry,
+from qclattice.primitives import nlf_poly, poly, reciprocal, supported_degrees
+
+# Complete factorization of 2**258 - 1 (distinct primes).
+FACTORS_2_258_MINUS_1 = (
+    3, 7, 431, 1033, 9719, 2099863, 1591582393, 2932031007403,
+    15686603697451, 11053036065049294753459639,
 )
 
 
@@ -43,14 +49,29 @@ def test_factor_list_is_complete():
 
 
 def test_verify_entries():
-    for deg in (3, 8, 16, 24, 61, 77, 258, 1496):
-        assert verify_entry(deg)
+    # every shipped entry, the degrees 3, 8, 16, 24, 61, 77, 258 and 1496 included
+    for deg in supported_degrees():
+        assert is_irreducible(poly(deg)), deg
+        if deg <= 24:
+            assert is_primitive(poly(deg), prime_divisors((1 << deg) - 1)), deg
 
 
 def test_degree_258_fully_primitive():
     g = poly(258)
-    assert gf2poly.is_irreducible(g)
-    assert gf2poly.is_primitive(g, FACTORS_2_258_MINUS_1)
+    assert is_irreducible(g)
+    assert is_primitive(g, FACTORS_2_258_MINUS_1)
+
+
+def test_rabin_matches_a_sieve():
+    # every reducible f of degree <= 8 has a factor of degree 1..4
+    reducible = {gf2poly.mul(a, b) for a in range(2, 1 << 5) for b in range(a, 1 << 8)}
+    for f in range(5, 1 << 9, 2):  # f(0) = 1, degree 2..8
+        assert is_irreducible(f) == (f not in reducible), f
+
+
+def test_primitivity_rejects_a_short_order():
+    # x^4 + x^3 + x^2 + x + 1 is irreducible, but x has order 5, not 15
+    assert is_irreducible(0b11111) and not is_primitive(0b11111, [3, 5])
 
 
 def test_nlf_poly_small_search():
@@ -62,9 +83,3 @@ def test_nlf_poly_small_search():
 def test_nlf_poly_unsupported_degree():
     with pytest.raises(InvalidParams):
         nlf_poly(100)
-
-
-def test_taps_lookup():
-    assert taps(258) == (83,)
-    with pytest.raises(InvalidParams):
-        taps(1000)
