@@ -15,6 +15,10 @@ independently.
 the name, value count and bit width of each secret field, in file order.
 ``save_key``, ``load_key`` and ``analysis.key_size_bits`` read it, and the
 session seeds each permutation stream with one gamma-bit value of t.
+``CipherParams.poly_fields`` states which poly_* key field names which
+register's feedback polynomial, and at what degree.  Those polynomials are
+public constants (``primitives.poly``), not key material: ``save_key``
+writes their shipped ids and ``load_key`` refuses any other value.
 ``CipherParams.validate`` admits only parameter sets that key generation
 and the int32 ciphertext format can serve.
 """
@@ -93,6 +97,20 @@ class CipherParams:
             ("t", self.v, self.gamma),
         )
 
+    def poly_fields(self) -> tuple:
+        """(name, degree) of each poly_* key field, in file order.
+
+        The NLF companion matrix has degree n, the error LFSR l1, the
+        control LFSR d and each permutation LFSR gamma.  Each field must
+        hold ``primitives.poly_id(degree)``.
+        """
+        return (
+            ("poly_nlf", self.n),
+            ("poly_e", self.l1),
+            ("poly_h", self.d),
+            ("poly_perm", self.gamma),
+        )
+
     def validate(self):
         if self.dv % 2 == 0:
             raise InvalidParams("dv must be odd")
@@ -127,10 +145,6 @@ class SecretKey:
     s: int  # l1-bit error-LFSR seed
     h_seed: int  # d-bit control-LFSR seed
     t: tuple  # v gamma-bit permutation seeds
-    nlf_poly: int
-    e_poly: int
-    h_poly: int
-    perm_poly: int
 
     def digest(self) -> str:
         return self.params.digest()
@@ -165,21 +179,7 @@ def keygen(params: CipherParams, master_seed: int) -> SecretKey:
     s = _draw_bits(rng, params.l1, nonzero=True)
     h_seed = _draw_bits(rng, params.d, nonzero=True)
     t = tuple(_draw_bits(rng, params.gamma, nonzero=True) for _ in range(params.v))
-    nlf_poly = primitives.nlf_poly(params.n)
-    e_poly = primitives.poly(params.l1)
-    h_poly = primitives.poly(params.d)
-    perm_poly = primitives.poly(params.gamma)
-    return SecretKey(
-        params=params,
-        code=code,
-        s=s,
-        h_seed=h_seed,
-        t=t,
-        nlf_poly=nlf_poly,
-        e_poly=e_poly,
-        h_poly=h_poly,
-        perm_poly=perm_poly,
-    )
+    return SecretKey(params=params, code=code, s=s, h_seed=h_seed, t=t)
 
 
 _DECODER = DecoderConfig()
@@ -192,15 +192,16 @@ class CipherSession:
         p = key.params
         self.params = p
         self.lattice = LatticeCtx.from_code(key.code, p.L)
-        self.nlf = NlfContext(key.nlf_poly, p.d)
+        self.nlf = NlfContext(primitives.poly(p.n), p.d)
         self.e_lfsr = ReseedingLfsr(
-            p.l1, key.e_poly, primitives.reciprocal(p.l1), key.s
+            p.l1, primitives.poly(p.l1), primitives.reciprocal(p.l1), key.s
         )
         self.h_lfsr = ReseedingLfsr(
-            p.d, key.h_poly, primitives.reciprocal(p.d), key.h_seed
+            p.d, primitives.poly(p.d), primitives.reciprocal(p.d), key.h_seed
         )
+        perm_poly = primitives.poly(p.gamma)
         self.perm_streams = [
-            PermutationStream(p.q, seed, p.gamma, key.perm_poly) for seed in key.t
+            PermutationStream(p.q, seed, p.gamma, perm_poly) for seed in key.t
         ]
         self.counter = 0
 
@@ -367,12 +368,10 @@ def save_key(key: SecretKey) -> str:
         "q": p.q,
         "L": p.L,
         "d": p.d,
-        "poly_nlf": formats.poly_id(key.nlf_poly),
-        "poly_e": formats.poly_id(key.e_poly),
-        "poly_h": formats.poly_id(key.h_poly),
-        "poly_perm": formats.poly_id(key.perm_poly),
         "digest": key.digest(),
     }
+    for name, deg in p.poly_fields():
+        fields[name] = primitives.poly_id(deg)
     for name, _, width in p.secret_fields():
         fields[name] = formats.fields_to_hex(secret[name], width)
     return formats.write_key_text(fields)
@@ -390,6 +389,13 @@ def load_key(text: str) -> SecretKey:
     params.validate()
     if f["digest"] != params.digest():
         raise FormatError("params digest mismatch")
+    for name, deg in params.poly_fields():
+        shipped = primitives.poly_id(deg)
+        if f[name] != shipped:
+            raise FormatError(
+                f"{name} = {f[name]!r} is not the shipped polynomial: "
+                f"it needs degree {deg} and id {shipped!r}"
+            )
     secret = {
         name: formats.hex_to_fields(f[name], count, width)
         for name, count, width in params.secret_fields()
@@ -402,8 +408,4 @@ def load_key(text: str) -> SecretKey:
         s=secret["s"][0],
         h_seed=secret["h_seed"][0],
         t=tuple(secret["t"]),
-        nlf_poly=formats.poly_from_id(f["poly_nlf"], params.n),
-        e_poly=formats.poly_from_id(f["poly_e"], params.l1),
-        h_poly=formats.poly_from_id(f["poly_h"], params.d),
-        perm_poly=formats.poly_from_id(f["poly_perm"], params.gamma),
     )

@@ -33,6 +33,7 @@ FILE_VERSION = 1
 _FILE_HEAD = struct.Struct("<4sB8sI")
 _FRAME_HEAD = struct.Struct("<QI")
 _READ_CHUNK = 1 << 20
+_INT32 = np.iinfo(np.int32)
 
 
 def params_digest(b: int, n0: int, dv: int, q: int, L: int, d: int) -> str:
@@ -63,35 +64,6 @@ def hex_to_fields(text: str, count: int, width: int) -> list:
         raise FormatError(f"nonzero padding bits in hex field {text!r}")
     mask = (1 << width) - 1
     return [packed >> (i * width) & mask for i in range(count)]
-
-
-def poly_id(poly: int) -> str:
-    """Canonical 'degree:tap,tap,...' identifier of a monic polynomial."""
-    deg = poly.bit_length() - 1
-    taps = [str(i) for i in range(deg - 1, 0, -1) if (poly >> i) & 1]
-    return f"{deg}:{','.join(taps) if taps else '0'}"
-
-
-def poly_from_id(text: str, degree: int) -> int:
-    """Inverse of poly_id for a polynomial that must have the given degree.
-
-    The degree and every tap are range-checked before any shift, so a
-    hostile id cannot ask for a huge integer.
-    """
-    try:
-        deg_s, taps_s = text.split(":")
-        taps = [] if taps_s == "0" else [int(t) for t in taps_s.split(",")]
-        deg = int(deg_s)
-    except (ValueError, AttributeError) as e:
-        raise FormatError(f"bad polynomial id {text!r}") from e
-    if deg != degree:
-        raise FormatError(f"polynomial id {text!r} needs degree {degree}")
-    if any(not 0 < t < deg for t in taps):
-        raise FormatError(f"polynomial id {text!r} has a tap outside (0, {deg})")
-    v = (1 << deg) | 1
-    for t in taps:
-        v |= 1 << t
-    return v
 
 
 def _check_key_fields(fields: dict):
@@ -140,17 +112,28 @@ class FrameWriter:
         fh.write(_FILE_HEAD.pack(magic, FILE_VERSION, bytes.fromhex(digest), n))
 
     def write_frame(self, counter: int, payload_len: int, coords: np.ndarray):
-        self.fh.write(_FRAME_HEAD.pack(counter, payload_len))
+        """Append one frame, or raise FormatError and write nothing.
+
+        The counter must fit u64, the payload length u32, and exact
+        coordinates int32; the frame must hold n coordinates.
+        """
         if self.observations:
             arr = np.asarray(coords, dtype="<f8")
         else:
             arr = np.asarray(coords, dtype=np.int64)
-            if (np.abs(arr) > np.iinfo(np.int32).max).any():
+            if ((arr < _INT32.min) | (arr > _INT32.max)).any():
                 raise FormatError("coordinate exceeds int32 range")
             arr = arr.astype("<i4")
         if arr.shape != (self.n,):
             raise FormatError("frame length mismatch")
-        self.fh.write(arr.tobytes())
+        try:
+            head = _FRAME_HEAD.pack(counter, payload_len)
+        except struct.error as e:
+            raise FormatError(
+                f"frame counter {counter!r} or payload length {payload_len!r} "
+                "does not fit u64/u32"
+            ) from e
+        self.fh.write(head + arr.tobytes())
 
 
 class FrameReader:

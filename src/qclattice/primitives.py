@@ -17,7 +17,8 @@ order is a key-space-size property.
 from . import gf2poly
 from .errors import InvalidParams
 
-# degree -> exponents of the middle terms (x^degree and 1 are implicit)
+# degree -> exponents of the middle terms, highest first (x^degree and 1 are
+# implicit); poly_id writes them in this order, so it is part of the key text
 _TAPS = {
     2: (1,), 3: (1,), 4: (1,), 5: (2,), 6: (1,), 7: (1,), 8: (7, 2, 1),
     9: (4,), 10: (3,), 11: (2,), 12: (8, 2, 1), 13: (5, 2, 1),
@@ -41,14 +42,28 @@ _TAPS = {
 }
 
 
-def poly(deg: int) -> int:
-    """The shipped x^deg + sum(x^t for t in its taps) + 1, as an integer."""
+def _taps(deg: int) -> tuple:
     if deg not in _TAPS:
         raise InvalidParams(f"no shipped primitive polynomial of degree {deg}")
+    return _TAPS[deg]
+
+
+def poly(deg: int) -> int:
+    """The shipped x^deg + sum(x^t for t in its taps) + 1, as an integer."""
     v = (1 << deg) | 1
-    for t in _TAPS[deg]:
+    for t in _taps(deg):
         v |= 1 << t
     return v
+
+
+def poly_id(deg: int) -> str:
+    """Key-file id 'deg:tap,tap,...' of the shipped polynomial of degree deg.
+
+    Taps are listed highest first, as the table stores them.  A key's
+    poly_* fields must be exactly these ids: the polynomials are public
+    constants of the scheme, not part of the secret.
+    """
+    return f"{deg}:{','.join(map(str, _taps(deg)))}"
 
 
 def supported_degrees():
@@ -63,11 +78,3 @@ def reciprocal(deg: int) -> int:
     reseeding pair.  Degree 2 has a single primitive polynomial.
     """
     return gf2poly.reverse(poly(deg), deg)
-
-
-def nlf_poly(n: int) -> int:
-    """Companion-matrix polynomial of degree ``n`` for the nonlinear map.
-
-    The shipped table entry; the table covers n = 2..80, 258 and 1496.
-    """
-    return poly(n)

@@ -20,6 +20,9 @@ from . import gf2poly
 from .bitmat import circulants
 from .errors import InvalidParams, SearchExhausted, SingularBlock
 
+BLOCK_TRIES = 100
+RESTARTS = 40
+
 
 @dataclass(frozen=True)
 class QcCode:
@@ -94,22 +97,15 @@ def _grow_block(rng: random.Random, b: int, dv: int, used: set):
     return tuple(sorted(ys)), local
 
 
-def rdf_search(
-    b: int,
-    n0: int,
-    dv: int,
-    rng_seed: int,
-    block_tries: int = 100,
-    restarts: int = 40,
-) -> QcCode:
+def rdf_search(b: int, n0: int, dv: int, rng_seed: int) -> QcCode:
     """Random-difference-family search for a 4-cycle-free QC-LDPC code.
 
     Deterministic for a fixed seed.  Blocks are grown one element at a
     time from the exact set of non-colliding candidates; a dead-ended or
-    singular block is retried up to block_tries times before the whole
-    family restarts.  The final block must additionally be invertible over
-    GF(2) (dv odd is necessary but not sufficient, so this is checked by
-    polynomial gcd rather than assumed).
+    singular block is retried up to BLOCK_TRIES times before the whole
+    family restarts, at most RESTARTS times.  The final block must
+    additionally be invertible over GF(2) (dv odd is necessary but not
+    sufficient, so this is checked by polynomial gcd rather than assumed).
     """
     if dv % 2 == 0:
         raise InvalidParams("dv must be odd so the last block can invert")
@@ -117,12 +113,12 @@ def rdf_search(
         raise InvalidParams("dv must be smaller than b")
     rng = random.Random(rng_seed)
     ring = (1 << b) | 1  # x^b + 1
-    for _ in range(restarts):
+    for _ in range(RESTARTS):
         used: set = set()
         supports = []
         for blk in range(n0):
             placed = False
-            for _ in range(block_tries):
+            for _ in range(BLOCK_TRIES):
                 got = _grow_block(rng, b, dv, used)
                 if got is None:
                     continue
@@ -139,7 +135,7 @@ def rdf_search(
             return QcCode(b, n0, dv, tuple(supports))
     raise SearchExhausted(
         f"no 4-cycle-free code found for b={b}, n0={n0}, dv={dv} "
-        f"within {restarts} restarts"
+        f"within {RESTARTS} restarts"
     )
 
 

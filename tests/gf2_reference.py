@@ -7,7 +7,8 @@ systematic_generator_blocks), the 2-adic inverse of the NLF
 (invert_peel), the 4-cycle check of a code (girth_ok_dense) and the lattice
 membership test of qclattice.lattice (a product with the dense H), and the
 brute-force order of x that backs the primitivity checks of
-qclattice.primitives.
+qclattice.primitives, and the key-file id of a polynomial read off its
+coefficients (poly_id).
 
 These are the straightforward one-bit-at-a-time versions: a product is one
 shifted XOR per set bit, a remainder is one shifted XOR per bit above the
@@ -68,6 +69,14 @@ def reverse(a: int, n: int) -> int:
         if (a >> i) & 1:
             r |= 1 << (n - i)
     return r
+
+
+def poly_id(poly: int) -> str:
+    """Key-file id 'degree:tap,tap,...' of a monic polynomial, read off its
+    coefficients from x^(degree-1) down to x; '0' when it has none."""
+    deg = poly.bit_length() - 1
+    taps = [str(i) for i in range(deg - 1, 0, -1) if (poly >> i) & 1]
+    return f"{deg}:{','.join(taps) if taps else '0'}"
 
 
 def order(f: int, limit: int = 1 << 24):

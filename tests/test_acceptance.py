@@ -32,7 +32,7 @@ from qclattice.errors import DecodeFailure
 from qclattice.keystream import ReseedingLfsr
 from qclattice.lattice import LatticeCtx
 from qclattice.nlf import NlfContext
-from qclattice.primitives import nlf_poly, poly, reciprocal
+from qclattice.primitives import poly, reciprocal
 from qclattice.rdfcode import (
     count_rdf_lower_bound_log2,
     rdf_search,
@@ -143,7 +143,7 @@ def test_acceptance_4_shaping_oracle_toy(toy_lattice):
 @pytest.mark.parametrize("n,d", [(6, 2), (8, 3)])
 def test_acceptance_5_nonlinearity_degree(n, d):
     # F mod 2 of the library's map: truth tables and derivatives from apply_f
-    ctx = NlfContext(nlf_poly(n), d)
+    ctx = NlfContext(poly(n), d)
     tt = nlf_truth_table(ctx)
     for i in range(n):
         assert anf_degree(tt[:, i]) == d + 1

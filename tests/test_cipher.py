@@ -27,6 +27,7 @@ from qclattice.errors import (
     QclatticeError,
 )
 from qclattice.formats import KEY_VERSION, fields_to_hex, write_key_text
+from qclattice.primitives import poly_id, supported_degrees
 
 TOY = CipherParams(b=13, n0=2, dv=3, q=13, L=4, d=8)
 
@@ -75,13 +76,15 @@ def test_validate_bounds_L_by_int32_frames():
 def _crafted_key_text(p):
     """Well-formed key text for any parameter set, written without keygen.
 
-    Every secret value is 1 (supports 0..dv-1) and every poly_* id is
-    x^deg + 1 of its register's degree, so only validate can refuse it.
+    Every secret value is 1 (supports 0..dv-1) and every poly_* id is the
+    shipped one for its register's degree (x^deg + 1 where none is
+    shipped), so only validate can refuse it.
     """
     secret = {"supports": list(range(p.dv)) * p.n0, "s": [1], "h_seed": [1], "t": [1] * p.v}
     fields = {"version": KEY_VERSION, "b": p.b, "n0": p.n0, "dv": p.dv, "q": p.q,
-              "L": p.L, "d": p.d, "poly_nlf": f"{p.n}:0", "poly_e": f"{p.l1}:0",
-              "poly_h": f"{p.d}:0", "poly_perm": f"{p.gamma}:0", "digest": p.digest()}
+              "L": p.L, "d": p.d, "digest": p.digest()}
+    for name, deg in p.poly_fields():
+        fields[name] = poly_id(deg) if deg in supported_degrees() else f"{deg}:0"
     for name, _, width in p.secret_fields():
         fields[name] = fields_to_hex(secret[name], width)
     return write_key_text(fields)

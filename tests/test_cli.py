@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import deadline
+from gf2_reference import order
+from qclattice.cipher import load_key, save_key
 from qclattice.cli import main
+from qclattice.errors import FormatError
 from qclattice.formats import FrameReader, FrameWriter, params_digest
 
 KEYGEN = "keygen --b 13 --n0 2 --dv 3 --L 4 --d 8 --seed 1".split()
@@ -338,8 +341,10 @@ def _assert_clean_error(code, err):
     ("poly_h", "9:4", "needs degree 8"),
     ("poly_perm", "5:2", "needs degree 4"),
     ("poly_nlf", "999999999999:1", "needs degree 26"),
-    ("poly_e", "5:9", "tap outside"),
-    ("poly_e", "5:-1", "tap outside"),
+    ("poly_e", "5:9", "not the shipped"),
+    ("poly_e", "5:-1", "not the shipped"),
+    # well-formed and of the right degree, but reducible: (x^2+x+1)(x^3+x^2+1)
+    ("poly_e", "5:1", "not the shipped"),
 ])
 def test_malformed_key_field_exits_1(tmp_path, capsys, keyfile, field, value, message):
     bad = _edit_key(keyfile, tmp_path, field, value)
@@ -349,6 +354,24 @@ def test_malformed_key_field_exits_1(tmp_path, capsys, keyfile, field, value, me
                        "-o", str(tmp_path / "ct.bin"))
     _assert_clean_error(code, err)
     assert message in err
+
+
+def test_key_must_name_the_shipped_polynomial(tmp_path, capsys, paper_key):
+    # x^9 + x + 1 is irreducible but not primitive: an error register on it
+    # repeats after 73 steps instead of 511, so a key may not choose it
+    assert order((1 << 9) | 0b11) == 73
+    path = tmp_path / "k.key"
+    path.write_text(save_key(paper_key))
+    assert "\npoly_e = 9:4\n" in path.read_text()
+    bad = _edit_key(str(path), tmp_path, "poly_e", "9:1")
+    with pytest.raises(FormatError, match="poly_e = '9:1' is not the shipped polynomial"):
+        load_key(open(bad).read())
+    src = tmp_path / "plain.bin"
+    src.write_bytes(b"data")
+    code, _, err = run(capsys, "encrypt", "--key", bad, "-i", str(src),
+                       "-o", str(tmp_path / "ct.bin"))
+    _assert_clean_error(code, err)
+    assert "id '9:4'" in err
 
 
 def test_decrypt_duplicate_or_unknown_key_field_exits_1(tmp_path, capsys, keyfile):

@@ -12,8 +12,6 @@ from qclattice.formats import (
     fields_to_hex,
     hex_to_fields,
     params_digest,
-    poly_from_id,
-    poly_id,
 )
 
 
@@ -43,17 +41,6 @@ def test_hex_int_roundtrip():
     ):
         with pytest.raises(FormatError, match=message):
             hex_to_fields(text, 1, 4)
-
-
-def test_poly_id_roundtrip():
-    for p in (0b1011, (1 << 258) | (1 << 83) | 1, 0b111):
-        assert poly_from_id(poly_id(p), p.bit_length() - 1) == p
-    assert poly_id(0b1011) == "3:1"
-    with pytest.raises(FormatError):
-        poly_from_id("junk", 3)
-    for text in ("3:1", "5:5", "5:0,2", "5:1,,2"):
-        with pytest.raises(FormatError):
-            poly_from_id(text, 5)
 
 
 def test_params_digest_stable():
@@ -138,6 +125,29 @@ def test_int32_overflow_rejected():
     w = FrameWriter(buf, 2, params_digest(1, 2, 1, 1, 2, 8))
     with pytest.raises(FormatError):
         w.write_frame(0, 0, np.array([2**40, 0], dtype=np.int64))
+
+
+@pytest.mark.parametrize("observations", [False, True])
+def test_writer_refuses_a_bad_frame_before_writing(observations):
+    # the frame head used to go out first, and an out-of-range counter or
+    # payload length escaped as struct.error
+    buf = io.BytesIO()
+    w = FrameWriter(buf, 2, params_digest(1, 2, 1, 1, 2, 8), observations)
+    header = buf.getvalue()
+    good = np.array([1, -1])
+    bad = [(0, 0, np.array([1, -1, 1])), (-1, 0, good), (2**64, 0, good),
+           (0, -1, good), (0, 2**32, good)]
+    if not observations:
+        bad += [(0, 0, np.array([2**40, 0])), (0, 0, np.array([-(2**63), 0]))]
+    for counter, payload_len, coords in bad:
+        with pytest.raises(FormatError):
+            w.write_frame(counter, payload_len, coords)
+        assert buf.getvalue() == header
+    edge = [2**31 - 1, -(2**31)]
+    w.write_frame(2**64 - 1, 2**32 - 1, np.array(edge))
+    buf.seek(0)
+    ((counter, payload_len, coords),) = FrameReader(buf)
+    assert (counter, payload_len, coords.tolist()) == (2**64 - 1, 2**32 - 1, edge)
 
 
 def test_observation_file_decrypts_under_noise(tmp_path):

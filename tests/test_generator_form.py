@@ -21,7 +21,7 @@ from qclattice import gf2poly
 from qclattice.bitmat import PolyMulMatrix, power_poly_matrix
 from qclattice.errors import NotInLattice
 from qclattice.nlf import NlfContext
-from qclattice.primitives import nlf_poly, poly
+from qclattice.primitives import poly
 
 TRINOMIAL = poly(258)  # x^258 + x^83 + 1: two blocks
 PENTANOMIAL = poly(1496)  # four blocks
@@ -157,7 +157,7 @@ def test_vecmul_matches_int64_oracle_at_the_float_guard(g, data):
     assert np.array_equal(power_poly_matrix(g, c).vecmul(a), want)
 
 
-NLF_CASES = [(TRINOMIAL, 61), (nlf_poly(6), 3), (nlf_poly(16), 4)]
+NLF_CASES = [(TRINOMIAL, 61), (poly(6), 3), (poly(16), 4)]
 
 
 def _outcome(fn, *args):

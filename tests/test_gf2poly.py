@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import gf2_reference as ref
 from qclattice import gf2poly
 from qclattice.nlf import NlfContext
-from qclattice.primitives import nlf_poly, poly
+from qclattice.primitives import poly
 
 SPARSE = [poly(258), poly(1496), (1 << 43) | 1]
 DENSE = (1 << 259) - 1  # every coefficient of a degree-258 polynomial
@@ -80,7 +80,7 @@ def test_mod_by_one_and_by_monomial():
 
 
 CTX = {
-    "small": NlfContext(nlf_poly(6), 5),
+    "small": NlfContext(poly(6), 5),
     "paper": NlfContext(poly(258), 61),
 }
 

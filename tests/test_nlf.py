@@ -15,7 +15,7 @@ from qclattice import gf2poly
 from qclattice.bitmat import power_poly_matrix
 from qclattice.errors import InvalidParams, NotInLattice
 from qclattice.nlf import NlfContext
-from qclattice.primitives import nlf_poly, poly
+from qclattice.primitives import poly
 
 
 def bits_from_int(val, width):
@@ -29,7 +29,7 @@ def f_matrix(ctx, h):
 
 @pytest.fixture(scope="module")
 def ctx_small():
-    return NlfContext(nlf_poly(6), 2)
+    return NlfContext(poly(6), 2)
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +63,7 @@ def test_apply_additivity(ctx_small):
 
 def test_stage_decomposition_equals_direct_power_exhaustive():
     # every control value at a small degree
-    g = nlf_poly(16)
+    g = poly(16)
     d = 4
     ctx = NlfContext(g, d)
     u = CompanionMatrix(g)
@@ -114,7 +114,7 @@ def test_invert_identity_control(ctx_small):
 
 def test_invert_detects_missing_preimage():
     # find a control whose matrix has |det| > 1, then walk off the lattice
-    ctx = NlfContext(nlf_poly(6), 3)
+    ctx = NlfContext(poly(6), 3)
     rng = np.random.default_rng(4)
     for hval in range(1, 8):
         h = bits_from_int(hval, 3)
@@ -149,21 +149,21 @@ def test_f_mod2_matches_matrix(ctx_small):
 
 
 def test_anf_degree_zero_control_width():
-    tt = nlf_truth_table(NlfContext(nlf_poly(6), 0))
+    tt = nlf_truth_table(NlfContext(poly(6), 0))
     for i in range(6):
         assert anf_degree(tt[:, i]) == 1
 
 
 @pytest.mark.parametrize("n,d", [(6, 2), (8, 3)])
 def test_anf_degree_components(n, d):
-    tt = nlf_truth_table(NlfContext(nlf_poly(n), d))
+    tt = nlf_truth_table(NlfContext(poly(n), d))
     for i in range(n):
         assert anf_degree(tt[:, i]) == d + 1
 
 
 @pytest.mark.parametrize("n,d", [(6, 2), (8, 3)])
 def test_anf_degree_combinations(n, d):
-    tt = nlf_truth_table(NlfContext(nlf_poly(n), d))
+    tt = nlf_truth_table(NlfContext(poly(n), d))
     rng = np.random.default_rng(6)
     for _ in range(20):
         w = rng.integers(0, 2, size=n)

@@ -8,10 +8,11 @@ factorization below.  Other degrees are checked irreducible only.
 
 import pytest
 
+import gf2_reference
 from gf2_reference import is_irreducible, is_primitive, order, prime_divisors
 from qclattice import gf2poly
 from qclattice.errors import InvalidParams
-from qclattice.primitives import nlf_poly, poly, reciprocal, supported_degrees
+from qclattice.primitives import poly, poly_id, reciprocal, supported_degrees
 
 # Complete factorization of 2**258 - 1 (distinct primes).
 FACTORS_2_258_MINUS_1 = (
@@ -75,11 +76,20 @@ def test_primitivity_rejects_a_short_order():
 
 
 def test_nlf_poly_small_search():
-    g = nlf_poly(6)
+    g = poly(6)
     assert gf2poly.degree(g) == 6
     assert order(g) == 63
 
 
 def test_nlf_poly_unsupported_degree():
-    with pytest.raises(InvalidParams):
-        nlf_poly(100)
+    for shipped in (poly, poly_id, reciprocal):
+        with pytest.raises(InvalidParams, match="degree 100"):
+            shipped(100)
+
+
+def test_poly_id_matches_reference():
+    # the id is read off the table; the oracle reads it off the coefficients
+    for deg in supported_degrees():
+        assert poly_id(deg) == gf2_reference.poly_id(poly(deg)), deg
+    assert poly_id(3) == "3:1" and poly_id(8) == "8:7,2,1"
+    assert poly_id(258) == "258:83" and poly_id(1496) == "1496:13,11,4"

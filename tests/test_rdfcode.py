@@ -32,7 +32,7 @@ def test_search_paper_large_params():
 def test_search_exhausts_on_impossible_params():
     # 2 blocks of weight 3 need 12 distinct differences but only 4 exist
     with pytest.raises(SearchExhausted):
-        rdf_search(5, 2, 3, rng_seed=0, block_tries=20, restarts=3)
+        rdf_search(5, 2, 3, rng_seed=0)
 
 
 def test_search_reproducible():
