@@ -25,6 +25,7 @@ and the int32 ciphertext format can serve.
 
 from __future__ import annotations
 
+import functools
 import numbers
 import random
 from dataclasses import dataclass
@@ -185,6 +186,15 @@ def keygen(params: CipherParams, master_seed: int) -> SecretKey:
 _DECODER = DecoderConfig()
 
 
+@functools.lru_cache(maxsize=16)
+def _constellation_bounds(n: int, L: int):
+    """Read-only per-coordinate bounds (lo, hi) of the transmit constellation."""
+    lo = np.tile(np.array([0, -L], dtype=np.int64), n // 2)
+    hi = np.tile(np.array([L - 1, -1], dtype=np.int64), n // 2)
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi
+
+
 class CipherSession:
     """Stateful encrypt/decrypt context; frames advance the material."""
 
@@ -238,12 +248,11 @@ class CipherSession:
 
     def check_constellation(self, m: np.ndarray):
         """Pairwise ranges: even 0-indexed coords in [0, L-1], odd in [-L, -1]."""
-        L = self.params.L
-        even = m[0::2]
-        odd = m[1::2]
-        if (even < 0).any() or (even > L - 1).any():
-            raise ConstellationViolation("even-pair coordinate outside [0, L-1]")
-        if (odd < -L).any() or (odd > -1).any():
+        lo, hi = _constellation_bounds(self.params.n, self.params.L)
+        bad = (m < lo) | (m > hi)
+        if bad.any():
+            if bad[0::2].any():
+                raise ConstellationViolation("even-pair coordinate outside [0, L-1]")
             raise ConstellationViolation("odd-pair coordinate outside [-L, -1]")
 
     # --- joint mode ----------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -60,9 +61,15 @@ def _load_key_file(path):
 
 def cmd_encrypt(args) -> int:
     key = _load_key_file(args.key)
-    session = CipherSession(key)
     p = key.params
     cap = frame_capacity_bytes(p.n, p.L)
+    first = args.first_counter
+    frames = -(-os.path.getsize(args.input) // cap)
+    if not 0 <= first < 1 << 64 or first + frames > 1 << 64:
+        raise UsageError(f"--first-counter {first}: the {frames} frames need counters "
+                         "in [0, 2^64)")
+    session = CipherSession(key)
+    session.advance_to(first)
     with open(args.input, "rb") as fin, open(args.output, "wb") as fout:
         writer = FrameWriter(fout, p.n, key.digest(), observations=False)
         while True:
@@ -187,10 +194,22 @@ def build_parser() -> argparse.ArgumentParser:
     kg.add_argument("-o", "--output", required=True, help="key file path")
     kg.set_defaults(func=cmd_keygen)
 
-    enc = sub.add_parser("encrypt", help="encrypt a file (joint mode)")
+    enc = sub.add_parser(
+        "encrypt", help="encrypt a file (joint mode)",
+        description="Encrypt a file (joint mode). Frame j of the output uses the "
+                    "keystream material of counter first-counter + j. Use one counter "
+                    "range per key, never reused: two files encrypted under one key "
+                    "from the same counter share that material frame by frame. For a "
+                    "regular input file, encrypt exits 2 before writing if the frames "
+                    "would need a counter past 2^64; a pipe is stopped there with exit 1 "
+                    "and a partial output.",
+    )
     enc.add_argument("--key", required=True)
     enc.add_argument("-i", "--input", required=True)
     enc.add_argument("-o", "--output", required=True)
+    enc.add_argument("--first-counter", type=int, default=0, metavar="J",
+                     help="counter of the first frame (default 0); give each file "
+                          "under one key a counter range no other file uses")
     enc.set_defaults(func=cmd_encrypt)
 
     dec = sub.add_parser("decrypt", help="decrypt a ciphertext or observation file")

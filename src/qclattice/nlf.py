@@ -11,7 +11,8 @@ block and no n x n array is built).
 x^alpha mod g comes from gf2poly.xpowmod (8-bit windows of alpha, with
 table-driven r^256 mod g).  x^-alpha, needed only to invert, is
 x^-(2^d) x^(2^d - alpha): one more xpowmod and one product with
-x^-(2^d), cached per (g, d).
+x^-(2^d), cached per (g, d).  Since g(0) = 1, x (g >> 1) = g + 1 = 1 mod
+g, so x^-1 = g >> 1 and x^-(2^d) is d squarings of it, with no inversion.
 
 F acts on integer vectors using the 0/1 matrix U^alpha (the encryption
 pipeline runs over the reals); its mod-2 view F' is apply_f(a, h) & 1, on
@@ -21,10 +22,10 @@ determinant, so it is invertible mod 2^k for every k.  M^-1 mod 2 is the
 multiplication matrix of x^-alpha, built once per call in the same
 generator form, so each binary digit of v is ((residual mod 2) M^-1) mod 2,
 and the residual then drops by digit * M and halves.  Both products take
-0/1 vectors, so every sum is at most n: they run as float64 correlates,
-which carry these integers exactly (bitmat holds the 2^53 guard for
-general vectors).  The cipher path stays exact; no rounded float reaches
-it.
+0/1 vectors, so every sum is at most n < 2^24: they run as float32
+correlates, which carry these integers exactly (bitmat holds the 2^24
+guard for general vectors, such as apply_f's input and the final check).
+The cipher path stays exact; no rounded float reaches it.
 """
 
 from __future__ import annotations
@@ -42,8 +43,11 @@ _VERIFY_BOUND = 1 << 52  # |v| above this cannot be verified in int64 safely
 
 @functools.lru_cache(maxsize=16)
 def _x_neg_pow2(g: int, d: int) -> int:
-    """x^-(2^d) mod g, the inverse of x^(2^d) (a unit, since g(0) = 1)."""
-    return gf2poly.invmod(gf2poly.xpowmod(1 << d, g), g)
+    """x^-(2^d) mod g: d squarings of x^-1 = g >> 1 (g(0) = 1)."""
+    r = g >> 1
+    for _ in range(d):
+        r = gf2poly.sqmod(r, g)
+    return r
 
 
 class NlfContext:
@@ -110,11 +114,11 @@ class NlfContext:
             if not residual.any():
                 break
             # both products take 0/1 vectors, so every sum is at most n and
-            # float64 carries it exactly
-            bits = m_inv.float_mul((residual & 1).astype(np.float64)).astype(np.int64) & 1
+            # float32 carries it exactly
+            bits = m_inv.float_mul((residual & 1).astype(np.float32)).astype(np.int64) & 1
             v += bits << t
             start = residual
-            product = m.float_mul(bits.astype(np.float64))
+            product = m.float_mul(bits.astype(np.float32))
             residual = (residual - product.astype(np.int64)) >> 1
             if t + 1 < 64 and (residual == start).all():
                 # fixed-point residual: every later digit repeats this one,

@@ -142,12 +142,19 @@ def test_joint_rejects_constellation_violation(toy_key):
     m = np.zeros(toy_key.params.n, dtype=np.int64)
     m[1::2] = -1
     m[0] = toy_key.params.L  # even-pair coordinate too large
-    with pytest.raises(ConstellationViolation):
+    with pytest.raises(ConstellationViolation, match="even-pair"):
+        tx.encrypt_joint(m)
+    m[1] = 0  # odd-pair coordinate must be negative; the even one is named first
+    with pytest.raises(ConstellationViolation, match="even-pair"):
         tx.encrypt_joint(m)
     m[0] = 0
-    m[1] = 0  # odd-pair coordinate must be negative
-    with pytest.raises(ConstellationViolation):
+    with pytest.raises(ConstellationViolation, match="odd-pair"):
         tx.encrypt_joint(m)
+    m[1] = -toy_key.params.L - 1
+    with pytest.raises(ConstellationViolation, match="odd-pair"):
+        tx.encrypt_joint(m)
+    m[0::2], m[1::2] = toy_key.params.L - 1, -toy_key.params.L  # the corners pass
+    tx.check_constellation(m)
 
 
 def test_raw_roundtrip_large_range(toy_key):

@@ -458,3 +458,67 @@ def test_decrypt_nonpositive_sigma_is_noiseless(tmp_path, capsys, keyfile, sigma
                        "-o", str(out), f"--sigma={sigma}")
     assert (code, err) == (0, "")
     assert out.read_bytes() == b"frame"
+
+
+def _encrypt_at(tmp_path, capsys, keyfile, src, name, *first):
+    """Encrypt src with the CLI, optionally at --first-counter; return
+    (exit code, stderr, output path)."""
+    ct = tmp_path / name
+    code, _, err = run(capsys, "encrypt", "--key", keyfile, "-i", str(src), "-o", str(ct),
+                       *(("--first-counter", str(first[0])) if first else ()))
+    return code, err, ct
+
+
+def _frames_of(path):
+    with open(path, "rb") as fh:
+        return list(FrameReader(fh))
+
+
+def test_encrypt_first_counter_separates_files_under_one_key(tmp_path, capsys, keyfile):
+    capacity = 13 * 2 * 2 // 8
+    data = np.random.default_rng(4).bytes(3 * capacity)
+    src = tmp_path / "plain.bin"
+    src.write_bytes(data)
+    # the hazard: every default encrypt starts at counter 0, so two files
+    # under one key reuse the keystream material of each frame, and the same
+    # plaintext encrypts to the same bytes
+    a = _encrypt_at(tmp_path, capsys, keyfile, src, "a.bin")[2]
+    b = _encrypt_at(tmp_path, capsys, keyfile, src, "b.bin")[2]
+    assert a.read_bytes() == b.read_bytes()
+    assert [f[0] for f in _frames_of(a)] == [0, 1, 2]
+    # the remedy: a disjoint counter range gives every frame fresh material
+    code, err, c = _encrypt_at(tmp_path, capsys, keyfile, src, "c.bin", 3)
+    assert (code, err) == (0, "")
+    frames_a, frames_c = _frames_of(a), _frames_of(c)
+    assert [f[0] for f in frames_c] == [3, 4, 5]
+    assert all(not np.array_equal(fa[2], fc[2]) for fa, fc in zip(frames_a, frames_c))
+    for ct in (a, c):
+        out = tmp_path / f"{ct.stem}.out"
+        assert run(capsys, "decrypt", "--key", keyfile, "-i", str(ct), "-o", str(out))[0] == 0
+        assert out.read_bytes() == data
+
+
+@pytest.mark.parametrize("first", [1, 2**40, 2**64 - 3], ids=["1", "2^40", "2^64-frames"])
+def test_encrypt_first_counter_roundtrips(tmp_path, capsys, keyfile, first):
+    capacity = 13 * 2 * 2 // 8
+    data = np.random.default_rng(5).bytes(3 * capacity - 1)  # three frames, one partial
+    src = tmp_path / "plain.bin"
+    src.write_bytes(data)
+    code, err, ct = _encrypt_at(tmp_path, capsys, keyfile, src, "ct.bin", first)
+    assert (code, err) == (0, "")
+    assert [f[0] for f in _frames_of(ct)] == [first, first + 1, first + 2]
+    out = tmp_path / "out.bin"
+    assert run(capsys, "decrypt", "--key", keyfile, "-i", str(ct), "-o", str(out))[0] == 0
+    assert out.read_bytes() == data
+
+
+@pytest.mark.parametrize("first", [-1, 2**64 - 2, 2**64])
+def test_encrypt_first_counter_past_the_counter_space_exits_2(tmp_path, capsys, keyfile,
+                                                              first):
+    # three frames from 2^64 - 2 would need counter 2^64
+    src = tmp_path / "plain.bin"
+    src.write_bytes(bytes(3 * (13 * 2 * 2 // 8)))
+    code, err, ct = _encrypt_at(tmp_path, capsys, keyfile, src, "ct.bin", first)
+    assert code == 2
+    assert err.startswith(f"usage error: --first-counter {first}: the 3 frames")
+    assert not ct.exists()

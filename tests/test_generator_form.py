@@ -2,7 +2,7 @@
 
 power_poly_matrix returns the multiplication matrix as one bit sequence per
 tap block of g; gf2_reference.power_poly_rows builds the same matrix one row
-at a time.  Its products run in float64 below max|a| * n = 2^53 and in int64
+at a time.  Its products run in float32 below max|a| * n = 2^24 and in int64
 above; both must equal the dense int64 product, which wraps mod 2^64 like
 the int64 correlate.  NlfContext builds x^alpha with Frobenius window tables
 and x^-alpha as x^-(2^d) x^(2^d - alpha); gf2_reference.powmod squares and
@@ -118,9 +118,13 @@ def test_windowed_x_power_matches_oracle(case):
     assert ref.mod(ref.mul(c, cinv), g) == 1
 
 
-# max|a| * n just below, at and just above 2^53, where vecmul leaves float64,
-# and just below 2^54, where a guard one bit too loose would still use it
-GUARD_TARGETS = (2**53 - 1, 2**53, 2**53 + 1, 2**54 - 1)
+# max|a| * n just below, at and just above 2^24, where vecmul leaves float32,
+# and just below 2^25, where a guard one bit too loose would still use it;
+# the 2^53 targets, where float64 would stop being exact, now run in int64
+GUARD_TARGETS = (
+    2**24 - 1, 2**24, 2**24 + 1, 2**25 - 1,
+    2**53 - 1, 2**53, 2**53 + 1, 2**54 - 1,
+)
 DERANDOMIZED = settings(derandomize=True, database=None, deadline=None)
 
 
@@ -131,10 +135,13 @@ def near_guard_vector(draw, n):
     All entries at +-max|a| make the column sums as large as the bound
     allows; -2^63 entries wrap, and np.abs(-2**63) is still negative.
     """
-    target = draw(st.sampled_from(GUARD_TARGETS))
-    amp = draw(st.sampled_from([target // n, -(-target // n)]))
-    shape = draw(st.sampled_from(["mixed", "all_max", "all_min", "min_int64"]))
+    # choices from a seeded generator: hypothesis would favour some entries,
+    # and an all-equal vector of odd amplitude at each target is what shows a
+    # guard one bit too loose
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    target = GUARD_TARGETS[rng.integers(len(GUARD_TARGETS))]
+    amp = (target // n, -(-target // n))[rng.integers(2)]
+    shape = ("mixed", "all_max", "all_min", "min_int64")[rng.integers(4)]
     if shape == "all_max":
         return np.full(n, amp, dtype=np.int64)
     if shape == "all_min":
@@ -142,11 +149,11 @@ def near_guard_vector(draw, n):
     a = rng.integers(-amp, amp, size=n, endpoint=True)
     a[rng.integers(n)] = amp
     if shape == "min_int64":
-        a[rng.choice(n, size=draw(st.integers(1, 3)), replace=False)] = -(2**63)
+        a[rng.choice(n, size=rng.integers(1, 4), replace=False)] = -(2**63)
     return a
 
 
-@settings(DERANDOMIZED, max_examples=80)
+@settings(DERANDOMIZED, max_examples=160)
 @given(st.sampled_from([TRINOMIAL, PENTANOMIAL]), st.data())
 def test_vecmul_matches_int64_oracle_at_the_float_guard(g, data):
     n = gf2poly.degree(g)
@@ -181,7 +188,7 @@ def nlf_input(draw):
     kind = rng.choice(["small", "raw", "guard", "guard", "nudged", "random", "min_int64"])
     if kind == "raw":  # raw-mode preimages m + 1 - e with |m| <= 10^6
         a = rng.integers(-10**6, 10**6 + 1, size=n, endpoint=True)
-    elif kind == "guard":  # preimages whose verify product nears 2^53 or crosses it
+    elif kind == "guard":  # preimages whose verify product nears a guard target or crosses it
         top = GUARD_TARGETS[rng.integers(len(GUARD_TARGETS))] // n
         a = rng.integers(top - top // 64, top, size=n, endpoint=True)
     else:

@@ -11,10 +11,10 @@ from gf2_reference import (
     nlf_truth_table,
     powmod,
 )
-from qclattice import gf2poly
+from qclattice import gf2poly, primitives
 from qclattice.bitmat import power_poly_matrix
 from qclattice.errors import InvalidParams, NotInLattice
-from qclattice.nlf import NlfContext
+from qclattice.nlf import NlfContext, _x_neg_pow2
 from qclattice.primitives import poly
 
 
@@ -238,3 +238,13 @@ def test_invert_rejects_int64_wrapped_preimage(ctx_small):
                for xi, col in zip(x, dense.T))
     with pytest.raises(NotInLattice):
         ctx_small.invert_f(x, h)
+
+
+@pytest.mark.parametrize("deg", primitives.supported_degrees())
+def test_x_neg_pow2_matches_invmod(deg):
+    # d squarings of x^-1 = g >> 1 against the inverse of x^(2^d) by Euclid;
+    # __wrapped__ skips the cache, so every case is computed here
+    g = poly(deg)
+    for d in (0, 1, 2, 7, 61, 80):
+        want = gf2poly.invmod(gf2poly.xpowmod(1 << d, g), g)
+        assert _x_neg_pow2.__wrapped__(g, d) == want
