@@ -1,10 +1,13 @@
 """AWGN simulation: noise injection, VNR sweeps, CSV output.
 
-Per-trial randomness comes from a counter-based Philox generator keyed by
+run_sweep (the full cipher) and lattice_sweep (bare lattice coding) share
+one trial loop and one failure policy: a frame whose receiver raises
+DecodeFailure, NotLatticePoint or NotInLattice has every symbol in error.
+Trial randomness comes from a counter-based Philox generator keyed by
 (seed, (point index << 32) ^ trial index), so results are independent of
-execution order and identical for any worker count.  A sweep, or each
-chunk of one, builds one generator and re-keys it per trial: each trial
-draws exactly the stream of a fresh Generator(Philox(key=...)).
+execution order and identical for any worker count.  Each chunk of trials
+re-keys one generator per trial, which draws exactly the stream of a fresh
+Generator(Philox(key=...)).
 """
 
 from __future__ import annotations
@@ -12,10 +15,10 @@ from __future__ import annotations
 import math
 import numbers
 import os
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -109,13 +112,6 @@ def _trial_streams(seed: int):
     return rekey
 
 
-def _random_message(rng: np.random.Generator, n: int, L: int) -> np.ndarray:
-    m = np.empty(n, dtype=np.int64)
-    m[0::2] = rng.integers(0, L, size=n // 2)
-    m[1::2] = rng.integers(-L, 0, size=n // 2)
-    return m
-
-
 def point_sigmas(key: SecretKey, spec: SweepSpec) -> list:
     """Noise sigma of each grid point for the key's lattice.
 
@@ -126,111 +122,113 @@ def point_sigmas(key: SecretKey, spec: SweepSpec) -> list:
     return [lattice.vnr_sigma(v) for v in spec.points()]
 
 
-def _run_point_chunk(key, spec, point_idx, sigma, start_trial, count):
-    """Sequential chunk of trials at one sweep point; deterministic."""
-    p = key.params
-    tx = CipherSession(key)
-    rx = CipherSession(key)
-    # material stream restarts per point; trial t uses frame t of the stream,
-    # so chunked execution reproduces the serial result exactly (each chunk
-    # seeks to its first frame in O(log start_trial) time)
-    tx.advance_to(start_trial)
-    rx.advance_to(start_trial)
-    rekey = _trial_streams(spec.rng_seed)
-    sym_err = 0
-    frame_err = 0
-    for t in range(start_trial, start_trial + count):
-        rng = rekey(point_idx, t)
-        m = _random_message(rng, p.n, p.L)
-        ct = tx.encrypt_joint(m)
-        r = add_awgn(ct.y, sigma, rng)
+def _cipher_link(key, start):
+    """(send, receive) of the full cipher, both sessions seeked to frame start.
+
+    Trial t uses frame t of the material stream, which restarts per point.
+    """
+    n, L = key.params.n, key.params.L
+    tx, rx = CipherSession(key), CipherSession(key)
+    tx.advance_to(start)
+    rx.advance_to(start)
+
+    def send(rng):
+        m = np.empty(n, dtype=np.int64)
+        m[0::2] = rng.integers(0, L, size=n // 2)
+        m[1::2] = rng.integers(-L, 0, size=n // 2)
+        return m, tx.encrypt_joint(m).y
+
+    return send, rx.decrypt_joint
+
+
+def _lattice_link(ctx, cfg, start):
+    """(send, receive) of bare lattice coding: random bits in, decoded point out."""
+
+    def send(rng):
+        lam = ctx.encode(rng.integers(0, 2, size=ctx.n))
+        return lam, lam
+
+    return send, lambda r, sigma: decode(ctx, cfg, r, sigma)
+
+
+def _run_chunk(link, point, sigma, seed, start, count):
+    """(symbol errors, frame errors) of trials [start, start + count) at one point.
+
+    link(start) gives send(rng) -> (sent symbols, channel input) and
+    receive(r, sigma) -> their estimate.  Receiver exceptions other than
+    the three that fail a frame propagate.
+    """
+    send, receive = link(start)
+    rekey = _trial_streams(seed)
+    sym_err = frame_err = 0
+    for t in range(start, start + count):
+        rng = rekey(point, t)
+        sent, x = send(rng)
+        r = add_awgn(x, sigma, rng)
         try:
-            m_hat = rx.decrypt_joint(r, sigma)
-            errs = int((m_hat != m).sum())
+            errs = int((receive(r, sigma) != sent).sum())
         except (DecodeFailure, NotLatticePoint, NotInLattice):
-            errs = p.n
+            errs = sent.size
         sym_err += errs
-        frame_err += 1 if errs else 0
+        frame_err += errs > 0
     return sym_err, frame_err
 
 
-def default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
+def _sweep(link, n, sigmas, spec, workers, progress):
+    """Rows (vnr_db, ser, fer, trials, seed) of link's trials over the grid.
 
-
-def run_sweep(key: SecretKey, spec: SweepSpec, workers: int | None = None, progress=None):
-    """Monte-Carlo SER/FER sweep over the VNR grid.
-
-    Returns rows (vnr_db, ser, fer, trials, seed).  Deterministic for a
-    fixed spec regardless of the worker count.  One process pool serves the
-    whole sweep, with min(workers, trials per point, CPU count) processes.
-    Raises InvalidParams before any trial when a grid point has no usable
-    sigma.
+    Each point's trials run in min(workers, trials, CPU count) chunks; with
+    more than one, one process pool serves the whole sweep.
     """
-    workers = workers if workers is not None else default_workers()
-    sigmas = point_sigmas(key, spec)
     trials = spec.trials_per_point
     size = max(1, min(workers, trials, os.cpu_count() or 1))
     per = -(-trials // size)  # trials per chunk, rounded up
     rows = []
-    n = key.params.n
     with (ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext()) as pool:
         for idx, (vnr_db, sigma) in enumerate(zip(spec.points(), sigmas)):
             chunks = [
-                (key, spec, idx, sigma, start, min(per, trials - start))
+                (link, idx, sigma, spec.rng_seed, start, min(per, trials - start))
                 for start in range(0, trials, per)
             ]
             if pool is None:
-                tot = [_run_point_chunk(*c) for c in chunks]
+                tot = [_run_chunk(*c) for c in chunks]
             else:
-                jobs = [pool.submit(_run_point_chunk, *c) for c in chunks]
-                tot = [j.result() for j in jobs]
-            sym_err = sum(t[0] for t in tot)
-            frame_err = sum(t[1] for t in tot)
-            rows.append(
-                (vnr_db, sym_err / (trials * n), frame_err / trials, trials, spec.rng_seed)
-            )
+                tot = [j.result() for j in [pool.submit(_run_chunk, *c) for c in chunks]]
+            sym_err, frame_err = map(sum, zip(*tot))
+            ser, fer = sym_err / (trials * n), frame_err / trials
+            rows.append((vnr_db, ser, fer, trials, spec.rng_seed))
             if progress:
-                progress(f"vnr {vnr_db:+.2f} dB: ser={rows[-1][1]:.3e} fer={rows[-1][2]:.3e}")
+                progress(f"vnr {vnr_db:+.2f} dB: ser={ser:.3e} fer={fer:.3e}")
     return rows
+
+
+def run_sweep(key: SecretKey, spec: SweepSpec, workers: int | None = None, progress=None):
+    """Monte-Carlo SER/FER sweep of the full cipher over the VNR grid.
+
+    Returns rows (vnr_db, ser, fer, trials, seed).  Deterministic for a
+    fixed spec regardless of the worker count; workers defaults to
+    $QCLATTICE_WORKERS, else 1.  Raises InvalidParams before any trial
+    when a grid point has no usable sigma.
+    """
+    sigmas = point_sigmas(key, spec)
+    if workers is None:
+        try:
+            workers = int(os.environ.get(WORKERS_ENV, "1"))
+        except ValueError:
+            workers = 1
+    return _sweep(partial(_cipher_link, key), key.params.n, sigmas, spec, workers, progress)
 
 
 def lattice_sweep(ctx: LatticeCtx, cfg: DecoderConfig, spec: SweepSpec, progress=None):
     """SER/FER of bare lattice decoding (no cipher layer) over a VNR grid.
 
     Used for decoder-level comparisons between lattices whose parameters
-    are not admissible cipher keys.  Raises InvalidParams before any trial
-    when a grid point has no usable sigma.
+    are not admissible cipher keys.  Serial, with run_sweep's trial loop,
+    rows and failure policy.  Raises InvalidParams before any trial when a
+    grid point has no usable sigma.
     """
-    points = spec.points()
-    sigmas = [ctx.vnr_sigma(v) for v in points]
-    rekey = _trial_streams(spec.rng_seed)
-    rows = []
-    for idx, (vnr_db, sigma) in enumerate(zip(points, sigmas)):
-        sym_err = 0
-        frame_err = 0
-        for t in range(spec.trials_per_point):
-            rng = rekey(idx, t)
-            xi = rng.integers(0, 2, size=ctx.n)
-            lam = ctx.encode(xi)
-            r = add_awgn(lam, sigma, rng)
-            try:
-                lam_hat = decode(ctx, cfg, r, sigma)
-                errs = int((lam_hat != lam).sum())
-            except DecodeFailure:
-                errs = ctx.n
-            sym_err += errs
-            frame_err += 1 if errs else 0
-        rows.append(
-            (vnr_db, sym_err / (spec.trials_per_point * ctx.n),
-             frame_err / spec.trials_per_point, spec.trials_per_point, spec.rng_seed)
-        )
-        if progress:
-            progress(f"vnr {vnr_db:+.2f} dB: ser={rows[-1][1]:.3e}")
-    return rows
+    sigmas = [ctx.vnr_sigma(v) for v in spec.points()]
+    return _sweep(partial(_lattice_link, ctx, cfg), ctx.n, sigmas, spec, 1, progress)
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96):
@@ -252,12 +250,3 @@ def rows_to_csv(rows) -> str:
     for vnr_db, ser, fer, trials, seed in rows:
         lines.append(f"{vnr_db:g},{ser:.10g},{fer:.10g},{trials},{seed}")
     return "\n".join(lines) + "\n"
-
-
-def write_csv(rows, fh=None) -> str:
-    text = rows_to_csv(rows)
-    if fh is None:
-        sys.stdout.write(text)
-    else:
-        fh.write(text)
-    return text

@@ -12,6 +12,7 @@ import functools
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -139,15 +140,13 @@ def cmd_simulate(args) -> int:
         channel.point_sigmas(key, spec)
     except InvalidParams as e:
         raise UsageError(f"--vnr-db {args.vnr_db}: {e}")
-    rows = channel.run_sweep(
-        key, spec, workers=args.workers,
-        progress=lambda msg: print(msg, file=sys.stderr),
-    )
-    if args.output:
-        with open(args.output, "w", newline="") as fh:
-            channel.write_csv(rows, fh)
-    else:
-        channel.write_csv(rows)
+    # opened before the first trial, so a bad path fails before the sweep runs
+    with open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout) as fh:
+        rows = channel.run_sweep(
+            key, spec, workers=args.workers,
+            progress=lambda msg: print(msg, file=sys.stderr),
+        )
+        fh.write(channel.rows_to_csv(rows))
     return 0
 
 

@@ -38,8 +38,9 @@ class LatticeCtx:
         if self.L <= 0:
             raise InvalidParams("shaping limit must be positive")
         self.a = np.asarray(a, dtype=np.int64)  # k x (n-k)
-        # shaping modulus n*L - 1; recovery's window is 2|x_i| < n*L
+        # shaping modulus n*L - 1; recovery's window is 2|x_i| < n*L, |x_i| <= half
         self.mod_full = self.n * self.L - 1
+        self.half = self.mod_full // 2
 
     @classmethod
     def from_code(cls, code: QcCode, shaping_limit: int) -> "LatticeCtx":
@@ -103,9 +104,10 @@ class LatticeCtx:
         x = np.asarray(x, dtype=np.int64)
         if x.shape != (self.n,):
             raise InvalidParams("vector length mismatch")
-        if (2 * np.abs(x[: self.k]) >= self.n * self.L).any():
-            raise ShapingOverflow("coordinate outside the recoverable window")
         sys = x[: self.k]
+        # signed bounds: 2 * np.abs(x) wraps in int64 once |x| >= 2^62
+        if (sys > self.half).any() or (sys < -self.half).any():
+            raise ShapingOverflow("coordinate outside the recoverable window")
         par = x[self.k :]
         s = sys @ self.a  # column sums of A weighted by x, length n-k
         # z_i = round((x_i + s_i/2) / (n*L - 1)); ties round to even so that

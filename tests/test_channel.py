@@ -19,8 +19,9 @@ from qclattice.channel import (
     run_sweep,
     wilson_interval,
 )
+from qclattice.cipher import CipherSession
 from qclattice.decoder import DecoderConfig
-from qclattice.errors import InvalidParams
+from qclattice.errors import DecodeFailure, InvalidParams, NotInLattice, NotLatticePoint
 from qclattice.lattice import LatticeCtx
 from qclattice.rdfcode import rdf_search
 
@@ -175,6 +176,40 @@ def test_run_sweep_high_vnr_zero_errors(toy_key):
     rows = run_sweep(toy_key, spec)
     assert len(rows) == 1
     assert rows[0][1] == 0.0 and rows[0][2] == 0.0
+
+
+@pytest.mark.parametrize("exc", [DecodeFailure, NotLatticePoint, NotInLattice, InvalidParams])
+@pytest.mark.parametrize("sweep", ["cipher", "lattice"])
+def test_sweeps_share_one_failure_policy(toy_key, monkeypatch, sweep, exc):
+    # the receiver of trial 3 of 6 raises at 12 dB, where no frame fails by
+    # itself; lattice_sweep used to let NotLatticePoint and NotInLattice escape
+    spec = SweepSpec(12.0, 12.0, 1.0, 6, 3)
+    if sweep == "cipher":
+        owner, name = CipherSession, "decrypt_joint"
+        run = lambda: run_sweep(toy_key, spec, workers=1)  # noqa: E731
+    else:
+        owner, name = channel, "decode"
+        ctx = LatticeCtx.from_code(toy_key.code, toy_key.params.L)
+        run = lambda: lattice_sweep(ctx, DecoderConfig(), spec)  # noqa: E731
+    real = getattr(owner, name)
+    calls = []
+
+    def receive(*args):
+        # a real failure comes after the frame's keystream material is drawn
+        out = real(*args)
+        calls.append(args)
+        if len(calls) == 4:
+            raise exc("planted")
+        return out
+
+    monkeypatch.setattr(owner, name, receive)
+    if exc is InvalidParams:
+        with pytest.raises(InvalidParams, match="planted"):
+            run()
+    else:
+        # n symbol errors and one frame error, of 6 frames
+        assert run() == [(12.0, 1 / 6, 1 / 6, 6, 3)]
+    assert len(calls) == (4 if exc is InvalidParams else 6)
 
 
 def test_run_sweep_reproducible(toy_key):

@@ -1,12 +1,17 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import deadline
 from gf2_reference import order
+import qclattice
 from qclattice.cipher import load_key, save_key
 from qclattice.cli import main
 from qclattice.errors import FormatError
@@ -153,7 +158,7 @@ def test_simulate_out_of_range_trials_names_the_flag(capsys, keyfile, trials):
 
 @pytest.mark.parametrize("grid", ["3100:1:3100", "0:1:inf", "nan:1:nan", "-3100:1:-3100",
                                   "0:1e-300:1", "0:0:1"])
-def test_simulate_unusable_grid_exits_2(capsys, keyfile, grid):
+def test_simulate_unusable_grid_exits_2(tmp_path, capsys, keyfile, grid):
     # all but 0:0:1 used to overflow, run with sigma = inf, print an empty
     # CSV, or never end
     with deadline(10):
@@ -162,6 +167,41 @@ def test_simulate_unusable_grid_exits_2(capsys, keyfile, grid):
     assert (code, out) == (2, "")
     assert err.startswith(f"usage error: --vnr-db {grid}: ")
     assert "Traceback" not in err
+    csv = tmp_path / "sweep.csv"
+    assert run(capsys, "simulate", "--key", keyfile, f"--vnr-db={grid}", "--trials", "2",
+               "-o", str(csv))[0] == 2
+    assert not csv.exists()
+
+
+def test_simulate_unwritable_output_fails_before_any_trial(tmp_path, capsys, keyfile):
+    # the CSV used to be opened after the sweep, so every point ran first
+    code, out, err = run(capsys, "simulate", "--key", keyfile, "--vnr-db", "6:1:8",
+                         "--trials", "2", "-o", str(tmp_path / "missing" / "sweep.csv"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    assert not any(line.startswith("vnr") for line in err.splitlines())
+
+
+def test_module_entry_point_exit_status(tmp_path):
+    # the other tests call main() in-process; this runs `python -m qclattice.cli`
+    src = str(Path(qclattice.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def qclattice_cli(*argv):
+        return subprocess.run([sys.executable, "-m", "qclattice.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    key, pt, ct, out = (str(tmp_path / f) for f in ("k.key", "p.bin", "c.bin", "o.bin"))
+    data = np.random.default_rng(4).bytes(300)
+    Path(pt).write_bytes(data)
+    assert qclattice_cli(*KEYGEN, "-o", key).returncode == 0
+    assert qclattice_cli("encrypt", "--key", key, "-i", pt, "-o", ct).returncode == 0
+    assert qclattice_cli("decrypt", "--key", key, "-i", ct, "-o", out).returncode == 0
+    assert Path(out).read_bytes() == data
+    bad = qclattice_cli("simulate", "--key", key, "--vnr-db", "0:0:1", "--trials", "2")
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("usage error: ")
 
 
 def test_analyze_paper_params(capsys):

@@ -87,6 +87,24 @@ def test_shape_overflow(paper_lattice):
         ctx.shape(x)
 
 
+@pytest.mark.parametrize("x0, inside", [
+    (2063, True), (-2063, True),  # the last in-window values: 2|x_0| < n*L = 4128
+    (2**61, False),
+    # 2|x_0| wrapped in int64, so these passed the window check
+    (2**62, False), (-(2**62), False), (2**63 - 1, False), (-(2**63), False),
+])
+def test_shape_window_check_has_no_int64_wrap(paper_lattice, x0, inside):
+    ctx = paper_lattice
+    assert ctx.n * ctx.L == 4128
+    x = np.zeros(ctx.n, dtype=np.int64)
+    x[0] = x0
+    if inside:
+        assert np.array_equal(ctx.mod_recover(ctx.shape(x)), x)
+    else:
+        with pytest.raises(ShapingOverflow):
+            ctx.shape(x)
+
+
 def test_shape_idempotent_on_shaped_output(paper_lattice):
     ctx = paper_lattice
     rng = np.random.default_rng(3)
