@@ -123,14 +123,15 @@ def point_sigmas(key: SecretKey, spec: SweepSpec) -> list:
 
 
 def _cipher_link(key, start):
-    """(send, receive) of the full cipher, both sessions seeked to frame start.
+    """(send, receive) of the full cipher, the transmitter seeked to frame start.
 
     Trial t uses frame t of the material stream, which restarts per point.
+    The receiver seeks to the frame just sent before each decrypt, so a
+    receiver that fails early cannot shift the frames of later trials.
     """
     n, L = key.params.n, key.params.L
     tx, rx = CipherSession(key), CipherSession(key)
     tx.advance_to(start)
-    rx.advance_to(start)
 
     def send(rng):
         m = np.empty(n, dtype=np.int64)
@@ -138,7 +139,11 @@ def _cipher_link(key, start):
         m[1::2] = rng.integers(-L, 0, size=n // 2)
         return m, tx.encrypt_joint(m).y
 
-    return send, rx.decrypt_joint
+    def receive(r, sigma):
+        rx.advance_to(tx.counter - 1)
+        return rx.decrypt_joint(r, sigma)
+
+    return send, receive
 
 
 def _lattice_link(ctx, cfg, start):

@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import numbers
 import random
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -388,13 +389,15 @@ def save_key(key: SecretKey) -> str:
 
 def load_key(text: str) -> SecretKey:
     f = formats.read_key_text(text)
+    names = ("b", "n0", "dv", "q", "L", "d")
+    for name in names:
+        # int() also reads 4_3, +43, 043 and ٤٣, which save_key writes back as 43
+        if not re.fullmatch("0|[1-9][0-9]*", f[name]):
+            raise FormatError(f"non-integer key parameter {name} = {f[name]!r} (not canonical)")
     try:
-        params = CipherParams(
-            b=int(f["b"]), n0=int(f["n0"]), dv=int(f["dv"]),
-            q=int(f["q"]), L=int(f["L"]), d=int(f["d"]),
-        )
-    except ValueError as e:
-        raise FormatError(f"non-integer key parameter: {e}") from e
+        params = CipherParams(**{name: int(f[name]) for name in names})
+    except ValueError as e:  # more digits than int() converts
+        raise FormatError(f"key parameter out of range: {e}") from e
     params.validate()
     if f["digest"] != params.digest():
         raise FormatError("params digest mismatch")

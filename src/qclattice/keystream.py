@@ -27,7 +27,9 @@ position in O(log t) multiplications:
   of one sequence: the accepted values in the order one cycle of the
   gamma-bit register visits them.  That ring is cached per (q, gamma,
   taps); ``next_perm()`` returns a slice of it and ``seek(j)`` sets the
-  cycle position.
+  cycle position.  Every draw is a permutation by construction:
+  ``_permutation_ring`` checks once per ring that the walk visits every
+  nonzero state once, so ``BlockPermutation`` does not re-check a frame.
 """
 
 from __future__ import annotations
@@ -245,40 +247,19 @@ class PermutationStream:
         self.pos = (self._start + j) % self._period
 
 
-_UINT64 = np.dtype(np.uint64)
-
-
-@functools.lru_cache(maxsize=16)
-def _block_layout(q: int, v: int):
-    """Column of block offsets i*q, positions 0..q*v-1, and q*v entries of -1."""
-    n = q * v
-    arrays = np.arange(0, n, q)[:, None], np.arange(n), np.full(n, -1)
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
 class BlockPermutation:
-    """Block-diagonal permutation: v independent q-blocks."""
+    """Block-diagonal permutation: v independent q-blocks.
+
+    Unchecked: each block must be a permutation of 0..q-1, as every
+    ``PermutationStream`` draw is (``_permutation_ring`` checks the walk).
+    """
 
     def __init__(self, q: int, perms):
-        try:
-            blocks = np.array(perms, dtype=np.int64)
-        except ValueError as e:  # blocks of unequal length
-            raise InvalidParams("block is not a permutation") from e
-        v = len(blocks)
-        offsets, positions, unset = _block_layout(q, v)
-        # the unsigned view maps negative entries above q as well
-        if blocks.shape != (v, q) or np.maximum.reduce(blocks.view(_UINT64), None) >= q:
-            raise InvalidParams("block is not a permutation")
-        fwd = (blocks + offsets).ravel()
-        inv = unset.copy()
-        inv[fwd] = positions
-        # n entries, each inside its own block: a position the scatter left
-        # at -1 means that another one repeats
-        if np.minimum.reduce(inv) < 0:
-            raise InvalidParams("block is not a permutation")
-        self.n = q * v
+        blocks = np.asarray(perms, dtype=np.int64)
+        fwd = (blocks + np.arange(0, blocks.size, q)[:, None]).ravel()
+        inv = np.empty_like(fwd)
+        inv[fwd] = np.arange(fwd.size)
+        self.n = fwd.size
         self._fwd, self._inv = fwd, inv
 
     def apply(self, x: np.ndarray) -> np.ndarray:

@@ -212,6 +212,25 @@ def test_sweeps_share_one_failure_policy(toy_key, monkeypatch, sweep, exc):
     assert len(calls) == (4 if exc is InvalidParams else 6)
 
 
+def test_cipher_sweep_receiver_seeks_to_each_trial(toy_key, monkeypatch):
+    # the first receiver fails before drawing its frame's material; a
+    # receiver that only stepped with the transmitter would then lag one
+    # frame and fail every later trial of the chunk as well
+    spec = SweepSpec(12.0, 12.0, 1.0, 6, 3)
+    real = CipherSession.decrypt_joint
+    calls = []
+
+    def receive(self, r, sigma):
+        calls.append(self.counter)
+        if len(calls) == 1:
+            raise DecodeFailure("planted")
+        return real(self, r, sigma)
+
+    monkeypatch.setattr(CipherSession, "decrypt_joint", receive)
+    assert run_sweep(toy_key, spec, workers=1) == [(12.0, 1 / 6, 1 / 6, 6, 3)]
+    assert calls == list(range(6))
+
+
 def test_run_sweep_reproducible(toy_key):
     spec = SweepSpec(6.0, 8.0, 1.0, 20, 5)
     assert run_sweep(toy_key, spec) == run_sweep(toy_key, spec)

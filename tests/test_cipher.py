@@ -402,6 +402,21 @@ def test_key_file_duplicate_or_unknown_field_rejected(paper_key):
             load_key(text + extra + "\n")
 
 
+@pytest.mark.parametrize("spelling", ["4_3", "+43", "043", "٤٣"])
+def test_key_file_rejects_non_canonical_integers(paper_key, spelling):
+    # int() reads each of these as 43, and save_key would then write "43"
+    text = save_key(paper_key)
+    assert "\nq = 43\n" in text
+    with pytest.raises(FormatError, match="not canonical"):
+        load_key(text.replace("\nq = 43\n", f"\nq = {spelling}\n"))
+
+
+def test_key_file_rejects_integers_int_cannot_convert(paper_key):
+    text = save_key(paper_key).replace("\nq = 43\n", f"\nq = 4{'3' * 5000}\n")
+    with pytest.raises(FormatError, match="out of range"):
+        load_key(text)
+
+
 def _mutated_value(data, old):
     """A replacement for one key field value: well-formed but arbitrary, or junk."""
     if ":" in old:  # poly id of the register's degree with random taps

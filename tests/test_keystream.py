@@ -100,11 +100,16 @@ def test_permutation_q43_bijections():
         assert sorted(p.tolist()) == list(range(43))
 
 
-def test_permutation_never_non_bijective_bulk():
-    st = perm_stream(43, 33)
-    for _ in range(10_000):
-        p = st.next_perm()
-        assert (np.bincount(p, minlength=43) == 1).all()
+@pytest.mark.parametrize("q", [13, 43, 187])  # toy, reference and n = 1496 keys
+def test_permutation_never_non_bijective_bulk(q):
+    # one full period plus one draw: every window a session can draw, then
+    # the wrap back to the first
+    period = (1 << (q - 1).bit_length()) - 1
+    st = perm_stream(q, 1)
+    draws = [st.next_perm() for _ in range(period + 1)]
+    for p in draws:
+        assert (np.bincount(p, minlength=q) == 1).all()
+    assert np.array_equal(draws[-1], draws[0])
 
 
 def test_permutation_rejects_power_of_two():
@@ -169,19 +174,6 @@ def test_seed_slices_layout():
     params = CipherParams(b=3, n0=4, dv=1, q=3, L=2, d=2)
     assert params.secret_fields()[-1] == ("t", 4, 2)
     assert hex_to_fields("19", 4, 2) == [1, 2, 1, 0]
-
-
-def test_block_permutation_rejects_non_bijections():
-    bad = [
-        [np.array([0, 1, 2, 4]), np.array([-1, 1, 2, 3])],  # entries spill across blocks
-        [np.array([0, 1, 1, 3]), np.array([0, 1, 2, 3])],  # repeat
-        [np.array([0, 1, 2]), np.array([0, 1, 2, 3])],  # short block
-        [np.array([0, 1, 2, 3, 0]), np.array([0, 1, 2, 3])],  # long block
-        [np.array([0, 1, 2, 3])] * 0,  # no blocks
-    ]
-    for perms in bad:
-        with pytest.raises(InvalidParams):
-            BlockPermutation(4, perms)
 
 
 # --- against the bit-serial oracles in keystream_reference -----------------
