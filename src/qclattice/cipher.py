@@ -14,7 +14,7 @@ independently.
 ``CipherParams.secret_fields`` is the one statement of the key layout:
 the name, value count and bit width of each secret field, in file order.
 ``save_key``, ``load_key`` and ``analysis.key_size_bits`` read it, and the
-session seeds each permutation stream with one gamma-bit value of t.
+permutation stream takes each gamma-bit value of t as one block's seed.
 ``CipherParams.poly_fields`` states which poly_* key field names which
 register's feedback polynomial, and at what degree.  Those polynomials are
 public constants (``primitives.poly``), not key material: ``save_key``
@@ -81,7 +81,7 @@ class CipherParams:
 
     @property
     def gamma(self) -> int:
-        # ceil(log2 q), exactly: the width of each permutation seed
+        # ceil(log2 q), exactly: the seed width PermutationStream derives
         return (self.q - 1).bit_length()
 
     def secret_fields(self) -> tuple:
@@ -158,10 +158,10 @@ class Ciphertext:
     counter: int
 
 
-def _draw_bits(rng: random.Random, nbits: int, nonzero: bool) -> int:
+def _draw_nonzero(rng: random.Random, nbits: int) -> int:
     while True:
-        v = rng.getrandbits(nbits) if nbits else 0
-        if not nonzero or v != 0:
+        v = rng.getrandbits(nbits)
+        if v:
             return v
 
 
@@ -178,9 +178,9 @@ def keygen(params: CipherParams, master_seed: int) -> SecretKey:
     params.validate()
     rng = random.Random(int(master_seed))
     code = rdf_search(params.b, params.n0, params.dv, rng.getrandbits(64))
-    s = _draw_bits(rng, params.l1, nonzero=True)
-    h_seed = _draw_bits(rng, params.d, nonzero=True)
-    t = tuple(_draw_bits(rng, params.gamma, nonzero=True) for _ in range(params.v))
+    s = _draw_nonzero(rng, params.l1)
+    h_seed = _draw_nonzero(rng, params.d)
+    t = tuple(_draw_nonzero(rng, params.gamma) for _ in range(params.v))
     return SecretKey(params=params, code=code, s=s, h_seed=h_seed, t=t)
 
 
@@ -204,16 +204,9 @@ class CipherSession:
         self.params = p
         self.lattice = LatticeCtx.from_code(key.code, p.L)
         self.nlf = NlfContext(primitives.poly(p.n), p.d)
-        self.e_lfsr = ReseedingLfsr(
-            p.l1, primitives.poly(p.l1), primitives.reciprocal(p.l1), key.s
-        )
-        self.h_lfsr = ReseedingLfsr(
-            p.d, primitives.poly(p.d), primitives.reciprocal(p.d), key.h_seed
-        )
-        perm_poly = primitives.poly(p.gamma)
-        self.perm_streams = [
-            PermutationStream(p.q, seed, p.gamma, perm_poly) for seed in key.t
-        ]
+        self.e_lfsr = ReseedingLfsr(p.l1, key.s)
+        self.h_lfsr = ReseedingLfsr(p.d, key.h_seed)
+        self.perm_stream = PermutationStream(p.q, key.t)
         self.counter = 0
 
     # --- rotating material -------------------------------------------------
@@ -222,9 +215,7 @@ class CipherSession:
         j = self.counter
         e = self.e_lfsr.next_bits(self.params.n).astype(np.int64)
         h = self.h_lfsr.next_bits(self.params.d)
-        perm = BlockPermutation(
-            self.params.q, [st.next_perm() for st in self.perm_streams]
-        )
+        perm = BlockPermutation(self.params.q, self.perm_stream.next_perm())
         self.counter += 1
         return j, e, h, perm
 
@@ -232,7 +223,7 @@ class CipherSession:
         """Seek the material streams to any frame counter, ahead or behind.
 
         Frame j's material starts at bit j*n of the error stream, bit j*d of
-        the control stream and draw j of each permutation stream; every
+        the control stream and frame j of the permutation stream; every
         stream jumps there from its seed in O(log j) multiplications, so a
         crafted u64 counter costs about as much as a near one.
         """
@@ -241,8 +232,7 @@ class CipherSession:
         p = self.params
         self.e_lfsr.seek(frame * p.n)
         self.h_lfsr.seek(frame * p.d)
-        for st in self.perm_streams:
-            st.seek(frame)
+        self.perm_stream.seek(frame)
         self.counter = frame
 
     # --- constellation -----------------------------------------------------

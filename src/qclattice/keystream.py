@@ -3,8 +3,9 @@
 Bit-order format constants (fixed for interoperability): LFSR state is an
 unsigned integer of gamma bits, the output bit is the least significant
 state bit, and the feedback taps are the low-degree coefficients of the
-feedback polynomial.  Each permutation stream is seeded by one gamma-bit
-value of the key field t (``CipherParams.secret_fields`` gives its layout).
+feedback polynomial, the shipped one of the register's length.  The
+permutation stream's v seeds, one per q-block, are the gamma-bit values
+of the key field t (``CipherParams.secret_fields`` gives its layout).
 
 Every stream emits many bits per Python operation and seeks to any
 position in O(log t) multiplications:
@@ -20,14 +21,13 @@ position in O(log t) multiplications:
 - Jumping.  ``Lfsr.jump(k)`` applies r = x^k mod c(x) to the next
   2*length - 1 output bits (Haramoto, Matsumoto, Nishimura, Panneton &
   L'Ecuyer, "Efficient Jump Ahead for F2-Linear Random Number Generators",
-  INFORMS J. Computing 2008); short jumps just advance.  ``ReseedingLfsr.seek(t)`` jumps the
-  companion register to the segment holding bit t and the main register to
-  its phase.
-- Permutations.  Each permutation of a ``PermutationStream`` is a rotation
-  of one sequence: the accepted values in the order one cycle of the
-  gamma-bit register visits them.  That ring is cached per (q, gamma,
-  taps); ``next_perm()`` returns a slice of it and ``seek(j)`` sets the
-  cycle position.  Every draw is a permutation by construction:
+  INFORMS J. Computing 2008); jumps with k * length below 2^18 advance.
+  ``ReseedingLfsr.seek(t)`` jumps the companion register to the segment
+  holding bit t and the main register to its phase.
+- Permutations.  Every q-block is a rotation of one sequence: the
+  accepted values in the order one cycle of the gamma-bit register visits
+  them.  That ring is cached per (q, gamma, taps), and a frame's v blocks
+  are one gather from it.  Every draw is a permutation by construction:
   ``_permutation_ring`` checks once per ring that the walk visits every
   nonzero state once, so ``BlockPermutation`` does not re-check a frame.
 """
@@ -38,7 +38,7 @@ import functools
 
 import numpy as np
 
-from . import gf2poly
+from . import gf2poly, primitives
 from .bitmat import poly_to_bits
 from .errors import InvalidParams, ZeroSeedSlice
 
@@ -55,11 +55,11 @@ def _feedback(length: int, taps: int):
     return recip, tap_list, length - max(taps.bit_length() - 1, 0)
 
 
-# Measured crossovers at lengths 9 and 61: past four words one series
-# product is cheaper than word stepping, and advance(k), whose cost grows
-# with k * length, is cheaper than x^k mod c(x) below k * length = 2^21.
+# Measured crossovers: past four words a series product beats word stepping
+# (lengths 9, 61); advance(k), whose cost grows with k * length, beats
+# x^k mod c(x) below k * length = 2^17.5 to 2^19 (lengths 9, 11, 61, 77).
 _SERIES_AFTER_WORDS = 4
-_JUMP_BY_ADVANCE_BELOW = 1 << 21
+_JUMP_BY_ADVANCE_BELOW = 1 << 18
 
 
 class Lfsr:
@@ -142,16 +142,16 @@ class Lfsr:
 class ReseedingLfsr:
     """LFSR whose seed is refreshed from a companion LFSR each period.
 
-    The main register (polynomial q) emits bits; after every 2^l1 - 1
-    output bits the companion register (polynomial p) steps once and its
-    state replaces the main state.  With q and p primitive the companion
-    walks the main register through all 2^l1 - 1 nonzero seeds, so the
-    joint state first recurs after exactly (2^l1 - 1)^2 output bits.
+    The main register (the shipped polynomial q of degree ``length``) emits
+    bits; after every 2^l1 - 1 output bits the companion (its reciprocal p)
+    steps once and its state replaces the main state.  With q and p
+    primitive the companion walks the main register through all 2^l1 - 1
+    nonzero seeds, so the joint state first recurs after (2^l1 - 1)^2 bits.
     """
 
-    def __init__(self, length: int, q_poly: int, p_poly: int, seed: int):
-        self.main = Lfsr(length, q_poly, seed)
-        self.companion = Lfsr(length, p_poly, seed)
+    def __init__(self, length: int, seed: int):
+        self.main = Lfsr(length, primitives.poly(length), seed)
+        self.companion = Lfsr(length, primitives.reciprocal(length), seed)
         self.seed = self.main.state
         self.segment = (1 << length) - 1
         self.phase = 0
@@ -184,10 +184,11 @@ class ReseedingLfsr:
 def _permutation_ring(q: int, gamma: int, taps: int):
     """Every permutation a stream over (q, gamma, taps) can draw.
 
-    Walk one period of the register from state 1.  ``ring`` holds, twice
-    over, the accepted values (state - 1 < q) in the order the walk visits
-    them; the draw from cycle position i is ``ring[offset[i]:offset[i] + q]``,
-    and ``position[s]`` is the cycle position of state s.
+    Walk one period of the register from state 1.  ``windows`` views every
+    q consecutive values of the ring that holds, twice over, the accepted
+    values (state - 1 < q) in the order the walk visits them.  The draw
+    from cycle position i < 2 * period is ``windows[offset[i]]``, and
+    ``position[s]`` is the cycle position of state s.
     """
     period = (1 << gamma) - 1
     walk = Lfsr(gamma, taps, 1).advance(period + gamma)
@@ -202,49 +203,47 @@ def _permutation_ring(q: int, gamma: int, taps: int):
     if accepted.size < q:
         raise InvalidParams(f"q={q} exceeds the LFSR state range 2^{gamma}-1")
     ring = np.tile(states[accepted] - 1, 2)
-    ring.flags.writeable = False
-    offset = tuple(np.searchsorted(accepted, np.arange(period)).tolist())
+    offset = np.tile(np.searchsorted(accepted, np.arange(period)), 2)
     position = np.zeros(1 << gamma, dtype=np.int64)
     position[states] = np.arange(period)
-    position.flags.writeable = False
-    return ring, offset, position
+    offset.flags.writeable = position.flags.writeable = False
+    return np.lib.stride_tricks.sliding_window_view(ring, q), offset, position
 
 
 class PermutationStream:
-    """Stream of permutations of {0..q-1}, one per LFSR initial value.
+    """Block permutations of {0..q-1}, one q-block per seed of the key field t.
 
-    A draw runs a throwaway LFSR from the current initial value and maps
-    visited states to values s - 1, discarding those >= q; one period of a
-    primitive gamma-bit LFSR visits every nonzero state once, so exactly q
-    values are accepted within 2^gamma - 1 steps, duplicates cannot occur,
-    and the accepted order defines the permutation.  After each draw the
-    persistent register steps once, so consecutive frames use consecutive
-    initial values and the permutation sequence has period 2^gamma - 1.
-
-    Draws come from the cached ring of ``_permutation_ring``, so they are
-    read-only views that stay valid for the life of the process.
+    A draw runs a throwaway gamma-bit LFSR from an initial value and maps
+    visited states to values s - 1, discarding those >= q; one period of
+    the primitive register visits every nonzero state once, so exactly q
+    values are accepted, duplicates cannot occur, and the accepted order
+    defines the permutation.  Frame j draws from the initial value j steps
+    past each seed, so the sequence has period 2^gamma - 1.
+    ``next_perm()`` returns the frame's (v, q) blocks as one gather from
+    the cached ring of ``_permutation_ring`` and steps to the next frame.
     """
 
-    def __init__(self, q: int, seed: int, gamma: int, poly: int):
+    def __init__(self, q: int, seeds):
+        gamma = (q - 1).bit_length()  # the key's seed width, CipherParams.gamma
         mask = (1 << gamma) - 1
-        if seed & mask == 0:
+        seeds = [seed & mask for seed in seeds]
+        if not all(seeds):
             raise ZeroSeedSlice("permutation seed slice is all-zero")
-        self.q = q
-        self._ring, self._offset, position = _permutation_ring(q, gamma, poly & mask)
+        self._windows, self._offset, position = _permutation_ring(
+            q, gamma, primitives.poly(gamma) & mask
+        )
         self._period = mask
-        self._start = int(position[seed & mask])
-        self.pos = self._start
+        self._start = position[seeds]
+        self.frame = 0
 
     def next_perm(self) -> np.ndarray:
-        off = self._offset[self.pos]
-        self.pos += 1
-        if self.pos == self._period:
-            self.pos = 0  # next frame draws from the next initial value
-        return self._ring[off : off + self.q]
+        blocks = self._windows[self._offset[self._start + self.frame]]
+        self.frame = (self.frame + 1) % self._period
+        return blocks
 
     def seek(self, j: int) -> None:
-        """Position the stream at draw ``j`` (0 = the draw from the seed)."""
-        self.pos = (self._start + j) % self._period
+        """Position the stream at frame ``j`` (0 = the draws from the seeds)."""
+        self.frame = j % self._period
 
 
 class BlockPermutation:

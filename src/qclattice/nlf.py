@@ -67,10 +67,12 @@ class NlfContext:
     # --- control line ----------------------------------------------------
 
     def _check_control(self, h) -> np.ndarray:
-        h = np.asarray(h, dtype=np.uint8)
+        h = np.asarray(h)
         if h.shape != (self.d,):
             raise InvalidParams(f"control vector must have length {self.d}")
-        return h % 2
+        if not ((h == 0) | (h == 1)).all():
+            raise InvalidParams("control bits must each be 0 or 1")
+        return h.astype(np.uint8, copy=False)
 
     def _x_power(self, h, inverse: bool = False) -> int:
         """x^alpha mod g, or x^-alpha = x^-(2^d) x^(2^d - alpha) mod g."""

@@ -14,19 +14,20 @@ from qclattice.keystream import (
     Lfsr,
     PermutationStream,
     ReseedingLfsr,
+    _permutation_ring,
 )
 from qclattice.primitives import poly, reciprocal
 
 
-def perm_stream(q, seed):
-    """A permutation stream with the shipped polynomial of degree ceil(log2 q)."""
-    gamma = (q - 1).bit_length()
-    return PermutationStream(q, seed, gamma, poly(gamma))
+def one_block_draws(q, seed, count):
+    """The first ``count`` draws of a one-block permutation stream."""
+    stream = PermutationStream(q, [seed])
+    return [stream.next_perm()[0] for _ in range(count)]
 
 
 def first_block_permutation(seeds, q):
     """The block permutation of frame 0: one draw from each seed of t."""
-    return BlockPermutation(q, [perm_stream(q, s).next_perm() for s in seeds])
+    return BlockPermutation(q, PermutationStream(q, seeds).next_perm())
 
 
 def test_lfsr_full_period_primitive():
@@ -47,14 +48,14 @@ def test_lfsr_rejects_zero_seed():
 
 
 def test_reseeding_stream_deterministic():
-    a = ReseedingLfsr(5, poly(5), reciprocal(5), 9)
-    b = ReseedingLfsr(5, poly(5), reciprocal(5), 9)
+    a = ReseedingLfsr(5, 9)
+    b = ReseedingLfsr(5, 9)
     assert np.array_equal(a.next_bits(500), b.next_bits(500))
 
 
 @pytest.mark.parametrize("l1", [3, 4, 5, 6])
 def test_reseeding_joint_period(l1):
-    lf = ReseedingLfsr(l1, poly(l1), reciprocal(l1), 1)
+    lf = ReseedingLfsr(l1, 1)
     start = ref.joint_state(lf)
     steps = 0
     target = ((1 << l1) - 1) ** 2
@@ -68,35 +69,32 @@ def test_reseeding_joint_period(l1):
 
 
 def test_error_vector_mean_weight():
-    lf = ReseedingLfsr(9, poly(9), reciprocal(9), 333)
+    lf = ReseedingLfsr(9, 333)
     weights = [int(lf.next_bits(258).sum()) for _ in range(1000)]
     assert abs(np.mean(weights) - 129) <= 10
 
 
 def test_error_vector_deterministic():
-    a = ReseedingLfsr(9, poly(9), reciprocal(9), 7)
-    b = ReseedingLfsr(9, poly(9), reciprocal(9), 7)
+    a = ReseedingLfsr(9, 7)
+    b = ReseedingLfsr(9, 7)
     assert np.array_equal(a.next_bits(258), b.next_bits(258))
 
 
 def test_permutation_q7_is_state_sequence():
     # q = 2^gamma - 1: no rejection, values are the visited states minus one
     seed = 5
-    st = perm_stream(7, seed)
     walker = Lfsr(3, poly(3), seed)
     states = []
     for _ in range(7):
         states.append(walker.state - 1)
         walker.advance(1)
-    perm = st.next_perm()
+    (perm,) = one_block_draws(7, seed, 1)
     assert np.array_equal(perm, states)
     assert sorted(perm.tolist()) == list(range(7))
 
 
 def test_permutation_q43_bijections():
-    st = perm_stream(43, 21)
-    for _ in range(100):
-        p = st.next_perm()
+    for p in one_block_draws(43, 21, 100):
         assert sorted(p.tolist()) == list(range(43))
 
 
@@ -105,8 +103,7 @@ def test_permutation_never_non_bijective_bulk(q):
     # one full period plus one draw: every window a session can draw, then
     # the wrap back to the first
     period = (1 << (q - 1).bit_length()) - 1
-    st = perm_stream(q, 1)
-    draws = [st.next_perm() for _ in range(period + 1)]
+    draws = one_block_draws(q, 1, period + 1)
     for p in draws:
         assert (np.bincount(p, minlength=q) == 1).all()
     assert np.array_equal(draws[-1], draws[0])
@@ -114,19 +111,17 @@ def test_permutation_never_non_bijective_bulk(q):
 
 def test_permutation_rejects_power_of_two():
     with pytest.raises(InvalidParams):
-        perm_stream(8, 3)
+        PermutationStream(8, [3])
 
 
 def test_permutation_rejects_non_primitive_polynomial():
     # x^3 + 1 cycles 1 -> 4 -> 2 -> 1, which holds only three values below 5
     with pytest.raises(InvalidParams):
-        PermutationStream(5, 1, gamma=3, poly=0b1001)
+        _permutation_ring(5, 3, 0b001)
 
 
 def test_permutation_stream_rotates():
-    st = perm_stream(43, 11)
-    a = st.next_perm()
-    b = st.next_perm()
+    a, b = one_block_draws(43, 11, 2)
     assert not np.array_equal(a, b)
 
 
@@ -180,11 +175,12 @@ def test_seed_slices_layout():
 
 SMALL_LENGTHS = [2, 3, 4, 5, 6]
 REFERENCE_LENGTHS = [9, 61]  # l1 and d at the reference parameters
+N1496_LENGTHS = [11, 77]  # l1 and d of the (187, 8, 5) key, n = 1496
 
 
 def _pair(length, seed):
-    args = (length, poly(length), reciprocal(length), seed)
-    return ReseedingLfsr(*args), ref.ReseedingLfsr(*args)
+    oracle = ref.ReseedingLfsr(length, poly(length), reciprocal(length), seed)
+    return ReseedingLfsr(length, seed), oracle
 
 
 def _seed(length):
@@ -245,7 +241,7 @@ def test_seek_matches_replay_at_reference_lengths(length, which, t, count):
 
 
 @settings(deadline=None, max_examples=150)
-@given(st.sampled_from(SMALL_LENGTHS + REFERENCE_LENGTHS), st.data(),
+@given(st.sampled_from(SMALL_LENGTHS + REFERENCE_LENGTHS + N1496_LENGTHS), st.data(),
        st.integers(0, 1 << 70), st.integers(0, 5000), st.integers(0, 300))
 def test_seek_then_step_equals_seek_further(length, data, a, b, k):
     seed = data.draw(_seed(length))
@@ -259,7 +255,7 @@ def test_seek_then_step_equals_seek_further(length, data, a, b, k):
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.sampled_from(SMALL_LENGTHS + REFERENCE_LENGTHS), st.data(),
+@given(st.sampled_from(SMALL_LENGTHS + REFERENCE_LENGTHS + N1496_LENGTHS), st.data(),
        st.one_of(st.just(0), st.integers(1, 1 << 40)), st.integers(0, 3000))
 def test_lfsr_jump_matches_stepping(length, data, periods, steps):
     """jump(periods * (2^length - 1) + steps) against stepping ``steps`` times.
@@ -285,7 +281,37 @@ def test_next_perm_after_seek_matches_reference(q, seed):
     oracle = ref.PermutationStream(q, seed, gamma, poly(gamma))
     draws = [oracle.next_perm() for _ in range(2 * period + 3)]
     for j in range(2 * period + 2):
-        stream = perm_stream(q, seed)
+        stream = PermutationStream(q, [seed])
         stream.seek(j)
-        assert np.array_equal(stream.next_perm(), draws[j]), j
-        assert np.array_equal(stream.next_perm(), draws[j + 1]), j
+        assert np.array_equal(stream.next_perm()[0], draws[j]), j
+        assert np.array_equal(stream.next_perm()[0], draws[j + 1]), j
+
+
+def _frame_near_a_wrap(period):
+    """Frames j < 2^64 within two of a multiple of the period."""
+    wraps = st.integers(1, (1 << 64) // period - 1)
+    return st.builds(lambda w, d: w * period + d, wraps, st.integers(-2, 2))
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.sampled_from([3, 5, 7, 13, 43, 187]), st.data())
+def test_v_seed_stream_matches_stacked_reference_draws(q, data):
+    """seek(j) then next_perm() is the stack of v one-seed oracle draws at j.
+
+    The oracle replays j mod 2^gamma - 1 steps: its register is primitive,
+    so that is where j steps leave it.  A second draw crosses the wrap
+    when j is one short of it.
+    """
+    gamma = (q - 1).bit_length()
+    period = (1 << gamma) - 1
+    seeds = data.draw(st.lists(st.integers(1, period), min_size=1, max_size=8))
+    j = data.draw(st.one_of(st.integers(0, (1 << 64) - 1), _frame_near_a_wrap(period)))
+    stream = PermutationStream(q, seeds)
+    stream.seek(j)
+    oracles = [ref.PermutationStream(q, seed, gamma, poly(gamma)) for seed in seeds]
+    for oracle in oracles:
+        oracle.seek(j % period)
+    for _ in range(2):
+        blocks = stream.next_perm()
+        assert blocks.shape == (len(seeds), q)
+        assert np.array_equal(blocks, np.stack([o.next_perm() for o in oracles]))

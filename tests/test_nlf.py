@@ -209,6 +209,22 @@ def test_control_vector_length_enforced(ctx_small):
         ctx_small.apply_f(np.zeros(6, dtype=np.int64), [1])
 
 
+@pytest.mark.parametrize("method", ["apply_f", "invert_f"])
+@pytest.mark.parametrize("bad", [
+    [-1, 0], [256, 0], [np.nan, 0], [2, 0], [0.7, 0],
+], ids=["-1", "256", "nan", "2", "0.7"])
+def test_control_entries_other_than_0_and_1_fail_typed(ctx_small, method, bad):
+    with pytest.raises(InvalidParams):
+        getattr(ctx_small, method)(np.zeros(6, dtype=np.int64), bad)
+
+
+def test_control_bits_of_any_dtype(ctx_small):
+    a = np.arange(6, dtype=np.int64)
+    want = ctx_small.apply_f(a, np.array([1, 0], dtype=np.uint8))
+    for h in ([1, 0], [True, False], [1.0, 0.0]):
+        assert np.array_equal(ctx_small.apply_f(a, h), want)
+
+
 def test_memoization_consistency(ctx_small):
     rng = np.random.default_rng(10)
     h = np.array([1, 1], dtype=np.uint8)
