@@ -1,8 +1,11 @@
-"""Key generation, sessions, and the encrypt/decrypt pipelines.
+"""Key generation, sessions, and the frame pipeline of the paper's two schemes.
 
-Two modes share the machinery: raw mode masks an unrestricted integer
-message (noiseless channel), joint mode restricts messages to the transmit
-constellation and adds hypercube shaping so the ciphertext doubles as a
+One pipeline serves both: check the message, draw the frame's material,
+apply the NLF, map onto the lattice, mask with the error vector, permute;
+decryption runs it backwards.  Raw mode (the Rao-Nam-like cipher) takes an
+integer message up to ``CipherParams.raw_bound`` and maps it with
+encode/encode_inverse; joint mode takes a transmit-constellation message
+and maps it with shape/mod_recover, so the ciphertext doubles as a
 power-constrained channel codeword.  A session owns the rotating material
 (error vector, control line, block permutation) and hands out frames'
 material in counter order from wherever it was last positioned.
@@ -25,7 +28,6 @@ and the int32 ciphertext format can serve.
 
 from __future__ import annotations
 
-import functools
 import numbers
 import random
 import re
@@ -83,6 +85,17 @@ class CipherParams:
     def gamma(self) -> int:
         # ceil(log2 q), exactly: the seed width PermutationStream derives
         return (self.q - 1).bit_length()
+
+    @property
+    def raw_bound(self) -> int:
+        """Largest B = max|m_i| for which raw mode stays exact in int64.
+
+        |a| = |m + 1 - e| <= B + 1, so |x| = |a U^alpha| <= n(B + 1) and the
+        ciphertext 2(x_sys, x_sys A + 2 x_par) - 1 + 2e has |y| <= 2(k + 2)
+        n(B + 1) + 3, which must stay below 2^63; invert_f also verifies a
+        preimage only up to 2^52.  About 2^46 at the reference parameters.
+        """
+        return min((1 << 52) - 1, ((1 << 63) - 4) // (2 * (self.k + 2) * self.n) - 1)
 
     def secret_fields(self) -> tuple:
         """(name, count, width) of each secret key field, in file order.
@@ -187,13 +200,19 @@ def keygen(params: CipherParams, master_seed: int) -> SecretKey:
 _DECODER = DecoderConfig()
 
 
-@functools.lru_cache(maxsize=16)
-def _constellation_bounds(n: int, L: int):
-    """Read-only per-coordinate bounds (lo, hi) of the transmit constellation."""
-    lo = np.tile(np.array([0, -L], dtype=np.int64), n // 2)
-    hi = np.tile(np.array([L - 1, -1], dtype=np.int64), n // 2)
-    lo.flags.writeable = hi.flags.writeable = False
-    return lo, hi
+def _fold(v) -> np.ndarray:
+    """The constellation layout: odd coordinates map v -> -1 - v, even ones keep v.
+
+    Its own inverse: it takes symbols 0..L-1 to a constellation vector and back.
+    """
+    out = np.array(v, dtype=np.int64)
+    out[1::2] = -1 - out[1::2]
+    return out
+
+
+def _int64_holds(v: np.ndarray) -> bool:
+    """Whether v has an integer dtype whose every value int64 holds (not uint64)."""
+    return v.dtype.kind in "iu" and np.can_cast(v.dtype, np.int64)
 
 
 class CipherSession:
@@ -235,66 +254,74 @@ class CipherSession:
         self.perm_stream.seek(frame)
         self.counter = frame
 
-    # --- constellation -----------------------------------------------------
+    # --- the frame pipeline of both schemes --------------------------------
+
+    def _vector(self, v, what: str, dtype=None) -> np.ndarray:
+        v = np.asarray(v, dtype=dtype)
+        if v.shape != (self.params.n,):
+            raise InvalidParams(f"{what} length mismatch")
+        return v
 
     def check_constellation(self, m: np.ndarray):
         """Pairwise ranges: even 0-indexed coords in [0, L-1], odd in [-L, -1]."""
-        lo, hi = _constellation_bounds(self.params.n, self.params.L)
-        bad = (m < lo) | (m > hi)
+        sym = _fold(m)
+        bad = (sym < 0) | (sym >= self.params.L)
         if bad.any():
             if bad[0::2].any():
                 raise ConstellationViolation("even-pair coordinate outside [0, L-1]")
             raise ConstellationViolation("odd-pair coordinate outside [-L, -1]")
 
-    # --- joint mode ----------------------------------------------------------
-
-    def encrypt_joint(self, m) -> Ciphertext:
-        m = np.asarray(m, dtype=np.int64)
-        if m.shape != (self.params.n,):
-            raise InvalidParams("message length mismatch")
-        self.check_constellation(m)
+    def _encrypt(self, m, joint: bool) -> Ciphertext:
+        """Every check runs before the material draw: a refusal uses no counter value."""
+        m = self._vector(m, "message")
+        if not _int64_holds(m):
+            raise InvalidParams(f"message dtype {m.dtype} is not an integer type int64 holds")
+        m = m.astype(np.int64, copy=False)
+        if joint:
+            self.check_constellation(m)
+        elif (m > self.params.raw_bound).any() or (m < -self.params.raw_bound).any():
+            raise InvalidParams(f"raw message coordinate beyond +-{self.params.raw_bound}")
         j, e, h, perm = self._frame_material()
         x = self.nlf.apply_f(m + (1 - e), h)
-        y = perm.apply(self.lattice.shape(x) + 2 * e)
-        return Ciphertext(y=y, counter=j)
+        lam = self.lattice.shape(x) if joint else self.lattice.encode(x)
+        return Ciphertext(y=perm.apply(lam + 2 * e), counter=j)
 
-    def decrypt_joint(self, r, sigma: float) -> np.ndarray:
-        r = np.asarray(r, dtype=np.float64)
-        if r.shape != (self.params.n,):
-            raise InvalidParams("observation length mismatch")
-        j, e, h, perm = self._frame_material()
-        ebar = 1 - e
-        r1 = perm.apply_inverse(r)
-        r2 = r1 - 2 * e
-        if sigma <= 0:
-            if not observation_ok(r2):
+    def _decrypt(self, y, joint: bool, sigma: float = 0.0) -> np.ndarray:
+        """Joint mode decodes a float64 observation unless sigma <= 0; raw mode
+        reads y uncast and refuses a non-integer dtype before drawing material."""
+        if joint:
+            y = self._vector(y, "observation", np.float64)
+        else:
+            y = self._vector(y, "ciphertext")
+            if not _int64_holds(y):
+                raise NotLatticePoint(f"ciphertext dtype {y.dtype} is not an integer type")
+        _, e, h, perm = self._frame_material()
+        r = perm.apply_inverse(y) - 2 * e
+        if not joint:
+            x = self.lattice.encode_inverse(r)
+        elif sigma <= 0:
+            if not observation_ok(r):
                 raise NotLatticePoint("noiseless input is not finite, or reaches 2^52")
-            lam = np.rint(r2).astype(np.int64)
+            lam = np.rint(r).astype(np.int64)
             if not self.lattice.syndrome_ok(lam):
                 raise NotLatticePoint("noiseless input is not a lattice translate point")
+            x = self.lattice.mod_recover(lam)
         else:
-            lam = decode(self.lattice, _DECODER, r2, sigma)
-        x = self.lattice.mod_recover(lam)
-        m_prime = self.nlf.invert_f(x, h)
-        return m_prime - ebar
+            x = self.lattice.mod_recover(decode(self.lattice, _DECODER, r, sigma))
+        return self.nlf.invert_f(x, h) - (1 - e)
 
-    # --- raw mode -------------------------------------------------------------
+    def encrypt_joint(self, m) -> Ciphertext:
+        return self._encrypt(m, joint=True)
+
+    def decrypt_joint(self, r, sigma: float) -> np.ndarray:
+        return self._decrypt(r, joint=True, sigma=sigma)
 
     def encrypt_raw(self, m) -> np.ndarray:
-        m = np.asarray(m, dtype=np.int64)
-        if m.shape != (self.params.n,):
-            raise InvalidParams("message length mismatch")
-        _, e, h, perm = self._frame_material()
-        x = self.nlf.apply_f(m + (1 - e), h)
-        return perm.apply(self.lattice.encode(x) + 2 * e)
+        """Raw mode takes any integer vector with every |m_i| <= params.raw_bound."""
+        return self._encrypt(m, joint=False).y
 
     def decrypt_raw(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=np.int64)
-        if y.shape != (self.params.n,):
-            raise InvalidParams("ciphertext length mismatch")
-        _, e, h, perm = self._frame_material()
-        x = self.lattice.encode_inverse(perm.apply_inverse(y) - 2 * e)
-        return self.nlf.invert_f(x, h) - (1 - e)
+        return self._decrypt(y, joint=False)
 
 
 # --- bit framing --------------------------------------------------------------
@@ -324,10 +351,7 @@ def pack_bits(data: bytes, n: int, L: int):
         bits = np.unpackbits(np.frombuffer(padded, dtype=np.uint8), bitorder="little")
         fields = np.zeros(n * bits_per, dtype=np.uint8)
         fields[: cap * 8] = bits
-        vals = fields.reshape(n, bits_per).astype(np.int64) @ weights
-        m = vals.copy()
-        m[1::2] = -1 - vals[1::2]
-        yield m, len(chunk)
+        yield _fold(fields.reshape(n, bits_per).astype(np.int64) @ weights), len(chunk)
 
 
 def unpack_bits(frames, n: int, L: int) -> bytes:
@@ -336,9 +360,7 @@ def unpack_bits(frames, n: int, L: int) -> bytes:
     cap = frame_capacity_bytes(n, L)
     out = bytearray()
     for m, payload_len in frames:
-        m = np.asarray(m, dtype=np.int64)
-        vals = m.copy()
-        vals[1::2] = -1 - m[1::2]
+        vals = _fold(m)
         if (vals < 0).any() or (vals >= L).any():
             raise FormatError("vector outside the constellation")
         bits = ((vals[:, None] >> np.arange(bits_per)) & 1).astype(np.uint8)

@@ -182,6 +182,69 @@ def test_raw_detects_even_coordinate(toy_key):
         rx.decrypt_raw(y)
 
 
+def test_decrypt_raw_refuses_non_integer_ciphertext(paper_key):
+    # an int64 cast used to truncate y + 0.3 back to y, parse "5" as 5 or
+    # read y back from its uint64 wrap, and decrypt it
+    tx, rx = CipherSession(paper_key), CipherSession(paper_key)
+    y = tx.encrypt_raw(np.arange(paper_key.params.n))
+    for bad in (y.astype(np.float64) + 0.3, y.astype(str), y.astype(np.uint64)):
+        with pytest.raises(NotLatticePoint, match="not an integer type"):
+            rx.decrypt_raw(bad)
+    assert rx.counter == 0
+
+
+def test_raw_bound_keeps_the_ciphertext_inside_int64():
+    for p in (PAPER_PARAMS, TOY):
+        bound = 2 * (p.k + 2) * p.n
+        assert bound * (p.raw_bound + 1) + 3 < 2**63
+        assert p.raw_bound == 2**52 - 1 or bound * (p.raw_bound + 2) + 3 >= 2**63
+    assert 10**6 < PAPER_PARAMS.raw_bound < 2**47
+
+
+def test_raw_round_trips_at_its_bound_and_refuses_beyond(paper_key):
+    tx, rx = CipherSession(paper_key), CipherSession(paper_key)
+    n, bound = paper_key.params.n, paper_key.params.raw_bound
+    rng = np.random.default_rng(5)
+    for signs in [np.ones(n, dtype=np.int64), -np.ones(n, dtype=np.int64)] + [
+        rng.choice([-1, 1], size=n) for _ in range(8)
+    ]:
+        m = bound * signs
+        assert np.array_equal(rx.decrypt_raw(tx.encrypt_raw(m)), m)
+    # every coordinate 2^49 - 1 used to wrap int64 in encode and fail only on decrypt
+    for m in (np.full(n, 2**49 - 1), np.full(n, -bound - 1), np.full(n, -(2**63))):
+        with pytest.raises(InvalidParams, match="raw message coordinate"):
+            tx.encrypt_raw(m)
+
+
+@pytest.mark.parametrize("mode", ["joint", "raw"])
+@pytest.mark.parametrize("reason", ["length", "float", "uint64", "range"])
+def test_refused_message_uses_no_counter_value(paper_key, mode, reason):
+    p = paper_key.params
+    m = random_message(np.random.default_rng(6), p.n, p.L)
+    if reason == "length":
+        bad = m[:-1]
+    elif reason == "float":
+        bad = m.astype(np.float64)
+        bad[0] = 3.7  # an int64 cast used to truncate it to 3 and encrypt that
+    elif reason == "uint64":
+        bad = m.astype(np.uint64)  # an int64 cast used to read m back from it
+    else:
+        # joint: odd coordinates must be negative; raw: |m_i| <= raw_bound
+        bad = m.copy()
+        bad[1] = 0 if mode == "joint" else p.raw_bound + 1
+    error = ConstellationViolation if (mode, reason) == ("joint", "range") else InvalidParams
+    session = CipherSession(paper_key)
+    encrypt = getattr(session, f"encrypt_{mode}")
+    with pytest.raises(error):
+        encrypt(bad)
+    assert session.counter == 0
+    got, want = encrypt(m), getattr(CipherSession(paper_key), f"encrypt_{mode}")(m)
+    if mode == "joint":
+        assert got.counter == want.counter == 0
+        got, want = got.y, want.y
+    assert np.array_equal(got, want)
+
+
 def test_desynchronized_session_garbles(toy_key):
     tx, rx = CipherSession(toy_key), CipherSession(toy_key)
     rx.advance_to(1)  # off by one frame
