@@ -90,7 +90,7 @@ def differential_cost_log2(params: CipherParams, rounds_log2: float | None = Non
     if rounds_log2 is None:
         rounds_log2 = float(p.v * p.gamma)
     t1 = math.log2(p.k) + 2.0 * p.d
-    t2 = (p.l1 + p.l2 + 2) + math.log2(2 * p.v * p.q * p.q)
+    t2 = (p.l1 + p.d + 2) + math.log2(2 * p.v * p.q * p.q)
     t3 = rounds_log2 + math.log2(p.k) + (p.d + 1)
     return _log2_sum([t1, t2, t3])
 

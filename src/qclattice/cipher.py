@@ -14,6 +14,11 @@ receiver seeks to the counter of each frame it sees, forward or back, in
 O(log j) time, so missing, repeated and reordered frames decrypt
 independently.
 
+Every vector is checked before any cast and before the frame's material
+is drawn, so a refusal uses no counter value: the message, a raw
+ciphertext and each ``unpack_bits`` frame by ``errors.int_vector``, a
+joint observation by ``errors.vector``.
+
 ``CipherParams.secret_fields`` is the one statement of the key layout:
 the name, value count and bit width of each secret field, in file order.
 ``save_key``, ``load_key`` and ``analysis.key_size_bits`` read it, and the
@@ -42,6 +47,8 @@ from .errors import (
     FormatError,
     InvalidParams,
     NotLatticePoint,
+    int_vector,
+    vector,
 )
 from .keystream import BlockPermutation, PermutationStream, ReseedingLfsr
 from .lattice import LatticeCtx
@@ -76,10 +83,6 @@ class CipherParams:
     def l1(self) -> int:
         # ceil(log2 n), exactly
         return max(1, (self.n - 1).bit_length())
-
-    @property
-    def l2(self) -> int:
-        return self.d
 
     @property
     def gamma(self) -> int:
@@ -210,11 +213,6 @@ def _fold(v) -> np.ndarray:
     return out
 
 
-def _int64_holds(v: np.ndarray) -> bool:
-    """Whether v has an integer dtype whose every value int64 holds (not uint64)."""
-    return v.dtype.kind in "iu" and np.can_cast(v.dtype, np.int64)
-
-
 class CipherSession:
     """Stateful encrypt/decrypt context; frames advance the material."""
 
@@ -256,15 +254,9 @@ class CipherSession:
 
     # --- the frame pipeline of both schemes --------------------------------
 
-    def _vector(self, v, what: str, dtype=None) -> np.ndarray:
-        v = np.asarray(v, dtype=dtype)
-        if v.shape != (self.params.n,):
-            raise InvalidParams(f"{what} length mismatch")
-        return v
-
     def check_constellation(self, m: np.ndarray):
         """Pairwise ranges: even 0-indexed coords in [0, L-1], odd in [-L, -1]."""
-        sym = _fold(m)
+        sym = _fold(int_vector(m, self.params.n, "message"))
         bad = (sym < 0) | (sym >= self.params.L)
         if bad.any():
             if bad[0::2].any():
@@ -273,10 +265,7 @@ class CipherSession:
 
     def _encrypt(self, m, joint: bool) -> Ciphertext:
         """Every check runs before the material draw: a refusal uses no counter value."""
-        m = self._vector(m, "message")
-        if not _int64_holds(m):
-            raise InvalidParams(f"message dtype {m.dtype} is not an integer type int64 holds")
-        m = m.astype(np.int64, copy=False)
+        m = int_vector(m, self.params.n, "message")
         if joint:
             self.check_constellation(m)
         elif (m > self.params.raw_bound).any() or (m < -self.params.raw_bound).any():
@@ -287,14 +276,12 @@ class CipherSession:
         return Ciphertext(y=perm.apply(lam + 2 * e), counter=j)
 
     def _decrypt(self, y, joint: bool, sigma: float = 0.0) -> np.ndarray:
-        """Joint mode decodes a float64 observation unless sigma <= 0; raw mode
-        reads y uncast and refuses a non-integer dtype before drawing material."""
+        """Joint mode decodes a real observation, as float64, unless sigma <= 0;
+        raw mode reads an exact integer ciphertext."""
         if joint:
-            y = self._vector(y, "observation", np.float64)
+            y = vector(y, self.params.n, "observation").astype(np.float64, copy=False)
         else:
-            y = self._vector(y, "ciphertext")
-            if not _int64_holds(y):
-                raise NotLatticePoint(f"ciphertext dtype {y.dtype} is not an integer type")
+            y = int_vector(y, self.params.n, "ciphertext", NotLatticePoint)
         _, e, h, perm = self._frame_material()
         r = perm.apply_inverse(y) - 2 * e
         if not joint:
@@ -360,7 +347,7 @@ def unpack_bits(frames, n: int, L: int) -> bytes:
     cap = frame_capacity_bytes(n, L)
     out = bytearray()
     for m, payload_len in frames:
-        vals = _fold(m)
+        vals = _fold(int_vector(m, n, "frame", FormatError))
         if (vals < 0).any() or (vals >= L).any():
             raise FormatError("vector outside the constellation")
         bits = ((vals[:, None] >> np.arange(bits_per)) & 1).astype(np.uint8)

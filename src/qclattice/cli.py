@@ -14,8 +14,6 @@ import os
 import sys
 from contextlib import nullcontext
 
-import numpy as np
-
 from . import analysis, channel
 from .cipher import (
     CipherParams,
@@ -111,7 +109,7 @@ def cmd_decrypt(args) -> int:
                 if payload > cap:
                     raise FormatError(f"payload {payload} exceeds frame capacity {cap}")
                 session.advance_to(counter)
-                m = session.decrypt_joint(coords.astype(np.float64), sigma)
+                m = session.decrypt_joint(coords, sigma)
                 plain = unpack_bits([(m, payload)], p.n, p.L)
             except QclatticeError as e:
                 if args.on_fail == "abort":

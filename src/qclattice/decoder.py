@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _clip, add_order, spa_core, tree_sum
-from .errors import DecodeFailure, InvalidParams
+from .errors import DecodeFailure, InvalidParams, vector
 from .lattice import LatticeCtx, check_sigma
 from .rdfcode import QcCode
 
@@ -148,11 +148,9 @@ def decode(ctx: LatticeCtx, cfg: DecoderConfig, r, sigma: float):
     DecodeFailure when the syndrome is still nonzero after
     cfg.max_iterations flooding iterations, or (with 0 iterations) when the
     observation fails observation_ok, and InvalidParams for a sigma that
-    lattice.check_sigma rejects.
+    lattice.check_sigma rejects, or for an r that ``errors.vector`` refuses.
     """
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape != (ctx.n,):
-        raise InvalidParams("observation length mismatch")
+    r = vector(r, ctx.n, "observation").astype(np.float64, copy=False)
     if not observation_ok(r):
         raise DecodeFailure("observation is not finite, or reaches 2^52", iterations=0)
     chan = channel_llr(r, sigma, cfg.coset_window, cfg.llr_clip)

@@ -1,4 +1,12 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the one vector check.
+
+Entry points take length-n vectors through ``vector`` (any integer or real
+dtype: observations) or ``int_vector`` (an integer dtype int64 holds: the
+exact maps).  Both check the dtype before any cast, so no entry point
+truncates, parses or wraps its input.
+"""
+
+import numpy as np
 
 
 class QclatticeError(Exception):
@@ -51,3 +59,22 @@ class ConstellationViolation(QclatticeError):
 
 class FormatError(QclatticeError):
     """Malformed key, ciphertext or observation file."""
+
+
+def vector(v, n: int, what: str, error=InvalidParams) -> np.ndarray:
+    """v as an array of shape (n,) and an integer or real dtype, uncast, or raise error."""
+    v = np.asarray(v)
+    if v.shape != (n,):
+        raise error(f"{what} has shape {v.shape}, not ({n},)")
+    if v.dtype.kind not in "iuf":
+        raise error(f"{what} dtype {v.dtype} is not numeric")
+    return v
+
+
+def int_vector(v, n: int, what: str, error=InvalidParams) -> np.ndarray:
+    """``vector`` of an integer dtype int64 holds (not bool or uint64), as int64."""
+    v = np.asarray(v)
+    kind = v.dtype.kind  # int64 holds every signed type and unsigned below 64 bits
+    if not (kind == "i" or kind == "u" and v.dtype.itemsize < 8):
+        raise error(f"{what} dtype {v.dtype} is not an integer type int64 holds")
+    return vector(v, n, what, error).astype(np.int64, copy=False)

@@ -17,7 +17,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, int_vector, vector
 
 KEY_MAGIC = "qclattice-key"
 KEY_VERSION = 1
@@ -114,18 +114,18 @@ class FrameWriter:
     def write_frame(self, counter: int, payload_len: int, coords: np.ndarray):
         """Append one frame, or raise FormatError and write nothing.
 
-        The counter must fit u64, the payload length u32, and exact
-        coordinates int32; the frame must hold n coordinates.
+        The counter must fit u64, the payload length u32, and the frame n
+        coordinates: exact ones of an integer dtype (``errors.int_vector``)
+        within int32, observations of any integer or real dtype
+        (``errors.vector``).
         """
         if self.observations:
-            arr = np.asarray(coords, dtype="<f8")
+            arr = vector(coords, self.n, "frame", FormatError).astype("<f8", copy=False)
         else:
-            arr = np.asarray(coords, dtype=np.int64)
+            arr = int_vector(coords, self.n, "frame", FormatError)
             if ((arr < _INT32.min) | (arr > _INT32.max)).any():
                 raise FormatError("coordinate exceeds int32 range")
             arr = arr.astype("<i4")
-        if arr.shape != (self.n,):
-            raise FormatError("frame length mismatch")
         try:
             head = _FRAME_HEAD.pack(counter, payload_len)
         except struct.error as e:

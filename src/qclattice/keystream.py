@@ -40,7 +40,7 @@ import numpy as np
 
 from . import gf2poly, primitives
 from .bitmat import poly_to_bits
-from .errors import InvalidParams, ZeroSeedSlice
+from .errors import InvalidParams, ZeroSeedSlice, vector
 
 
 @functools.lru_cache(maxsize=64)
@@ -262,13 +262,7 @@ class BlockPermutation:
         self._fwd, self._inv = fwd, inv
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.shape != (self.n,):
-            raise InvalidParams("vector length mismatch")
-        return x[self._fwd]
+        return vector(x, self.n, "vector")[self._fwd]
 
     def apply_inverse(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y)
-        if y.shape != (self.n,):
-            raise InvalidParams("vector length mismatch")
-        return y[self._inv]
+        return vector(y, self.n, "vector")[self._inv]

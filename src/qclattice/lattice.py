@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParams, NotLatticePoint, ShapingOverflow
+from .errors import InvalidParams, NotLatticePoint, ShapingOverflow, int_vector
 from .rdfcode import QcCode, systematic_generator
 
 
@@ -50,29 +50,25 @@ class LatticeCtx:
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         """Translate encoding 2*x*G - 1; all components odd."""
-        x = np.asarray(x, dtype=np.int64)
-        if x.shape != (self.n,):
-            raise InvalidParams("vector length mismatch")
+        x = int_vector(x, self.n, "vector")
         sys = x[: self.k]
         return 2 * np.concatenate([sys, sys @ self.a + 2 * x[self.k :]]) - 1
 
     def _residue(self, lam):
         """(u_sys, u_par - u_sys*A) for u = (lam + 1)/2 of an all-odd integer lam."""
-        lam = np.asarray(lam)
-        if lam.shape != (self.n,):
-            raise InvalidParams("vector length mismatch")
-        if not np.issubdtype(lam.dtype, np.integer) or not (lam & 1).all():
-            raise NotLatticePoint("vector is not an all-odd integer vector")
-        u = (lam.astype(np.int64) + 1) >> 1
+        lam = int_vector(lam, self.n, "lattice point", NotLatticePoint)
+        if not (lam & 1).all():
+            raise NotLatticePoint("vector has an even coordinate")
+        u = (lam + 1) >> 1
         sys = u[: self.k]
         return sys, u[self.k :] - sys @ self.a
 
     def encode_inverse(self, lam: np.ndarray) -> np.ndarray:
         """The x with encode(x) = lam: [u_sys, (u_par - u_sys*A)/2].
 
-        Raises NotLatticePoint unless lam is an integer vector with all
-        coordinates odd whose u_par - u_sys*A is even, that is, a point of
-        the translate; InvalidParams for a length mismatch.
+        Raises NotLatticePoint unless lam is a length-n vector of an
+        integer dtype int64 holds, with all coordinates odd, whose
+        u_par - u_sys*A is even: a point of the translate.
         """
         sys, t = self._residue(lam)
         if (t & 1).any():
@@ -80,7 +76,7 @@ class LatticeCtx:
         return np.concatenate([sys, t >> 1])
 
     def syndrome_ok(self, lam: np.ndarray) -> bool:
-        """Whether lam is an all-odd integer vector whose lift has zero syndrome."""
+        """Whether lam is a translate point: encode_inverse(lam) would not raise."""
         try:
             _, t = self._residue(lam)
         except NotLatticePoint:
@@ -101,9 +97,7 @@ class LatticeCtx:
         coordinates are shifted into the box regardless, which keeps
         re-shaping a shaped vector the identity.)
         """
-        x = np.asarray(x, dtype=np.int64)
-        if x.shape != (self.n,):
-            raise InvalidParams("vector length mismatch")
+        x = int_vector(x, self.n, "vector")
         sys = x[: self.k]
         # signed bounds: 2 * np.abs(x) wraps in int64 once |x| >= 2^62
         if (sys > self.half).any() or (sys < -self.half).any():
@@ -125,8 +119,9 @@ class LatticeCtx:
 
         Solves x' = encode_inverse(lam) exactly, then maps each coordinate
         back through the signed window of width n*L - 1.  Raises
-        NotLatticePoint for anything but a translate point: a non-integer
-        dtype, an even coordinate, or an odd vector off the lattice.
+        NotLatticePoint for anything but a translate point: a wrong length,
+        a dtype that is not an integer type int64 holds, an even
+        coordinate, or an odd vector off the lattice.
         """
         r = np.mod(self.encode_inverse(lam_tilde_prime), self.mod_full)
         r[2 * r >= self.n * self.L] -= self.mod_full

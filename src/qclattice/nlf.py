@@ -1,7 +1,8 @@
 """Multiplexed companion-power map F(a, h) = a * U^alpha and its inverse.
 
 U is the companion matrix of a primitive g of degree n, alpha is selected
-by the d control bits h (alpha = sum h_i 2^i), and a is an integer vector.
+by the d control bits h (alpha = sum h_i 2^i), and a is an integer vector
+(of a dtype int64 holds: ``errors.int_vector``).
 U generates GF(2)[x]/(g), so the mod-2 power U^alpha is the multiplication
 matrix of x^alpha mod g, held in generator form
 (:class:`~qclattice.bitmat.PolyMulMatrix`: one bit sequence per tap block
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import gf2poly
 from .bitmat import PolyMulMatrix, bits_to_poly, power_poly_matrix
-from .errors import InvalidParams, NotInLattice
+from .errors import InvalidParams, NotInLattice, int_vector
 
 _VERIFY_BOUND = 1 << 52  # |v| above this cannot be verified in int64 safely
 
@@ -91,9 +92,7 @@ class NlfContext:
 
     def apply_f(self, a, h) -> np.ndarray:
         """a * U^alpha over the integers."""
-        a = np.asarray(a, dtype=np.int64)
-        if a.shape != (self.n,):
-            raise InvalidParams("input vector length mismatch")
+        a = int_vector(a, self.n, "input vector")
         return self._entry(h).vecmul(a)
 
     def invert_f(self, x, h) -> np.ndarray:
@@ -104,9 +103,7 @@ class NlfContext:
         has an integer preimage).  Preimage components must fit in 52 bits
         so the final verification multiply stays exact in int64.
         """
-        x = np.asarray(x, dtype=np.int64)
-        if x.shape != (self.n,):
-            raise InvalidParams("input vector length mismatch")
+        x = int_vector(x, self.n, "input vector")
         m = self._entry(h)
         # M^-1 mod 2 is the multiplication matrix of x^-alpha mod g
         m_inv = power_poly_matrix(self.g, self._x_power(h, inverse=True))

@@ -5,6 +5,11 @@ counters, payload lengths and coordinates, byte flips, truncations) may
 only end in a QclatticeError from FrameReader, and in exit 0 or 1 from
 `qclattice decrypt`: never another exception, and never a hang (each
 example runs under a deadline).
+
+The refusal matrix crosses every entry point that takes a length-n vector
+with each malformed vector: each must be refused with that entry point's
+typed error, before any cast could truncate, parse or wrap it, except
+that observation entry points take any integer or real dtype.
 """
 
 import contextlib
@@ -16,12 +21,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import deadline
+from conftest import deadline, random_message
 from qclattice import CipherParams, CipherSession, keygen
-from qclattice.cipher import pack_bits, save_key
+from qclattice.cipher import pack_bits, save_key, unpack_bits
 from qclattice.cli import main
-from qclattice.errors import QclatticeError
+from qclattice.decoder import DecoderConfig, decode
+from qclattice.errors import (
+    DecodeFailure,
+    FormatError,
+    InvalidParams,
+    NotLatticePoint,
+    QclatticeError,
+    int_vector,
+)
 from qclattice.formats import FrameReader, FrameWriter
+from qclattice.keystream import BlockPermutation
 
 PARAMS = CipherParams(b=13, n0=2, dv=3, q=13, L=4, d=8)
 N = PARAMS.n
@@ -168,3 +182,138 @@ def test_cli_decrypt_exits_0_or_1(paths, data, sigma, on_fail):
     with deadline(DEADLINE_S), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1)
+
+
+# --- the refusal matrix ------------------------------------------------------
+
+MESSAGE = random_message(np.random.default_rng(9), N, PARAMS.L)
+LATTICE = CipherSession(KEY).lattice
+NLF = CipherSession(KEY).nlf
+CONTROL = np.array([1, 0, 1, 1, 0, 0, 1, 0])
+PERM = BlockPermutation(PARAMS.q, [np.arange(PARAMS.q)[::-1]] * PARAMS.v)
+SHORT_INTS = np.arange(N, dtype=np.int64) % 7 - 3
+POINT = LATTICE.shape(SHORT_INTS)
+
+
+def _syndrome_ok(lam):
+    if not LATTICE.syndrome_ok(lam):
+        raise NotLatticePoint("syndrome_ok is False")
+
+
+def _write(observations):
+    def write(coords):
+        buf = io.BytesIO()
+        w = FrameWriter(buf, N, KEY.digest(), observations)
+        header = buf.getvalue()
+        try:
+            w.write_frame(0, 1, coords)
+        except FormatError:
+            assert buf.getvalue() == header
+            raise
+    return write
+
+
+def _session(method, error, *extra):
+    """A fresh session's method; a vector it refuses uses no counter value."""
+    def call(v):
+        session = CipherSession(KEY)
+        try:
+            getattr(session, method)(v, *extra)
+        except error:
+            assert session.counter == 0
+            raise
+    return call
+
+
+# name: (call, a valid vector for it, the error that refuses a bad one)
+SITES = {
+    "encrypt_joint": (_session("encrypt_joint", InvalidParams), MESSAGE, InvalidParams),
+    "encrypt_raw": (_session("encrypt_raw", InvalidParams), MESSAGE, InvalidParams),
+    "check_constellation": (CipherSession(KEY).check_constellation, MESSAGE, InvalidParams),
+    "decrypt_raw": (_session("decrypt_raw", NotLatticePoint),
+                    CipherSession(KEY).encrypt_raw(MESSAGE), NotLatticePoint),
+    "encode": (LATTICE.encode, SHORT_INTS, InvalidParams),
+    "shape": (LATTICE.shape, SHORT_INTS, InvalidParams),
+    "encode_inverse": (LATTICE.encode_inverse, POINT, NotLatticePoint),
+    "mod_recover": (LATTICE.mod_recover, POINT, NotLatticePoint),
+    "syndrome_ok": (_syndrome_ok, POINT, NotLatticePoint),
+    "apply_f": (lambda a: NLF.apply_f(a, CONTROL), SHORT_INTS, InvalidParams),
+    "invert_f": (lambda x: NLF.invert_f(x, CONTROL), NLF.apply_f(SHORT_INTS, CONTROL),
+                 InvalidParams),
+    "ciphertext_writer": (_write(False), POINT, FormatError),
+    "unpack_bits": (lambda m: unpack_bits([(m, 1)], N, PARAMS.L), MESSAGE, FormatError),
+    "permute": (PERM.apply, POINT, InvalidParams),
+    "permute_inverse": (PERM.apply_inverse, POINT, InvalidParams),
+    "decode": (lambda r: decode(LATTICE, DecoderConfig(), r, 0.3), POINT, InvalidParams),
+    "decrypt_joint": (_session("decrypt_joint", InvalidParams, 0.0),
+                      CipherSession(KEY).encrypt_joint(MESSAGE).y, InvalidParams),
+    "observation_writer": (_write(True), POINT, FormatError),
+}
+
+
+def _fraction(v):
+    out = v.astype(np.float64)
+    out[0] += 0.25  # an int64 cast truncated it back to v[0]
+    return out
+
+
+def _uint64(v):
+    out = np.abs(v).astype(np.uint64)
+    out[0] = 2**63  # an int64 cast wrapped it to -2^63
+    return out
+
+
+BAD = {
+    "fraction": _fraction,
+    "integral": lambda v: v.astype(np.float64),
+    "str": lambda v: v.astype(str),  # an int64 cast parsed "-5" as -5
+    "uint64": _uint64,
+    "bool": lambda v: v != 0,
+    "short": lambda v: v[:-1],
+}
+
+# Entry points that take any integer or real dtype, with what the uint64
+# case then meets downstream (None: it returns): 2^63 reaches 2^52.
+REAL_SITES = {
+    "permute": None,
+    "permute_inverse": None,
+    "decode": DecodeFailure,
+    "decrypt_joint": NotLatticePoint,  # noiseless
+    "observation_writer": None,
+}
+
+
+def _outcome(site, case):
+    """The error (site, case) must raise, or None where the call returns."""
+    if site in REAL_SITES and case in ("fraction", "integral", "uint64"):
+        return REAL_SITES[site] if case == "uint64" else None
+    return SITES[site][2]
+
+
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_refusal_matrix_sites_take_their_valid_vector(site):
+    call, valid, _ = SITES[site]
+    call(valid)
+
+
+@pytest.mark.parametrize("case", sorted(BAD))
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_refusal_matrix(site, case):
+    call, valid, _ = SITES[site]
+    bad = BAD[case](valid)
+    outcome = _outcome(site, case)
+    if outcome is None:
+        call(bad)
+    else:
+        with pytest.raises(outcome):
+            call(bad)
+
+
+@pytest.mark.parametrize("code", sorted(set(np.typecodes["All"])))
+def test_int_vector_takes_exactly_the_integer_dtypes_int64_holds(code):
+    v = np.zeros(3, dtype=code)
+    if v.dtype.kind in "iu" and np.can_cast(v.dtype, np.int64):
+        assert int_vector(v, 3, "v").dtype == np.int64
+    else:
+        with pytest.raises(InvalidParams, match="not an integer type int64 holds"):
+            int_vector(v, 3, "v")
