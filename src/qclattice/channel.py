@@ -13,7 +13,6 @@ Generator(Philox(key=...)).
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -24,7 +23,7 @@ import numpy as np
 
 from .cipher import CipherSession, SecretKey
 from .decoder import DecoderConfig, decode
-from .errors import DecodeFailure, InvalidParams, NotInLattice, NotLatticePoint
+from .errors import DecodeFailure, InvalidParams, NotInLattice, NotLatticePoint, integer
 from .lattice import LatticeCtx
 
 WORKERS_ENV = "QCLATTICE_WORKERS"
@@ -55,12 +54,9 @@ class SweepSpec:
             raise InvalidParams("VNR start, stop and step must be finite")
         if self.vnr_db_step <= 0:
             raise InvalidParams("step must be positive")
-        for name in ("trials_per_point", "rng_seed"):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-                raise InvalidParams(f"{name} must be an integer, not {v!r}")
-        if not 1 <= self.trials_per_point <= MAX_TRIALS:
-            raise InvalidParams(f"trials must be between 1 and {MAX_TRIALS}")
+        trials = integer(self.trials_per_point, "trials_per_point", 1, MAX_TRIALS + 1)
+        object.__setattr__(self, "trials_per_point", trials)
+        object.__setattr__(self, "rng_seed", integer(self.rng_seed, "rng_seed"))
         # inf when the span overflows or the step is tiny
         if not self._span() < MAX_SWEEP_POINTS:
             raise InvalidParams(f"VNR grid has more than {MAX_SWEEP_POINTS} points")
@@ -97,7 +93,7 @@ def _trial_streams(seed: int):
     the state of a fresh Generator(Philox(key=...)), so it draws the same
     stream without building a generator, and its OS entropy, per trial.
     """
-    key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
     bitgen = np.random.Philox(key=key)
     rng = np.random.Generator(bitgen)
     zeros = np.zeros(4, dtype=np.uint64)
@@ -211,9 +207,9 @@ def run_sweep(key: SecretKey, spec: SweepSpec, workers: int | None = None, progr
     """Monte-Carlo SER/FER sweep of the full cipher over the VNR grid.
 
     Returns rows (vnr_db, ser, fer, trials, seed).  Deterministic for a
-    fixed spec regardless of the worker count; workers defaults to
-    $QCLATTICE_WORKERS, else 1.  Raises InvalidParams before any trial
-    when a grid point has no usable sigma.
+    fixed spec regardless of the worker count; workers (an integer) defaults
+    to $QCLATTICE_WORKERS, else 1.  Raises InvalidParams before any trial for
+    a non-integer workers or a grid point with no usable sigma.
     """
     sigmas = point_sigmas(key, spec)
     if workers is None:
@@ -221,6 +217,7 @@ def run_sweep(key: SecretKey, spec: SweepSpec, workers: int | None = None, progr
             workers = int(os.environ.get(WORKERS_ENV, "1"))
         except ValueError:
             workers = 1
+    workers = integer(workers, "workers")
     return _sweep(partial(_cipher_link, key), key.params.n, sigmas, spec, workers, progress)
 
 

@@ -33,7 +33,6 @@ and the int32 ciphertext format can serve.
 
 from __future__ import annotations
 
-import numbers
 import random
 import re
 from dataclasses import dataclass
@@ -48,6 +47,7 @@ from .errors import (
     InvalidParams,
     NotLatticePoint,
     int_vector,
+    integer,
     vector,
 )
 from .keystream import BlockPermutation, PermutationStream, ReseedingLfsr
@@ -58,7 +58,7 @@ from .rdfcode import QcCode, rdf_search
 
 @dataclass(frozen=True)
 class CipherParams:
-    """Public parameter set; everything else derives from these six."""
+    """Public parameter set of six integers (any type but bool, held as int); the rest derives."""
 
     b: int
     n0: int
@@ -66,6 +66,10 @@ class CipherParams:
     q: int
     L: int
     d: int
+
+    def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            object.__setattr__(self, name, integer(getattr(self, name), name))
 
     @property
     def n(self) -> int:
@@ -147,8 +151,7 @@ class CipherParams:
         # shaped ciphertext coordinates reach 2nL - 1 and frames are int32
         if self.n * self.L > 1 << 30:
             raise InvalidParams("n * L must be at most 2^30 (int32 ciphertexts)")
-        if not 2 <= self.d <= 80:
-            raise InvalidParams("control width d must be in [2, 80]")
+        integer(self.d, "control width d", 2, 81)
         if self.q > (1 << self.gamma) - 1:
             raise InvalidParams("q must not be a power of two")
 
@@ -188,11 +191,9 @@ def keygen(params: CipherParams, master_seed: int) -> SecretKey:
     [0, 2^64): random.Random would fold a negative seed onto its absolute
     value and accept any wider one.
     """
-    if not (isinstance(master_seed, numbers.Integral) and not isinstance(master_seed, bool)
-            and 0 <= master_seed < 1 << 64):
-        raise InvalidParams(f"master seed must be an integer in [0, 2^64), not {master_seed!r}")
+    master_seed = integer(master_seed, "master seed", 0, 1 << 64)
     params.validate()
-    rng = random.Random(int(master_seed))
+    rng = random.Random(master_seed)
     code = rdf_search(params.b, params.n0, params.dv, rng.getrandbits(64))
     s = _draw_nonzero(rng, params.l1)
     h_seed = _draw_nonzero(rng, params.d)
@@ -242,8 +243,9 @@ class CipherSession:
         Frame j's material starts at bit j*n of the error stream, bit j*d of
         the control stream and frame j of the permutation stream; every
         stream jumps there from its seed in O(log j) multiplications, so a
-        crafted u64 counter costs about as much as a near one.
+        crafted u64 counter costs about as much as a near one.  frame: an integer >= 0.
         """
+        frame = integer(frame, "frame counter", 0)
         if frame == self.counter:
             return
         p = self.params
@@ -315,7 +317,10 @@ class CipherSession:
 
 
 def frame_capacity_bytes(n: int, L: int) -> int:
-    """Whole bytes carried per frame: floor(n * log2(L) / 8)."""
+    """Whole bytes per frame, floor(n log2(L) / 8); InvalidParams unless n >= 1, L = 2^i >= 2."""
+    n, L = integer(n, "frame length n", 1), integer(L, "L", 2)
+    if L & (L - 1):
+        raise InvalidParams("L must be a power of two >= 2")
     return (n * (L.bit_length() - 1)) // 8
 
 
@@ -325,10 +330,8 @@ def pack_bits(data: bytes, n: int, L: int):
     Yields (message_vector, payload_byte_count); the final partial frame is
     zero-padded.  Empty input yields one zero-padded frame.
     """
-    if L < 2 or L & (L - 1):
-        raise InvalidParams("L must be a power of two >= 2")
-    bits_per = L.bit_length() - 1
     cap = frame_capacity_bytes(n, L)
+    bits_per = int(L).bit_length() - 1  # exact: L passed the check
     if cap == 0:
         raise InvalidParams("frame too small to carry a byte")
     chunks = [data[i : i + cap] for i in range(0, len(data), cap)] or [b""]
@@ -343,17 +346,16 @@ def pack_bits(data: bytes, n: int, L: int):
 
 def unpack_bits(frames, n: int, L: int) -> bytes:
     """Invert pack_bits; frames is an iterable of (vector, payload_len)."""
-    bits_per = L.bit_length() - 1
     cap = frame_capacity_bytes(n, L)
+    bits_per = int(L).bit_length() - 1  # exact: L passed the check
     out = bytearray()
     for m, payload_len in frames:
+        payload_len = integer(payload_len, "payload length", 0, cap + 1, FormatError)
         vals = _fold(int_vector(m, n, "frame", FormatError))
         if (vals < 0).any() or (vals >= L).any():
             raise FormatError("vector outside the constellation")
         bits = ((vals[:, None] >> np.arange(bits_per)) & 1).astype(np.uint8)
         raw = np.packbits(bits.reshape(-1)[: cap * 8], bitorder="little").tobytes()
-        if payload_len > cap:
-            raise FormatError("payload length exceeds frame capacity")
         out.extend(raw[:payload_len])
     return bytes(out)
 

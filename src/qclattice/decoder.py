@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _clip, add_order, spa_core, tree_sum
-from .errors import DecodeFailure, InvalidParams, vector
+from .errors import DecodeFailure, InvalidParams, integer, vector
 from .lattice import LatticeCtx, check_sigma
 from .rdfcode import QcCode
 
@@ -49,9 +49,7 @@ class DecoderConfig:
 
     def __post_init__(self):
         for name in ("max_iterations", "coset_window"):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < 1:
-                raise InvalidParams(f"{name} must be an integer >= 1, not {v!r}")
+            object.__setattr__(self, name, integer(getattr(self, name), name, 1))
         clip = self.llr_clip
         if not (isinstance(clip, numbers.Real) and not isinstance(clip, bool)
                 and math.isfinite(clip) and clip > 0):

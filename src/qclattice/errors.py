@@ -1,10 +1,14 @@
-"""Exception types raised across the package, and the one vector check.
+"""Exception types raised across the package, and the one argument check.
 
-Entry points take length-n vectors through ``vector`` (any integer or real
-dtype: observations) or ``int_vector`` (an integer dtype int64 holds: the
-exact maps).  Both check the dtype before any cast, so no entry point
-truncates, parses or wraps its input.
+Integer arguments (code parameters, L, d, seeds, frame counters) go through
+``integer``; length-n vectors through ``vector`` (any integer or real dtype:
+observations) or ``int_vector`` (an integer dtype int64 holds: exact maps),
+whose ``as_array`` refuses a ragged nesting.  Each checks before any cast, so
+no entry point truncates, parses or wraps its input: it raises its own error.
 """
+
+import math
+import numbers
 
 import numpy as np
 
@@ -61,9 +65,26 @@ class FormatError(QclatticeError):
     """Malformed key, ciphertext or observation file."""
 
 
+def integer(v, what: str, lo=-math.inf, hi=math.inf, error=InvalidParams) -> int:
+    """v as a Python int: an integer type but bool (not 2.0 or "2") in [lo, hi), or raise error."""
+    # type(v) is int skips the ABC check, which costs 0.5 us; a bool's type is bool
+    if (type(v) is not int and (isinstance(v, bool) or not isinstance(v, numbers.Integral))
+            or not lo <= v < hi):
+        raise error(f"{what} must be an integer in [{lo}, {hi}), not {v!r}")
+    return int(v)
+
+
+def as_array(v, what: str, error=InvalidParams) -> np.ndarray:
+    """np.asarray(v), or raise error where numpy builds no array (a ragged nesting)."""
+    try:
+        return np.asarray(v)
+    except (TypeError, ValueError) as e:
+        raise error(f"{what} is not an array: {e}") from None
+
+
 def vector(v, n: int, what: str, error=InvalidParams) -> np.ndarray:
     """v as an array of shape (n,) and an integer or real dtype, uncast, or raise error."""
-    v = np.asarray(v)
+    v = as_array(v, what, error)
     if v.shape != (n,):
         raise error(f"{what} has shape {v.shape}, not ({n},)")
     if v.dtype.kind not in "iuf":
@@ -73,7 +94,7 @@ def vector(v, n: int, what: str, error=InvalidParams) -> np.ndarray:
 
 def int_vector(v, n: int, what: str, error=InvalidParams) -> np.ndarray:
     """``vector`` of an integer dtype int64 holds (not bool or uint64), as int64."""
-    v = np.asarray(v)
+    v = as_array(v, what, error)
     kind = v.dtype.kind  # int64 holds every signed type and unsigned below 64 bits
     if not (kind == "i" or kind == "u" and v.dtype.itemsize < 8):
         raise error(f"{what} dtype {v.dtype} is not an integer type int64 holds")

@@ -17,7 +17,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError, int_vector, vector
+from .errors import FormatError, int_vector, integer, vector
 
 KEY_MAGIC = "qclattice-key"
 KEY_VERSION = 1
@@ -106,19 +106,20 @@ class FrameWriter:
 
     def __init__(self, fh, n: int, digest: str, observations: bool = False):
         self.fh = fh
-        self.n = n
+        self.n = integer(n, "frame length n", 0, 1 << 32, FormatError)
         self.observations = observations
         magic = OBS_MAGIC if observations else CT_MAGIC
-        fh.write(_FILE_HEAD.pack(magic, FILE_VERSION, bytes.fromhex(digest), n))
+        fh.write(_FILE_HEAD.pack(magic, FILE_VERSION, bytes.fromhex(digest), self.n))
 
     def write_frame(self, counter: int, payload_len: int, coords: np.ndarray):
         """Append one frame, or raise FormatError and write nothing.
 
-        The counter must fit u64, the payload length u32, and the frame n
-        coordinates: exact ones of an integer dtype (``errors.int_vector``)
-        within int32, observations of any integer or real dtype
-        (``errors.vector``).
+        The counter must be an integer that fits u64 and the payload length
+        one that fits u32 (``errors.integer``); exact coordinates an integer
+        dtype within int32, observations any integer or real dtype (``vector``).
         """
+        counter = integer(counter, "frame counter", 0, 1 << 64, FormatError)
+        payload_len = integer(payload_len, "payload length", 0, 1 << 32, FormatError)
         if self.observations:
             arr = vector(coords, self.n, "frame", FormatError).astype("<f8", copy=False)
         else:
@@ -126,14 +127,7 @@ class FrameWriter:
             if ((arr < _INT32.min) | (arr > _INT32.max)).any():
                 raise FormatError("coordinate exceeds int32 range")
             arr = arr.astype("<i4")
-        try:
-            head = _FRAME_HEAD.pack(counter, payload_len)
-        except struct.error as e:
-            raise FormatError(
-                f"frame counter {counter!r} or payload length {payload_len!r} "
-                "does not fit u64/u32"
-            ) from e
-        self.fh.write(head + arr.tobytes())
+        self.fh.write(_FRAME_HEAD.pack(counter, payload_len) + arr.tobytes())
 
 
 class FrameReader:

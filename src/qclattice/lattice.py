@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParams, NotLatticePoint, ShapingOverflow, int_vector
+from .errors import InvalidParams, NotLatticePoint, ShapingOverflow, int_vector, integer
 from .rdfcode import QcCode, systematic_generator
 
 
@@ -34,9 +34,7 @@ class LatticeCtx:
         self.code = code
         self.n = code.n
         self.k = code.k
-        self.L = int(shaping_limit)
-        if self.L <= 0:
-            raise InvalidParams("shaping limit must be positive")
+        self.L = integer(shaping_limit, "shaping limit", 1)
         self.a = np.asarray(a, dtype=np.int64)  # k x (n-k)
         # shaping modulus n*L - 1; recovery's window is 2|x_i| < n*L, |x_i| <= half
         self.mod_full = self.n * self.L - 1

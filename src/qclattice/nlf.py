@@ -37,7 +37,7 @@ import numpy as np
 
 from . import gf2poly
 from .bitmat import PolyMulMatrix, bits_to_poly, power_poly_matrix
-from .errors import InvalidParams, NotInLattice, int_vector
+from .errors import InvalidParams, NotInLattice, as_array, int_vector, integer
 
 _VERIFY_BOUND = 1 << 52  # |v| above this cannot be verified in int64 safely
 
@@ -55,20 +55,16 @@ class NlfContext:
     """Immutable context for one (g, d) pair."""
 
     def __init__(self, g: int, d: int):
-        self.g = int(g)
+        self.g = integer(g, "polynomial g", 2)  # degree >= 1
         self.n = gf2poly.degree(self.g)
-        self.d = int(d)
-        if self.n < 1:
-            raise InvalidParams("polynomial degree must be >= 1")
+        self.d = integer(d, "control width d", 0)
         if not (self.g & 1):
             raise InvalidParams("g(0) must be 1")
-        if self.d < 0:
-            raise InvalidParams("control width must be >= 0")
 
     # --- control line ----------------------------------------------------
 
     def _check_control(self, h) -> np.ndarray:
-        h = np.asarray(h)
+        h = as_array(h, "control vector")
         if h.shape != (self.d,):
             raise InvalidParams(f"control vector must have length {self.d}")
         if not ((h == 0) | (h == 1)).all():

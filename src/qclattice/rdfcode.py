@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gf2poly
 from .bitmat import circulants
-from .errors import InvalidParams, SearchExhausted, SingularBlock
+from .errors import InvalidParams, SearchExhausted, SingularBlock, integer
 
 BLOCK_TRIES = 100
 RESTARTS = 40
@@ -106,7 +106,9 @@ def rdf_search(b: int, n0: int, dv: int, rng_seed: int) -> QcCode:
     family restarts, at most RESTARTS times.  The final block must
     additionally be invertible over GF(2) (dv odd is necessary but not
     sufficient, so this is checked by polynomial gcd rather than assumed).
+    b, n0, dv and rng_seed must be integers (not bool): InvalidParams.
     """
+    b, n0, dv, rng_seed = map(integer, (b, n0, dv, rng_seed), ("b", "n0", "dv", "rng_seed"))
     if dv % 2 == 0:
         raise InvalidParams("dv must be odd so the last block can invert")
     if dv >= b:

@@ -9,10 +9,13 @@ example runs under a deadline).
 The refusal matrix crosses every entry point that takes a length-n vector
 with each malformed vector: each must be refused with that entry point's
 typed error, before any cast could truncate, parse or wrap it, except
-that observation entry points take any integer or real dtype.
+that observation entry points take any integer or real dtype.  The
+scalar refusal matrix does the same for every integer argument, and
+checks that a numpy integer gives what the equal Python int gives.
 """
 
 import contextlib
+import dataclasses
 import io
 import struct
 
@@ -22,8 +25,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import deadline, random_message
-from qclattice import CipherParams, CipherSession, keygen
-from qclattice.cipher import pack_bits, save_key, unpack_bits
+from qclattice import CipherParams, CipherSession, keygen, rdf_search
+from qclattice.channel import SweepSpec, run_sweep
+from qclattice.cipher import frame_capacity_bytes, pack_bits, save_key, unpack_bits
 from qclattice.cli import main
 from qclattice.decoder import DecoderConfig, decode
 from qclattice.errors import (
@@ -36,6 +40,8 @@ from qclattice.errors import (
 )
 from qclattice.formats import FrameReader, FrameWriter
 from qclattice.keystream import BlockPermutation
+from qclattice.lattice import LatticeCtx
+from qclattice.nlf import NlfContext
 
 PARAMS = CipherParams(b=13, n0=2, dv=3, q=13, L=4, d=8)
 N = PARAMS.n
@@ -270,6 +276,8 @@ BAD = {
     "uint64": _uint64,
     "bool": lambda v: v != 0,
     "short": lambda v: v[:-1],
+    # np.asarray raised ValueError ("inhomogeneous shape")
+    "ragged": lambda v: [v[:2].tolist(), v[2:3].tolist()] + v[3:].tolist(),
 }
 
 # Entry points that take any integer or real dtype, with what the uint64
@@ -317,3 +325,136 @@ def test_int_vector_takes_exactly_the_integer_dtypes_int64_holds(code):
     else:
         with pytest.raises(InvalidParams, match="not an integer type int64 holds"):
             int_vector(v, 3, "v")
+
+
+# --- the scalar refusal matrix -----------------------------------------------
+
+
+def _params(field):
+    return lambda v: save_key(keygen(dataclasses.replace(PARAMS, **{field: v}), 3))
+
+
+def _advanced(frame):
+    session = CipherSession(KEY)
+    session.advance_to(frame)
+    return session.counter, session.encrypt_joint(MESSAGE)
+
+
+def _frame_writer(n):
+    buf = io.BytesIO()
+    return FrameWriter(buf, n, KEY.digest()).n, buf.getvalue()
+
+
+def _write_head(counter, payload_len):
+    """write_frame's output; a refused frame leaves only the file header."""
+    buf = io.BytesIO()
+    w = FrameWriter(buf, N, KEY.digest())
+    header = buf.getvalue()
+    try:
+        w.write_frame(counter, payload_len, POINT)
+    except FormatError:
+        assert buf.getvalue() == header
+        raise
+    return buf.getvalue()
+
+
+def _lattice(limit):
+    ctx = LatticeCtx(KEY.code, LATTICE.a, limit)
+    return ctx.L, ctx.shape(SHORT_INTS).tolist()
+
+
+def _nlf(g, d):
+    ctx = NlfContext(g, d)
+    return ctx.g, ctx.d, ctx.apply_f(SHORT_INTS, CONTROL).tolist()
+
+
+# name: (call, a valid integer for it, the error that refuses a non-integer)
+SCALAR_SITES = {
+    "keygen.master_seed": (lambda v: save_key(keygen(PARAMS, v)), 3, InvalidParams),
+    **{f"CipherParams.{f.name}": (_params(f.name), getattr(PARAMS, f.name), InvalidParams)
+       for f in dataclasses.fields(PARAMS)},
+    "rdf_search.b": (lambda v: rdf_search(v, 2, 3, 5), 13, InvalidParams),
+    "rdf_search.n0": (lambda v: rdf_search(13, v, 3, 5), 2, InvalidParams),
+    "rdf_search.dv": (lambda v: rdf_search(13, 2, v, 5), 3, InvalidParams),
+    "rdf_search.rng_seed": (lambda v: rdf_search(13, 2, 3, v), 5, InvalidParams),
+    "LatticeCtx.shaping_limit": (_lattice, PARAMS.L, InvalidParams),
+    "NlfContext.g": (lambda v: _nlf(v, PARAMS.d), NLF.g, InvalidParams),
+    "NlfContext.d": (lambda v: _nlf(NLF.g, v), PARAMS.d, InvalidParams),
+    "DecoderConfig.max_iterations": (lambda v: DecoderConfig(max_iterations=v), 50,
+                                     InvalidParams),
+    "DecoderConfig.coset_window": (lambda v: DecoderConfig(coset_window=v), 4, InvalidParams),
+    "SweepSpec.trials_per_point": (lambda v: SweepSpec(0.0, 0.0, 1.0, v, 0), 2, InvalidParams),
+    "SweepSpec.rng_seed": (lambda v: SweepSpec(0.0, 0.0, 1.0, 1, v), 2, InvalidParams),
+    "run_sweep.workers": (lambda v: run_sweep(KEY, SweepSpec(12.0, 12.0, 1.0, 2, 3), v), 1,
+                          InvalidParams),
+    "frame_capacity_bytes.n": (lambda v: frame_capacity_bytes(v, PARAMS.L), N, InvalidParams),
+    "frame_capacity_bytes.L": (lambda v: frame_capacity_bytes(N, v), PARAMS.L, InvalidParams),
+    "pack_bits.L": (lambda v: [(m.tolist(), k) for m, k in pack_bits(b"scalar", N, v)],
+                    PARAMS.L, InvalidParams),
+    "unpack_bits.L": (lambda v: unpack_bits([(MESSAGE, 1)], N, v), PARAMS.L, InvalidParams),
+    "unpack_bits.payload_len": (lambda v: unpack_bits([(MESSAGE, v)], N, PARAMS.L), 1,
+                                FormatError),
+    "advance_to.frame": (_advanced, 2, InvalidParams),
+    "FrameWriter.n": (_frame_writer, N, FormatError),
+    "write_frame.counter": (lambda v: _write_head(v, 1), 2, FormatError),
+    "write_frame.payload_len": (lambda v: _write_head(0, v), 2, FormatError),
+}
+
+SCALAR_BAD = {
+    "fraction": 2.5,
+    "integral_float": 2.0,
+    "str": "2",
+    "bool": True,
+    "none": None,
+    "np_float64": np.float64(2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALAR_BAD))
+@pytest.mark.parametrize("site", sorted(SCALAR_SITES))
+def test_scalar_refusal_matrix(site, case):
+    call, _, error = SCALAR_SITES[site]
+    if (site, case) == ("run_sweep.workers", "none"):
+        call(None)  # the default: $QCLATTICE_WORKERS, else 1
+        return
+    with pytest.raises(error):
+        call(SCALAR_BAD[case])
+
+
+@pytest.mark.parametrize("site", sorted(SCALAR_SITES))
+def test_scalar_sites_take_numpy_integers_as_python_ints(site):
+    # repr tells np.int64(2) from 2, so a result must not carry the numpy type
+    call, valid, _ = SCALAR_SITES[site]
+    assert repr(call(np.int64(valid))) == repr(call(valid))
+
+
+@pytest.mark.parametrize("site, value", [
+    ("NlfContext.g", -3),  # was taken as a degree-1 polynomial
+    ("NlfContext.g", 1),
+    ("NlfContext.d", -1),
+    ("LatticeCtx.shaping_limit", 0),
+    ("frame_capacity_bytes.n", 0),  # returned 0
+    ("frame_capacity_bytes.L", 3),  # returned a capacity
+    ("unpack_bits.L", 3),  # read one bit per coordinate
+    ("unpack_bits.payload_len", -1),  # sliced off the last byte
+    ("unpack_bits.payload_len", 7),  # one byte over the toy frame's capacity
+    ("advance_to.frame", -1),
+    ("FrameWriter.n", -1),  # struct.error
+    ("FrameWriter.n", 2**32),
+    ("write_frame.counter", 2**64),
+    ("write_frame.payload_len", 2**32),
+])
+def test_scalar_range_refusals(site, value):
+    call, _, error = SCALAR_SITES[site]
+    with pytest.raises(error):
+        call(value)
+
+
+@pytest.mark.parametrize("site, value", [
+    ("unpack_bits.payload_len", 6),
+    ("write_frame.counter", 2**64 - 1),
+    ("write_frame.payload_len", 2**32 - 1),
+    ("FrameWriter.n", 0),
+])
+def test_scalar_range_edges_are_taken(site, value):
+    SCALAR_SITES[site][0](value)

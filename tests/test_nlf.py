@@ -211,8 +211,8 @@ def test_control_vector_length_enforced(ctx_small):
 
 @pytest.mark.parametrize("method", ["apply_f", "invert_f"])
 @pytest.mark.parametrize("bad", [
-    [-1, 0], [256, 0], [np.nan, 0], [2, 0], [0.7, 0],
-], ids=["-1", "256", "nan", "2", "0.7"])
+    [-1, 0], [256, 0], [np.nan, 0], [2, 0], [0.7, 0], [[0, 1], [0]],
+], ids=["-1", "256", "nan", "2", "0.7", "ragged"])
 def test_control_entries_other_than_0_and_1_fail_typed(ctx_small, method, bad):
     with pytest.raises(InvalidParams):
         getattr(ctx_small, method)(np.zeros(6, dtype=np.int64), bad)
