@@ -206,16 +206,18 @@ def _syndrome_ok(lam):
         raise NotLatticePoint("syndrome_ok is False")
 
 
-def _write(observations):
+def _write(observations, counter=0, payload_len=1):
+    """write_frame's output; a refused frame leaves only the file header."""
     def write(coords):
         buf = io.BytesIO()
         w = FrameWriter(buf, N, KEY.digest(), observations)
         header = buf.getvalue()
         try:
-            w.write_frame(0, 1, coords)
+            w.write_frame(counter, payload_len, coords)
         except FormatError:
             assert buf.getvalue() == header
             raise
+        return buf.getvalue()
     return write
 
 
@@ -345,19 +347,6 @@ def _frame_writer(n):
     return FrameWriter(buf, n, KEY.digest()).n, buf.getvalue()
 
 
-def _write_head(counter, payload_len):
-    """write_frame's output; a refused frame leaves only the file header."""
-    buf = io.BytesIO()
-    w = FrameWriter(buf, N, KEY.digest())
-    header = buf.getvalue()
-    try:
-        w.write_frame(counter, payload_len, POINT)
-    except FormatError:
-        assert buf.getvalue() == header
-        raise
-    return buf.getvalue()
-
-
 def _lattice(limit):
     ctx = LatticeCtx(KEY.code, LATTICE.a, limit)
     return ctx.L, ctx.shape(SHORT_INTS).tolist()
@@ -396,8 +385,8 @@ SCALAR_SITES = {
                                 FormatError),
     "advance_to.frame": (_advanced, 2, InvalidParams),
     "FrameWriter.n": (_frame_writer, N, FormatError),
-    "write_frame.counter": (lambda v: _write_head(v, 1), 2, FormatError),
-    "write_frame.payload_len": (lambda v: _write_head(0, v), 2, FormatError),
+    "write_frame.counter": (lambda v: _write(False, v)(POINT), 2, FormatError),
+    "write_frame.payload_len": (lambda v: _write(False, 0, v)(POINT), 2, FormatError),
 }
 
 SCALAR_BAD = {
