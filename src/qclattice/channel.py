@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -185,6 +184,8 @@ def _sweep(link, n, sigmas, spec, workers, progress):
     size = max(1, min(workers, trials, os.cpu_count() or 1))
     per = -(-trials // size)  # trials per chunk, rounded up
     rows = []
+    if size > 1:  # imported here: it costs most of this module's import time
+        from concurrent.futures import ProcessPoolExecutor
     with (ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext()) as pool:
         for idx, (vnr_db, sigma) in enumerate(zip(spec.points(), sigmas)):
             chunks = [

@@ -104,7 +104,7 @@ def channel_llr(r, sigma: float, window: int, clip: float = 30.0):
     mirror each other under r -> -r, so the result is an odd function of
     r.  Clipped to +-clip.  r is a scalar (the result is then a float) or
     a 1-D array.  Raises InvalidParams for a sigma that
-    lattice.check_sigma rejects.
+    lattice.check_sigma rejects, or a window that is not an integer >= 1.
 
     Both sides lie in one (2, translates, n) array, so the max and the
     log-sum-exp run across rows.  The rows are added in the order
@@ -114,6 +114,7 @@ def channel_llr(r, sigma: float, window: int, clip: float = 30.0):
     bit the full window's.
     """
     check_sigma(sigma)
+    window = integer(window, "window", 1)
     scalar = np.ndim(r) == 0
     r = np.atleast_1d(np.asarray(r, dtype=np.float64))
     inv = -1.0 / (2.0 * sigma * sigma)

@@ -105,11 +105,21 @@ class FrameWriter:
     """Streaming writer for ciphertext/observation files."""
 
     def __init__(self, fh, n: int, digest: str, observations: bool = False):
+        """Write the file header, or raise FormatError and write nothing.
+
+        ``digest`` must be 8 bytes of hex, as ``params_digest`` returns.
+        """
         self.fh = fh
         self.n = integer(n, "frame length n", 0, 1 << 32, FormatError)
+        try:
+            raw = bytes.fromhex(digest)
+        except (TypeError, ValueError):
+            raw = b""
+        if len(raw) != 8:
+            raise FormatError(f"params digest must be 8 bytes of hex, not {digest!r}")
         self.observations = observations
         magic = OBS_MAGIC if observations else CT_MAGIC
-        fh.write(_FILE_HEAD.pack(magic, FILE_VERSION, bytes.fromhex(digest), self.n))
+        fh.write(_FILE_HEAD.pack(magic, FILE_VERSION, raw, self.n))
 
     def write_frame(self, counter: int, payload_len: int, coords: np.ndarray):
         """Append one frame, or raise FormatError and write nothing.

@@ -15,7 +15,7 @@ order is a key-space-size property.
 """
 
 from . import gf2poly
-from .errors import InvalidParams
+from .errors import InvalidParams, integer
 
 # degree -> exponents of the middle terms, highest first (x^degree and 1 are
 # implicit); poly_id writes them in this order, so it is part of the key text
@@ -42,16 +42,19 @@ _TAPS = {
 }
 
 
-def _taps(deg: int) -> tuple:
+def _taps(deg: int):
+    """(deg as a Python int, its taps), or InvalidParams for an unshipped degree."""
+    deg = integer(deg, "polynomial degree")
     if deg not in _TAPS:
         raise InvalidParams(f"no shipped primitive polynomial of degree {deg}")
-    return _TAPS[deg]
+    return deg, _TAPS[deg]
 
 
 def poly(deg: int) -> int:
     """The shipped x^deg + sum(x^t for t in its taps) + 1, as an integer."""
+    deg, taps = _taps(deg)
     v = (1 << deg) | 1
-    for t in _taps(deg):
+    for t in taps:
         v |= 1 << t
     return v
 
@@ -63,7 +66,8 @@ def poly_id(deg: int) -> str:
     poly_* fields must be exactly these ids: the polynomials are public
     constants of the scheme, not part of the secret.
     """
-    return f"{deg}:{','.join(map(str, _taps(deg)))}"
+    deg, taps = _taps(deg)
+    return f"{deg}:{','.join(map(str, taps))}"
 
 
 def supported_degrees():
@@ -77,4 +81,5 @@ def reciprocal(deg: int) -> int:
     second primitive feedback polynomial of the same length for the
     reseeding pair.  Degree 2 has a single primitive polynomial.
     """
-    return gf2poly.reverse(poly(deg), deg)
+    p = poly(deg)
+    return gf2poly.reverse(p, gf2poly.degree(p))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from concurrent.futures import Future
 
@@ -269,7 +270,7 @@ def test_run_sweep_bounds_its_process_pool(toy_key, monkeypatch, workers, trials
             job.set_result(fn(*args))
             return job
 
-    monkeypatch.setattr(channel, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(channel.os, "cpu_count", lambda: cpus)
     spec = SweepSpec(6.0, 8.0, 1.0, trials, 4)  # three grid points
     serial = run_sweep(toy_key, spec, workers=1)

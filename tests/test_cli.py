@@ -182,15 +182,19 @@ def test_simulate_unwritable_output_fails_before_any_trial(tmp_path, capsys, key
     assert not any(line.startswith("vnr") for line in err.splitlines())
 
 
-def test_module_entry_point_exit_status(tmp_path):
-    # the other tests call main() in-process; this runs `python -m qclattice.cli`
+def fresh_python(*argv):
+    """Run a fresh interpreter that imports this checkout's qclattice."""
     src = str(Path(qclattice.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
+
+def test_module_entry_point_exit_status(tmp_path):
+    # the other tests call main() in-process; this runs `python -m qclattice.cli`
     def qclattice_cli(*argv):
-        return subprocess.run([sys.executable, "-m", "qclattice.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
+        return fresh_python("-m", "qclattice.cli", *argv)
 
     key, pt, ct, out = (str(tmp_path / f) for f in ("k.key", "p.bin", "c.bin", "o.bin"))
     data = np.random.default_rng(4).bytes(300)
@@ -202,6 +206,25 @@ def test_module_entry_point_exit_status(tmp_path):
     bad = qclattice_cli("simulate", "--key", key, "--vnr-db", "0:0:1", "--trials", "2")
     assert bad.returncode == 2
     assert bad.stderr.startswith("usage error: ")
+
+
+def test_one_frame_round_trip_imports_no_pool_or_masked_arrays(tmp_path, capsys):
+    # every CLI process pays for what it imports: a pool is only for sweeps,
+    # and numpy.ma (which np.unique imports) for nothing the cipher does
+    key, pt, ct, out = (str(tmp_path / f) for f in ("k.key", "p.bin", "c.bin", "o.bin"))
+    assert run(capsys, *KEYGEN, "-o", key)[0] == 0
+    Path(pt).write_bytes(b"\x5a")
+    script = (
+        "import sys\n"
+        "from qclattice.cli import main\n"
+        f"assert main(['encrypt', '--key', {key!r}, '-i', {pt!r}, '-o', {ct!r}]) == 0\n"
+        f"assert main(['decrypt', '--key', {key!r}, '-i', {ct!r}, '-o', {out!r}]) == 0\n"
+        "print(sorted({'numpy.ma', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    proc = fresh_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    assert Path(out).read_bytes() == b"\x5a"
 
 
 def test_analyze_paper_params(capsys):

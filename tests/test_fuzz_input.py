@@ -29,7 +29,7 @@ from qclattice import CipherParams, CipherSession, keygen, rdf_search
 from qclattice.channel import SweepSpec, run_sweep
 from qclattice.cipher import frame_capacity_bytes, pack_bits, save_key, unpack_bits
 from qclattice.cli import main
-from qclattice.decoder import DecoderConfig, decode
+from qclattice.decoder import DecoderConfig, channel_llr, decode
 from qclattice.errors import (
     DecodeFailure,
     FormatError,
@@ -42,6 +42,7 @@ from qclattice.formats import FrameReader, FrameWriter
 from qclattice.keystream import BlockPermutation
 from qclattice.lattice import LatticeCtx
 from qclattice.nlf import NlfContext
+from qclattice.primitives import poly, poly_id, reciprocal
 
 PARAMS = CipherParams(b=13, n0=2, dv=3, q=13, L=4, d=8)
 N = PARAMS.n
@@ -372,6 +373,11 @@ SCALAR_SITES = {
     "DecoderConfig.max_iterations": (lambda v: DecoderConfig(max_iterations=v), 50,
                                      InvalidParams),
     "DecoderConfig.coset_window": (lambda v: DecoderConfig(coset_window=v), 4, InvalidParams),
+    "channel_llr.window": (lambda v: channel_llr(POINT + 0.25, 0.5, v).tolist(), 4,
+                           InvalidParams),
+    "primitives.poly": (poly, N, InvalidParams),
+    "primitives.poly_id": (poly_id, N, InvalidParams),
+    "primitives.reciprocal": (reciprocal, N, InvalidParams),
     "SweepSpec.trials_per_point": (lambda v: SweepSpec(0.0, 0.0, 1.0, v, 0), 2, InvalidParams),
     "SweepSpec.rng_seed": (lambda v: SweepSpec(0.0, 0.0, 1.0, 1, v), 2, InvalidParams),
     "run_sweep.workers": (lambda v: run_sweep(KEY, SweepSpec(12.0, 12.0, 1.0, 2, 3), v), 1,
@@ -428,6 +434,10 @@ def test_scalar_sites_take_numpy_integers_as_python_ints(site):
     ("unpack_bits.payload_len", -1),  # sliced off the last byte
     ("unpack_bits.payload_len", 7),  # one byte over the toy frame's capacity
     ("advance_to.frame", -1),
+    ("channel_llr.window", 0),  # marginalized the nearest translate alone
+    ("channel_llr.window", -1),  # numpy's ValueError
+    ("primitives.poly", -1),  # ValueError: negative shift count
+    ("primitives.reciprocal", -1),
     ("FrameWriter.n", -1),  # struct.error
     ("FrameWriter.n", 2**32),
     ("write_frame.counter", 2**64),
@@ -437,6 +447,27 @@ def test_scalar_range_refusals(site, value):
     call, _, error = SCALAR_SITES[site]
     with pytest.raises(error):
         call(value)
+
+
+@pytest.mark.parametrize("shipped", [poly, reciprocal])
+@pytest.mark.parametrize("deg", [258, 1496])
+def test_shipped_polynomials_take_numpy_degrees_past_64_bits(shipped, deg):
+    # x^deg is built from the Python int, since 1 << np.int64(deg) overflows past 63
+    assert repr(shipped(np.int64(deg))) == repr(shipped(deg))
+
+
+@pytest.mark.parametrize("digest", [
+    "00" * 4,  # was zero-padded to 8 bytes
+    "ab" * 12,  # was cut to its first 8 bytes
+    "zz" * 8,  # ValueError from bytes.fromhex
+    None,  # TypeError
+    b"\x00" * 8,
+])
+def test_frame_writer_refuses_a_malformed_digest(digest):
+    buf = io.BytesIO()
+    with pytest.raises(FormatError, match="params digest"):
+        FrameWriter(buf, N, digest)
+    assert buf.getvalue() == b""
 
 
 @pytest.mark.parametrize("site, value", [
