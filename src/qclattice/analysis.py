@@ -12,12 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cipher import CipherParams
+from .errors import integer
 from .rdfcode import count_rdf_lower_bound_log2
 
 # The control width that the key-size formula assumes when no explicit d
 # is chosen: l2 = 7 * ceil(log2 n).
 def default_l2(n: int) -> int:
-    return 7 * math.ceil(math.log2(n))
+    return 7 * _ceil_log2(integer(n, "code length n", 1))
 
 
 def key_size_bits(params: CipherParams) -> int:
@@ -46,8 +47,7 @@ def message_expansion(n: int, k: int, L: int) -> Fraction:
 
     ((n-k)*ceil(log2(4nL-1)) + k*ceil(log2(2nL+3))) / (n*ceil(log2(2L)))
     """
-    if L < 2:
-        raise ValueError("L must be >= 2")
+    L = integer(L, "L", 2)
     num = (n - k) * _ceil_log2(4 * n * L - 1) + k * _ceil_log2(2 * n * L + 3)
     den = n * _ceil_log2(2 * L)
     return Fraction(num, den)

@@ -99,7 +99,7 @@ class CipherParams:
 
         |a| = |m + 1 - e| <= B + 1, so |x| = |a U^alpha| <= n(B + 1) and the
         ciphertext 2(x_sys, x_sys A + 2 x_par) - 1 + 2e has |y| <= 2(k + 2)
-        n(B + 1) + 3, which must stay below 2^63; invert_f also verifies a
+        n(B + 1) + 3, which must stay below 2^63; invert_f also returns a
         preimage only up to 2^52.  About 2^46 at the reference parameters.
         """
         return min((1 << 52) - 1, ((1 << 63) - 4) // (2 * (self.k + 2) * self.n) - 1)

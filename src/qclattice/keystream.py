@@ -135,12 +135,10 @@ class Lfsr:
             return
         r = gf2poly.xpowmod(k, (1 << self.length) | self.taps)
         ahead = self._output(2 * self.length - 1)
-        state = 0
-        while r:
-            low = r & -r
-            state ^= ahead >> (low.bit_length() - 1)
-            r ^= low
-        self.state = state & self._mask
+        # state bit j is the parity of r & (ahead >> j): a correlation, so one
+        # product with r reversed
+        top = self.length - 1
+        self.state = (gf2poly.mul(ahead, gf2poly.reverse(r, top)) >> top) & self._mask
 
 
 class ReseedingLfsr:

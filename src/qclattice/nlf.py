@@ -18,15 +18,19 @@ g, so x^-1 = g >> 1 and x^-(2^d) is d squarings of it, with no inversion.
 F acts on integer vectors using the 0/1 matrix U^alpha (the encryption
 pipeline runs over the reals); its mod-2 view F' is apply_f(a, h) & 1, on
 which the tests check the paper's algebraic-degree claims.  The integer
-inverse solves v * M = x exactly by 2-adic digit peeling: M has odd
-determinant, so it is invertible mod 2^k for every k.  M^-1 mod 2 is the
-multiplication matrix of x^-alpha, built once per call in the same
-generator form, so each binary digit of v is ((residual mod 2) M^-1) mod 2,
-and the residual then drops by digit * M and halves.  Both products take
-0/1 vectors, so every sum is at most n < 2^24: they run as float32
-correlates, which carry these integers exactly (bitmat holds the 2^24
-guard for general vectors, such as apply_f's input and the final check).
-The cipher path stays exact; no rounded float reaches it.
+inverse solves v M = x by 2-adic digit peeling (Dixon, Numer. Math. 40,
+1982): M has odd determinant, and M^-1 mod 2 is the multiplication matrix
+of x^-alpha (built once per call in generator form), so digit t of v is
+b_t = (r_t mod 2) M^-1 mod 2, and r_(t+1) = (r_t - b_t M) / 2 from r_0 = x.
+The invariant x = V_t M + 2^(t+1) r_(t+1), V_t = sum_(s<=t) 2^s b_s, makes
+the exit the proof: r = 0 gives v = V_t, a fixed point r = -b_t M gives
+v = V_t - 2^(t+1) b_t, and 54 digits without either leave no preimage with
+|v| <= 2^52.  No such preimage maps beyond n 2^52, so refusing those x
+keeps every residual within n 2^52 + n < 2^63 (n < 2^11, every shipped
+degree).  Both products take 0/1 vectors, so every sum is at most n < 2^24:
+they run as float32 correlates, which carry these integers exactly (bitmat
+holds the 2^24 guard for general vectors, such as apply_f's input).  The
+cipher path stays exact; no rounded float reaches it.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from . import gf2poly
 from .bitmat import PolyMulMatrix, bits_to_poly, power_poly_matrix
 from .errors import InvalidParams, NotInLattice, as_array, int_vector, integer
 
-_VERIFY_BOUND = 1 << 52  # |v| above this cannot be verified in int64 safely
+_PREIMAGE_BOUND = 1 << 52  # largest |v_i| invert_f returns
 
 
 @functools.lru_cache(maxsize=16)
@@ -94,35 +98,32 @@ class NlfContext:
     def invert_f(self, x, h) -> np.ndarray:
         """The unique integer preimage of x under apply_f(., h).
 
-        Raises NotInLattice when x is outside the integer row-span of
-        U^alpha (odd determinant may exceed 1, so not every integer vector
-        has an integer preimage).  Preimage components must fit in 52 bits
-        so the final verification multiply stays exact in int64.
+        Raises NotInLattice unless x = v U^alpha for an integer v with
+        |v_i| <= 2^52 (odd determinant may exceed 1, so not every integer
+        vector has one): at once if some |x_i| > n 2^52, else when the peel
+        meets neither r = 0 nor a fixed point in 54 digits.
         """
         x = int_vector(x, self.n, "input vector")
+        if max(int(x.max()), -int(x.min())) > self.n * _PREIMAGE_BOUND:
+            raise NotInLattice("no integer preimage exists")
         m = self._entry(h)
-        # M^-1 mod 2 is the multiplication matrix of x^-alpha mod g
-        m_inv = power_poly_matrix(self.g, self._x_power(h, inverse=True))
+        m_inv = power_poly_matrix(self.g, self._x_power(h, inverse=True))  # M^-1 mod 2
         residual = x
-        v = np.zeros(self.n, dtype=np.int64)  # digit t adds 2^t, wrapping mod 2^64
-        for t in range(64):
+        v = np.zeros(self.n, dtype=np.int64)
+        for t in range(54):  # 53 value digits of |v| <= 2^52, then the sign digit
             if not residual.any():
                 break
-            # both products take 0/1 vectors, so every sum is at most n and
-            # float32 carries it exactly
+            # 0/1 vectors in both products: every sum is at most n, exact in float32
             bits = m_inv.float_mul((residual & 1).astype(np.float32)).astype(np.int64) & 1
             v += bits << t
-            start = residual
-            product = m.float_mul(bits.astype(np.float32))
-            residual = (residual - product.astype(np.int64)) >> 1
-            if t + 1 < 64 and (residual == start).all():
-                # fixed-point residual: every later digit repeats this one,
-                # and the 2-adic tail sum_{s>t} 2^s equals -2^(t+1)
+            product = m.float_mul(bits.astype(np.float32)).astype(np.int64)
+            start, residual = residual, (residual - product) >> 1
+            if (residual == start).all():
+                # later digits repeat bits: their 2-adic tail is -2^(t+1) bits
                 v -= bits << (t + 1)
                 break
-        # compare signed values: np.abs(-2**63) is still -2**63
-        if (v > _VERIFY_BOUND).any() or (v < -_VERIFY_BOUND).any():
+        else:
             raise NotInLattice("no integer preimage exists")
-        if not np.array_equal(m.vecmul(v), x):
+        if (np.abs(v) > _PREIMAGE_BOUND).any():  # |v| < 2^55 here
             raise NotInLattice("no integer preimage exists")
         return v

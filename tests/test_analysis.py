@@ -49,6 +49,10 @@ def test_key_size_degenerate_n2():
 def test_default_l2():
     assert default_l2(258) == 63
     assert default_l2(1496) == 77
+    # exact ceil(log2 n) at and just past a power of two, and at n = 1
+    assert default_l2(256) == 56
+    assert default_l2(257) == 63
+    assert default_l2(1) == 0
 
 
 def test_expansion_exact_value_at_L16():

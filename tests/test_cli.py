@@ -68,6 +68,18 @@ def test_keygen_invalid_params_exit_1(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "keygen"])
+@pytest.mark.parametrize("b", ["0", "-3"])
+def test_nonpositive_code_length_without_d_exits_1(tmp_path, capsys, command, b):
+    # the default d = 7 ceil(log2 n) used to raise "math domain error"
+    extra = ["--seed", "1", "-o", str(tmp_path / "k.key")] if command == "keygen" else []
+    code, out, err = run(capsys, command, "--b", b, "--n0", "2", "--dv", "3", "--L", "4", *extra)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "k.key").exists()
+
+
 @pytest.fixture()
 def keyfile(tmp_path, capsys):
     path = tmp_path / "k.key"

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from conftest import deadline, random_message
 from qclattice import CipherParams, CipherSession, keygen, rdf_search
+from qclattice.analysis import default_l2, message_expansion
 from qclattice.channel import SweepSpec, run_sweep
 from qclattice.cipher import frame_capacity_bytes, pack_bits, save_key, unpack_bits
 from qclattice.cli import main
@@ -375,6 +376,8 @@ SCALAR_SITES = {
     "DecoderConfig.coset_window": (lambda v: DecoderConfig(coset_window=v), 4, InvalidParams),
     "channel_llr.window": (lambda v: channel_llr(POINT + 0.25, 0.5, v).tolist(), 4,
                            InvalidParams),
+    "default_l2.n": (default_l2, N, InvalidParams),
+    "message_expansion.L": (lambda v: message_expansion(N, PARAMS.k, v), PARAMS.L, InvalidParams),
     "primitives.poly": (poly, N, InvalidParams),
     "primitives.poly_id": (poly_id, N, InvalidParams),
     "primitives.reciprocal": (reciprocal, N, InvalidParams),
@@ -436,6 +439,9 @@ def test_scalar_sites_take_numpy_integers_as_python_ints(site):
     ("advance_to.frame", -1),
     ("channel_llr.window", 0),  # marginalized the nearest translate alone
     ("channel_llr.window", -1),  # numpy's ValueError
+    ("default_l2.n", 0),  # ValueError: math domain error
+    ("default_l2.n", -3),
+    ("message_expansion.L", 1),  # ValueError
     ("primitives.poly", -1),  # ValueError: negative shift count
     ("primitives.reciprocal", -1),
     ("FrameWriter.n", -1),  # struct.error

@@ -7,7 +7,9 @@ above; both must equal the dense int64 product, which wraps mod 2^64 like
 the int64 correlate.  NlfContext builds x^alpha with Frobenius window tables
 and x^-alpha as x^-(2^d) x^(2^d - alpha); gf2_reference.powmod squares and
 multiplies bit by bit.  NlfContext.invert_f must agree with the int64 peel
-gf2_reference.invert_peel, preimage or NotInLattice.
+gf2_reference.invert_peel, preimage or NotInLattice, at n = 6, 16, 258 and
+1496: preimages at +-2^52 are returned, those at +-(2^52 + 1) and inputs
+past +-n 2^52 are refused.
 """
 
 import random
@@ -165,6 +167,7 @@ def test_vecmul_matches_int64_oracle_at_the_float_guard(g, data):
 
 
 NLF_CASES = [(TRINOMIAL, 61), (poly(6), 3), (poly(16), 4)]
+PREIMAGE_BOUND = 2**52  # largest |v_i| invert_f returns
 
 
 def _outcome(fn, *args):
@@ -175,24 +178,28 @@ def _outcome(fn, *args):
 
 
 @st.composite
-def nlf_input(draw):
-    """(g, d, h, x, a): x = a U^alpha for a drawn preimage a, or x off the
-    lattice (a = None)."""
+def nlf_input(draw, cases=NLF_CASES):
+    """(g, d, h, x, want): x = a U^alpha for a drawn preimage a, or x off the
+    lattice; want is a's list, "NotInLattice", or None where either may come."""
     # choices from a seeded generator: hypothesis would favour the first entries
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    g, d = NLF_CASES[rng.integers(len(NLF_CASES))]
+    g, d = cases[rng.integers(len(cases))]
     n = gf2poly.degree(g)
     h = rng.integers(0, 2, size=d)
     alpha = sum(int(b) << i for i, b in enumerate(h))
     dense = oracle_dense(g, ref.powmod(2, alpha, g)).astype(np.int64)
-    kind = rng.choice(["small", "raw", "guard", "guard", "nudged", "random", "min_int64"])
+    kind = rng.choice(["small", "raw", "guard", "guard", "nudged", "random", "min_int64",
+                       "edge", "edge", "bound"])
     if kind == "raw":  # raw-mode preimages m + 1 - e with |m| <= 10^6
         a = rng.integers(-10**6, 10**6 + 1, size=n, endpoint=True)
-    elif kind == "guard":  # preimages whose verify product nears a guard target or crosses it
+    elif kind == "guard":  # preimages whose product nears a guard target or crosses it
         top = GUARD_TARGETS[rng.integers(len(GUARD_TARGETS))] // n
         a = rng.integers(top - top // 64, top, size=n, endpoint=True)
     else:
         a = rng.integers(-17, 17, size=n, endpoint=True)
+    if kind == "edge":  # entries at the largest |v| returned, and one past it
+        edges = [PREIMAGE_BOUND, -PREIMAGE_BOUND, PREIMAGE_BOUND + 1, -PREIMAGE_BOUND - 1]
+        a[rng.choice(n, size=rng.integers(1, 4), replace=False)] = edges[rng.integers(4)]
     x = a @ dense
     if kind == "nudged":  # a unit step off a lattice point
         x[rng.integers(n)] += 1
@@ -200,14 +207,28 @@ def nlf_input(draw):
         x = rng.integers(-(2**62), 2**62, size=n)
     elif kind == "min_int64":
         x[rng.integers(n)] = -(2**63)
-    return g, d, h, x, (a if kind in ("small", "raw", "guard") else None)
+    elif kind == "bound":  # just past n 2^52, where no preimage with |v| <= 2^52 maps
+        x[rng.integers(n)] = rng.choice([-1, 1]) * (n * PREIMAGE_BOUND + 1)
+    if kind in ("small", "raw", "guard", "edge"):
+        return g, d, h, x, (a.tolist() if np.abs(a).max() <= PREIMAGE_BOUND else "NotInLattice")
+    return g, d, h, x, ("NotInLattice" if kind == "bound" else None)
+
+
+def _check_invert_f(case):
+    g, d, h, x, want = case
+    got = _outcome(ref.invert_peel, g, x, h)
+    if want is not None:
+        assert got == want
+    assert _outcome(NlfContext(g, d).invert_f, x, h) == got
 
 
 @settings(DERANDOMIZED, max_examples=100)
 @given(nlf_input())
 def test_invert_f_matches_int64_peel(case):
-    g, d, h, x, a = case
-    want = _outcome(ref.invert_peel, g, x, h)
-    if a is not None:
-        assert want == a.tolist()
-    assert _outcome(NlfContext(g, d).invert_f, x, h) == want
+    _check_invert_f(case)
+
+
+@settings(DERANDOMIZED, max_examples=6)
+@given(nlf_input(cases=[(PENTANOMIAL, 77)]))
+def test_invert_f_matches_int64_peel_at_1496(case):
+    _check_invert_f(case)
