@@ -22,7 +22,7 @@ import numpy as np
 
 from .cipher import CipherSession, SecretKey
 from .decoder import DecoderConfig, decode
-from .errors import DecodeFailure, InvalidParams, NotInLattice, NotLatticePoint, integer
+from .errors import DecodeFailure, InvalidParams, NotInLattice, NotLatticePoint, integer, real
 from .lattice import LatticeCtx
 
 WORKERS_ENV = "QCLATTICE_WORKERS"
@@ -35,10 +35,10 @@ MAX_TRIALS = 2**32 - 1
 class SweepSpec:
     """VNR grid start, start + step, ... up to stop (within 1e-9), in dB.
 
-    The grid must be finite, hold at most MAX_SWEEP_POINTS points and
-    advance at every step after rounding to 9 decimals; anything else
-    raises InvalidParams, so points() always ends.  trials_per_point and
-    rng_seed must be integers (not bool), with 1 <= trials_per_point <=
+    The grid must be finite reals (held as floats), step > 0, hold at most
+    MAX_SWEEP_POINTS points and advance at every step after rounding to 9
+    decimals, or InvalidParams is raised, so points() ends.  trials_per_point
+    and rng_seed must be integers (not bool), with 1 <= trials_per_point <=
     MAX_TRIALS; any integer seed is used modulo 2^64.
     """
 
@@ -49,10 +49,9 @@ class SweepSpec:
     rng_seed: int
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.vnr_db_start, self.vnr_db_stop, self.vnr_db_step))):
-            raise InvalidParams("VNR start, stop and step must be finite")
-        if self.vnr_db_step <= 0:
-            raise InvalidParams("step must be positive")
+        for name, lo in (("vnr_db_start", -math.inf), ("vnr_db_stop", -math.inf),
+                         ("vnr_db_step", math.ulp(0.0))):
+            object.__setattr__(self, name, real(getattr(self, name), name, lo))
         trials = integer(self.trials_per_point, "trials_per_point", 1, MAX_TRIALS + 1)
         object.__setattr__(self, "trials_per_point", trials)
         object.__setattr__(self, "rng_seed", integer(self.rng_seed, "rng_seed"))
@@ -74,10 +73,9 @@ class SweepSpec:
 def add_awgn(x, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """x + N(0, sigma^2) noise; sigma = 0 returns x exactly.
 
-    Raises InvalidParams for a negative or non-finite sigma.
+    Raises InvalidParams unless sigma is a finite real >= 0 (``errors.real``).
     """
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise InvalidParams(f"sigma must be finite and nonnegative, not {sigma!r}")
+    sigma = real(sigma, "sigma", 0.0)
     x = np.asarray(x, dtype=np.float64)
     if sigma == 0:
         return x.copy()

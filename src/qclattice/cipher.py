@@ -14,10 +14,10 @@ receiver seeks to the counter of each frame it sees, forward or back, in
 O(log j) time, so missing, repeated and reordered frames decrypt
 independently.
 
-Every vector is checked before any cast and before the frame's material
+Every argument is checked before any cast and before the frame's material
 is drawn, so a refusal uses no counter value: the message, a raw
 ciphertext and each ``unpack_bits`` frame by ``errors.int_vector``, a
-joint observation by ``errors.vector``.
+joint observation by ``errors.vector`` and its sigma by ``errors.real``.
 
 ``CipherParams.secret_fields`` is the one statement of the key layout:
 the name, value count and bit width of each secret field, in file order.
@@ -45,13 +45,15 @@ from .errors import (
     ConstellationViolation,
     FormatError,
     InvalidParams,
+    NotInLattice,
     NotLatticePoint,
     int_vector,
     integer,
+    real,
     vector,
 )
 from .keystream import BlockPermutation, PermutationStream, ReseedingLfsr
-from .lattice import LatticeCtx
+from .lattice import LatticeCtx, check_sigma
 from .nlf import NlfContext
 from .rdfcode import QcCode, rdf_search
 
@@ -279,9 +281,10 @@ class CipherSession:
 
     def _decrypt(self, y, joint: bool, sigma: float = 0.0) -> np.ndarray:
         """Joint mode decodes a real observation, as float64, unless sigma <= 0;
-        raw mode reads an exact integer ciphertext."""
+        raw mode reads an exact integer ciphertext and returns only messages encrypt_raw takes."""
         if joint:
             y = vector(y, self.params.n, "observation").astype(np.float64, copy=False)
+            sigma = check_sigma(sigma) if real(sigma, "sigma") > 0 else 0.0
         else:
             y = int_vector(y, self.params.n, "ciphertext", NotLatticePoint)
         _, e, h, perm = self._frame_material()
@@ -297,7 +300,10 @@ class CipherSession:
             x = self.lattice.mod_recover(lam)
         else:
             x = self.lattice.mod_recover(decode(self.lattice, _DECODER, r, sigma))
-        return self.nlf.invert_f(x, h) - (1 - e)
+        m = self.nlf.invert_f(x, h) - (1 - e)
+        if not joint and (np.abs(m) > self.params.raw_bound).any():
+            raise NotInLattice(f"raw message coordinate beyond +-{self.params.raw_bound}")
+        return m
 
     def encrypt_joint(self, m) -> Ciphertext:
         return self._encrypt(m, joint=True)

@@ -25,7 +25,7 @@ from .cipher import (
     save_key,
     unpack_bits,
 )
-from .errors import FormatError, InvalidParams, QclatticeError
+from .errors import FormatError, InvalidParams, QclatticeError, real
 from .formats import FrameReader, FrameWriter
 from .lattice import check_sigma
 
@@ -83,12 +83,10 @@ def cmd_encrypt(args) -> int:
 
 def cmd_decrypt(args) -> int:
     sigma = args.sigma if args.sigma is not None else 0.0
-    # sigma <= 0 means noiseless; any other sigma (nan included) must be usable
-    if not sigma <= 0:
-        try:
-            check_sigma(sigma)
-        except InvalidParams as e:
-            raise UsageError(f"--sigma {sigma}: {e}")
+    try:  # a finite sigma <= 0 means noiseless; any other must be usable
+        sigma = check_sigma(sigma) if real(sigma, "sigma") > 0 else 0.0
+    except InvalidParams as e:
+        raise UsageError(f"--sigma {sigma}: {e}")
     key = _load_key_file(args.key)
     session = CipherSession(key)
     p = key.params

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import _clip, add_order, spa_core, tree_sum
-from .errors import DecodeFailure, InvalidParams, integer, vector
+from .errors import DecodeFailure, integer, real, vector
 from .lattice import LatticeCtx, check_sigma
 from .rdfcode import QcCode
 
@@ -50,10 +49,7 @@ class DecoderConfig:
     def __post_init__(self):
         for name in ("max_iterations", "coset_window"):
             object.__setattr__(self, name, integer(getattr(self, name), name, 1))
-        clip = self.llr_clip
-        if not (isinstance(clip, numbers.Real) and not isinstance(clip, bool)
-                and math.isfinite(clip) and clip > 0):
-            raise InvalidParams(f"llr_clip must be finite and positive, not {clip!r}")
+        object.__setattr__(self, "llr_clip", real(self.llr_clip, "llr_clip", math.ulp(0.0)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -103,8 +99,8 @@ def channel_llr(r, sigma: float, window: int, clip: float = 30.0):
     -1 + 4t with t centered on round((r -+ 1)/4).  The two translate sets
     mirror each other under r -> -r, so the result is an odd function of
     r.  Clipped to +-clip.  r is a scalar (the result is then a float) or
-    a 1-D array.  Raises InvalidParams for a sigma that
-    lattice.check_sigma rejects, or a window that is not an integer >= 1.
+    a 1-D array.  Raises InvalidParams for a sigma that check_sigma
+    rejects, a window that is not an integer >= 1, or a clip not in (0, inf).
 
     Both sides lie in one (2, translates, n) array, so the max and the
     log-sum-exp run across rows.  The rows are added in the order
@@ -113,8 +109,9 @@ def channel_llr(r, sigma: float, window: int, clip: float = 30.0):
     computed, added as that order associates them: the result is bit for
     bit the full window's.
     """
-    check_sigma(sigma)
+    sigma = check_sigma(sigma)
     window = integer(window, "window", 1)
+    clip = real(clip, "llr_clip", math.ulp(0.0))
     scalar = np.ndim(r) == 0
     r = np.atleast_1d(np.asarray(r, dtype=np.float64))
     inv = -1.0 / (2.0 * sigma * sigma)

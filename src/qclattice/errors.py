@@ -1,10 +1,11 @@
 """Exception types raised across the package, and the one argument check.
 
 Integer arguments (code parameters, L, d, seeds, frame counters) go through
-``integer``; length-n vectors through ``vector`` (any integer or real dtype:
-observations) or ``int_vector`` (an integer dtype int64 holds: exact maps),
-whose ``as_array`` refuses a ragged nesting.  Each checks before any cast, so
-no entry point truncates, parses or wraps its input: it raises its own error.
+``integer``, real ones (sigma, VNRs, the LLR clip) through ``real``; length-n
+vectors through ``vector`` (any integer or real dtype: observations) or
+``int_vector`` (an integer dtype int64 holds: exact maps), whose ``as_array``
+refuses a ragged nesting.  Each checks before any cast, so no entry point
+truncates, parses or wraps its input: it raises its own error.
 """
 
 import math
@@ -72,6 +73,19 @@ def integer(v, what: str, lo=-math.inf, hi=math.inf, error=InvalidParams) -> int
             or not lo <= v < hi):
         raise error(f"{what} must be an integer in [{lo}, {hi}), not {v!r}")
     return int(v)
+
+
+def real(v, what: str, lo=-math.inf, hi=math.inf, error=InvalidParams) -> float:
+    """v as a Python float: a real type but bool (not "0.5"), finite, in [lo, hi], or raise error."""
+    # bounds test the float the message shows (repr(10**5000) raises): lo=math.ulp(0.0) is v > 0
+    ok = type(v) is float or not isinstance(v, bool) and isinstance(v, numbers.Real)
+    try:
+        f = float(v) if ok else math.nan
+    except OverflowError:
+        f = math.inf
+    if not (math.isfinite(f) and lo <= f <= hi):
+        raise error(f"{what} must be a finite real in [{lo}, {hi}], not {f if ok else v!r}")
+    return f
 
 
 def as_array(v, what: str, error=InvalidParams) -> np.ndarray:

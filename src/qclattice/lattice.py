@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParams, NotLatticePoint, ShapingOverflow, int_vector, integer
+from .errors import InvalidParams, NotLatticePoint, ShapingOverflow, int_vector, integer, real
 from .rdfcode import QcCode, systematic_generator
 
 
@@ -130,9 +130,10 @@ class LatticeCtx:
     def vnr_sigma(self, vnr_db: float) -> float:
         """Noise standard deviation at a given volume-to-noise ratio (dB).
 
-        Raises InvalidParams when the VNR overflows or sigma is not usable
-        (see check_sigma).
+        Raises InvalidParams when vnr_db is not a finite real (``errors.real``),
+        the VNR overflows or sigma is not usable (see check_sigma).
         """
+        vnr_db = real(vnr_db, "VNR")
         volume = 4.0 ** ((2 * self.n - self.k) / self.n)
         try:
             vnr = 10.0 ** (vnr_db / 10.0)
@@ -143,13 +144,14 @@ class LatticeCtx:
 
 
 def check_sigma(sigma: float) -> float:
-    """Return sigma if the Gaussian density exp(-d^2 / (2 sigma^2)) is usable.
+    """sigma as a Python float if the Gaussian density exp(-d^2 / (2 sigma^2)) is usable.
 
-    That needs sigma finite and positive, and 1/(2 sigma^2) finite: sigma^2
-    must not underflow to zero, nor to a subnormal whose reciprocal
-    overflows.  Raises InvalidParams otherwise.
+    That needs sigma a finite positive real (``errors.real``), and
+    1/(2 sigma^2) finite: sigma^2 must not underflow to zero, nor to a
+    subnormal whose reciprocal overflows.  Raises InvalidParams otherwise.
     """
+    sigma = real(sigma, "sigma", math.ulp(0.0))
     sq = sigma * sigma
-    if not (math.isfinite(sigma) and sigma > 0 and sq > 0 and math.isfinite(0.5 / sq)):
+    if not (sq > 0 and math.isfinite(0.5 / sq)):
         raise InvalidParams(f"sigma {sigma} must be finite and positive, with 1/(2 sigma^2) finite")
     return sigma

@@ -23,6 +23,7 @@ from qclattice.errors import (
     ConstellationViolation,
     FormatError,
     InvalidParams,
+    NotInLattice,
     NotLatticePoint,
     QclatticeError,
 )
@@ -214,6 +215,24 @@ def test_raw_round_trips_at_its_bound_and_refuses_beyond(paper_key):
     for m in (np.full(n, 2**49 - 1), np.full(n, -bound - 1), np.full(n, -(2**63))):
         with pytest.raises(InvalidParams, match="raw message coordinate"):
             tx.encrypt_raw(m)
+
+
+def test_decrypt_raw_refuses_a_message_encrypt_raw_refuses(paper_key):
+    # a crafted frame-0 ciphertext of v with |v_i| up to 2^52 used to decrypt to
+    # max|m| = 2^52, which encrypt_raw refuses (raw_bound is about 2^46.2)
+    p = paper_key.params
+    crafter = CipherSession(paper_key)
+    _, e, h, perm = crafter._frame_material()
+    v = np.random.default_rng(7).integers(-9, 10, size=p.n)
+    v[[0, p.n - 1]] = 2**52, -(2**52)
+    y = perm.apply(crafter.lattice.encode(crafter.nlf.apply_f(v, h)) + 2 * e)
+    with pytest.raises(NotInLattice, match="raw message coordinate"):
+        CipherSession(paper_key).decrypt_raw(y)
+    v[[0, p.n - 1]] = p.raw_bound, 1 - p.raw_bound  # m = v - 1 + e is within the bound
+    y = perm.apply(crafter.lattice.encode(crafter.nlf.apply_f(v, h)) + 2 * e)
+    m = CipherSession(paper_key).decrypt_raw(y)
+    assert np.array_equal(m, v - 1 + e)
+    assert np.array_equal(CipherSession(paper_key).encrypt_raw(m), y)
 
 
 @pytest.mark.parametrize("mode", ["joint", "raw"])

@@ -514,12 +514,12 @@ def test_encrypt_with_L_beyond_int32_frames_exits_1(tmp_path, capsys, keyfile, L
     assert not ct.exists()
 
 
-@pytest.mark.parametrize("sigma", ["1e-200", "nan", "inf"])
+@pytest.mark.parametrize("sigma", ["1e-200", "nan", "inf", "-inf"])  # -inf was noiseless
 def test_decrypt_sigma_without_usable_square_exits_2(tmp_path, capsys, keyfile, sigma):
     _encrypt_frames(tmp_path, capsys, keyfile, b"frame")
     out = tmp_path / "out.bin"
     code, _, err = run(capsys, "decrypt", "--key", keyfile, "-i", str(tmp_path / "ct.bin"),
-                       "-o", str(out), "--sigma", sigma)
+                       "-o", str(out), f"--sigma={sigma}")
     assert code == 2
     assert err.startswith("usage error: --sigma")
     assert not out.exists()

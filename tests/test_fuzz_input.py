@@ -11,7 +11,9 @@ with each malformed vector: each must be refused with that entry point's
 typed error, before any cast could truncate, parse or wrap it, except
 that observation entry points take any integer or real dtype.  The
 scalar refusal matrix does the same for every integer argument, and
-checks that a numpy integer gives what the equal Python int gives.
+checks that a numpy integer gives what the equal Python int gives; the
+real refusal matrix does both for every real argument (sigma, VNR, LLR
+clip), and checks that a refused sigma uses no counter value.
 """
 
 import contextlib
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 from conftest import deadline, random_message
 from qclattice import CipherParams, CipherSession, keygen, rdf_search
 from qclattice.analysis import default_l2, message_expansion
-from qclattice.channel import SweepSpec, run_sweep
+from qclattice.channel import SweepSpec, add_awgn, run_sweep
 from qclattice.cipher import frame_capacity_bytes, pack_bits, save_key, unpack_bits
 from qclattice.cli import main
 from qclattice.decoder import DecoderConfig, channel_llr, decode
@@ -41,7 +43,7 @@ from qclattice.errors import (
 )
 from qclattice.formats import FrameReader, FrameWriter
 from qclattice.keystream import BlockPermutation
-from qclattice.lattice import LatticeCtx
+from qclattice.lattice import LatticeCtx, check_sigma
 from qclattice.nlf import NlfContext
 from qclattice.primitives import poly, poly_id, reciprocal
 
@@ -223,12 +225,15 @@ def _write(observations, counter=0, payload_len=1):
     return write
 
 
-def _session(method, error, *extra):
-    """A fresh session's method; a vector it refuses uses no counter value."""
+def _session(method, error, *extra, at=0):
+    """A fresh session's method of extra with v inserted at position at; a v it
+    refuses uses no counter value."""
     def call(v):
         session = CipherSession(KEY)
+        args = list(extra)
+        args.insert(at, v)
         try:
-            getattr(session, method)(v, *extra)
+            return getattr(session, method)(*args)
         except error:
             assert session.counter == 0
             raise
@@ -484,3 +489,73 @@ def test_frame_writer_refuses_a_malformed_digest(digest):
 ])
 def test_scalar_range_edges_are_taken(site, value):
     SCALAR_SITES[site][0](value)
+
+
+# --- the real refusal matrix -------------------------------------------------
+
+OBSERVATION = CipherSession(KEY).encrypt_joint(MESSAGE).y
+
+# name: (call, a valid real for it, exact in float32)
+REAL_ARG_SITES = {
+    "check_sigma": (check_sigma, 0.5),
+    "vnr_sigma": (LATTICE.vnr_sigma, 2.5),
+    "channel_llr.sigma": (lambda v: channel_llr(POINT + 0.25, v, 4).tolist(), 0.5),
+    "channel_llr.clip": (lambda v: channel_llr(POINT + 0.25, 0.5, 4, v).tolist(), 2.5),
+    "decode.sigma": (lambda v: decode(LATTICE, DecoderConfig(), POINT, v).tolist(), 0.5),
+    "DecoderConfig.llr_clip": (lambda v: DecoderConfig(llr_clip=v), 30.0),
+    "decrypt_joint.sigma": (_session("decrypt_joint", InvalidParams, OBSERVATION, at=1), 0.5),
+    "add_awgn.sigma": (lambda v: add_awgn(POINT, v, np.random.default_rng(0)).tolist(), 0.5),
+    "SweepSpec.start": (lambda v: SweepSpec(v, 12.0, 1.0, 1, 0), 12.0),
+    "SweepSpec.stop": (lambda v: SweepSpec(0.0, v, 1.0, 1, 0), 2.0),
+    "SweepSpec.step": (lambda v: SweepSpec(0.0, 2.0, v, 1, 0), 0.5),
+}
+
+REAL_ARG_BAD = {
+    "str": "0.5",  # TypeError from arithmetic or a comparison
+    "none": None,
+    "bool": True,  # taken as 1.0
+    "complex": 0.5 + 0j,
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "-inf": -float("inf"),  # noiseless at decrypt_joint
+    "huge_int": 10**400,  # OverflowError from float()
+}
+
+
+@pytest.mark.parametrize("case", sorted(REAL_ARG_BAD))
+@pytest.mark.parametrize("site", sorted(REAL_ARG_SITES))
+def test_real_refusal_matrix(site, case):
+    with pytest.raises(InvalidParams):
+        REAL_ARG_SITES[site][0](REAL_ARG_BAD[case])
+
+
+@pytest.mark.parametrize("kind", [np.float64, np.float32])
+@pytest.mark.parametrize("site", sorted(REAL_ARG_SITES))
+def test_real_sites_take_numpy_floats_as_python_floats(site, kind):
+    # repr tells np.float64(0.5) from 0.5, so a result must not carry the numpy type
+    call, valid = REAL_ARG_SITES[site]
+    assert repr(call(kind(valid))) == repr(call(valid))
+
+
+@pytest.mark.parametrize("site, value", [
+    ("channel_llr.clip", 0.0),  # clipped every LLR to 0
+    ("channel_llr.clip", -1.0),  # clipped every LLR to -1
+    ("DecoderConfig.llr_clip", 0.0),
+    ("check_sigma", 0.0),
+    ("check_sigma", -0.5),
+    ("decrypt_joint.sigma", 1e-200),  # sigma^2 underflows; used a counter value
+    ("SweepSpec.step", 0.0),
+    ("SweepSpec.step", -1.0),
+])
+def test_real_range_refusals(site, value):
+    with pytest.raises(InvalidParams):
+        REAL_ARG_SITES[site][0](value)
+
+
+@pytest.mark.parametrize("sigma", ["0.5", float("inf"), 1e-200])
+def test_refused_sigma_leaves_the_session_on_frame_0(sigma):
+    # each used to draw frame 0's material, so frame 0 then failed as NotLatticePoint
+    session = CipherSession(KEY)
+    with pytest.raises(InvalidParams):
+        session.decrypt_joint(OBSERVATION, sigma)
+    assert np.array_equal(session.decrypt_joint(OBSERVATION, 0.0), MESSAGE)
