@@ -8,7 +8,6 @@ it can be regenerated bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cipher import CipherParams
@@ -101,21 +100,8 @@ def differential_cost_log2_lfsr_rounds(params: CipherParams) -> float:
     return differential_cost_log2(p, rounds_log2=2 * math.log2((1 << p.l1) - 1))
 
 
-@dataclass(frozen=True)
-class SchemeReport:
-    """The analyze report: ordered (name, formatted value) items and text lines."""
-
-    items: tuple
-    text: tuple
-
-    def kv_lines(self):
-        return [f"{k}={v}" for k, v in self.items]
-
-    def text_lines(self):
-        return list(self.text)
-
-
-def build_report(params: CipherParams) -> SchemeReport:
+def build_report(params: CipherParams) -> tuple:
+    """The analyze report: ordered (name, value) items, and text lines."""
     p = params
     p.validate()
     key_bits = key_size_bits(p)
@@ -151,4 +137,4 @@ def build_report(params: CipherParams) -> SchemeReport:
         f"brute force       ~2^{brute:.2f}",
         f"differential      ~2^{diff:.2f}  (2^{diff_lfsr:.2f} with LFSR-period rounds)",
     )
-    return SchemeReport(items, text)
+    return items, text

@@ -32,7 +32,7 @@ import functools
 import numpy as np
 
 from . import gf2poly
-from .errors import InvalidParams
+from .errors import InvalidParams, integer
 
 _FLOAT_EXACT = 1 << 24  # float32 holds every integer of smaller magnitude
 
@@ -55,10 +55,10 @@ def circulants(b: int, rows) -> np.ndarray:
     Raises InvalidParams for a row outside [0, 2^b), which would spill into
     its neighbour in the packed bits.
     """
+    b = integer(b, "circulant size b", 1)
     packed = 0
     for r in reversed(rows):
-        if not 0 <= r < 1 << b:
-            raise InvalidParams(f"circulant row must lie in [0, 2^{b})")
+        r = integer(r, "circulant row", 0, 1 << b)
         packed = packed << 2 * b | r << b | r
     bits = poly_to_bits(packed, 2 * b * len(rows))
     # entry (k, i, j) is bits[2b*k + b - i + j], inside row k's 2b bits; the
@@ -101,9 +101,10 @@ class PolyMulMatrix:
     __slots__ = ("rows", "cols", "gens")
 
     def __init__(self, g: int, c: int):
+        g, c = integer(g, "modulus g", 2), integer(c, "multiplier c", 0)  # g: degree >= 1
+        if not g & 1:
+            raise InvalidParams("modulus needs g(0) = 1")
         n = gf2poly.degree(g)
-        if n < 1 or not g & 1:
-            raise InvalidParams("modulus needs degree >= 1 and g(0) = 1")
         c = gf2poly.mod(c, g)
         starts, series = _mul_layout(g)
         widths = [b - a for a, b in zip(starts, starts[1:] + (n,))]

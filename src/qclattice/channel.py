@@ -207,15 +207,17 @@ def run_sweep(key: SecretKey, spec: SweepSpec, workers: int | None = None, progr
 
     Returns rows (vnr_db, ser, fer, trials, seed).  Deterministic for a
     fixed spec regardless of the worker count; workers (an integer) defaults
-    to $QCLATTICE_WORKERS, else 1.  Raises InvalidParams before any trial for
-    a non-integer workers or a grid point with no usable sigma.
+    to $QCLATTICE_WORKERS, else 1 (unset or empty).  Raises InvalidParams
+    before any trial for a non-integer workers or variable, or a grid point
+    with no usable sigma.
     """
     sigmas = point_sigmas(key, spec)
     if workers is None:
+        env = os.environ.get(WORKERS_ENV) or "1"
         try:
-            workers = int(os.environ.get(WORKERS_ENV, "1"))
+            workers = int(env)
         except ValueError:
-            workers = 1
+            raise InvalidParams(f"${WORKERS_ENV} = {env!r} is not an integer") from None
     workers = integer(workers, "workers")
     return _sweep(partial(_cipher_link, key), key.params.n, sigmas, spec, workers, progress)
 

@@ -17,7 +17,8 @@ independently.
 Every argument is checked before any cast and before the frame's material
 is drawn, so a refusal uses no counter value: the message, a raw
 ciphertext and each ``unpack_bits`` frame by ``errors.int_vector``, a
-joint observation by ``errors.vector`` and its sigma by ``errors.real``.
+joint observation by ``errors.vector`` and its sigma by
+``lattice.noise_sigma``.
 
 ``CipherParams.secret_fields`` is the one statement of the key layout:
 the name, value count and bit width of each secret field, in file order.
@@ -49,11 +50,10 @@ from .errors import (
     NotLatticePoint,
     int_vector,
     integer,
-    real,
     vector,
 )
 from .keystream import BlockPermutation, PermutationStream, ReseedingLfsr
-from .lattice import LatticeCtx, check_sigma
+from .lattice import LatticeCtx, noise_sigma
 from .nlf import NlfContext
 from .rdfcode import QcCode, rdf_search
 
@@ -148,8 +148,7 @@ class CipherParams:
         # dense m x n arrays of a session at n = 1496
         if self.n not in primitives.supported_degrees():
             raise InvalidParams(f"n = {self.n} has no shipped NLF polynomial of that degree")
-        if self.L < 2 or self.L & (self.L - 1):
-            raise InvalidParams("L must be a power of two >= 2")
+        frame_capacity_bytes(self.n, self.L)  # refuses an L that is not a power of two >= 2
         # shaped ciphertext coordinates reach 2nL - 1 and frames are int32
         if self.n * self.L > 1 << 30:
             raise InvalidParams("n * L must be at most 2^30 (int32 ciphertexts)")
@@ -216,6 +215,15 @@ def _fold(v) -> np.ndarray:
     return out
 
 
+def _check_symbols(sym: np.ndarray, L: int, error):
+    """Raise error unless every folded symbol lies in [0, L): the constellation, pair by pair."""
+    bad = (sym < 0) | (sym >= L)
+    if bad.any():
+        if bad[0::2].any():
+            raise error("even-pair coordinate outside [0, L-1]")
+        raise error("odd-pair coordinate outside [-L, -1]")
+
+
 class CipherSession:
     """Stateful encrypt/decrypt context; frames advance the material."""
 
@@ -261,11 +269,7 @@ class CipherSession:
     def check_constellation(self, m: np.ndarray):
         """Pairwise ranges: even 0-indexed coords in [0, L-1], odd in [-L, -1]."""
         sym = _fold(int_vector(m, self.params.n, "message"))
-        bad = (sym < 0) | (sym >= self.params.L)
-        if bad.any():
-            if bad[0::2].any():
-                raise ConstellationViolation("even-pair coordinate outside [0, L-1]")
-            raise ConstellationViolation("odd-pair coordinate outside [-L, -1]")
+        _check_symbols(sym, self.params.L, ConstellationViolation)
 
     def _encrypt(self, m, joint: bool) -> Ciphertext:
         """Every check runs before the material draw: a refusal uses no counter value."""
@@ -284,7 +288,7 @@ class CipherSession:
         raw mode reads an exact integer ciphertext and returns only messages encrypt_raw takes."""
         if joint:
             y = vector(y, self.params.n, "observation").astype(np.float64, copy=False)
-            sigma = check_sigma(sigma) if real(sigma, "sigma") > 0 else 0.0
+            sigma = noise_sigma(sigma)
         else:
             y = int_vector(y, self.params.n, "ciphertext", NotLatticePoint)
         _, e, h, perm = self._frame_material()
@@ -324,8 +328,8 @@ class CipherSession:
 
 def frame_capacity_bytes(n: int, L: int) -> int:
     """Whole bytes per frame, floor(n log2(L) / 8); InvalidParams unless n >= 1, L = 2^i >= 2."""
-    n, L = integer(n, "frame length n", 1), integer(L, "L", 2)
-    if L & (L - 1):
+    n, L = integer(n, "frame length n", 1), integer(L, "L")
+    if L < 2 or L & (L - 1):
         raise InvalidParams("L must be a power of two >= 2")
     return (n * (L.bit_length() - 1)) // 8
 
@@ -358,8 +362,7 @@ def unpack_bits(frames, n: int, L: int) -> bytes:
     for m, payload_len in frames:
         payload_len = integer(payload_len, "payload length", 0, cap + 1, FormatError)
         vals = _fold(int_vector(m, n, "frame", FormatError))
-        if (vals < 0).any() or (vals >= L).any():
-            raise FormatError("vector outside the constellation")
+        _check_symbols(vals, L, FormatError)
         bits = ((vals[:, None] >> np.arange(bits_per)) & 1).astype(np.uint8)
         raw = np.packbits(bits.reshape(-1)[: cap * 8], bitorder="little").tobytes()
         out.extend(raw[:payload_len])

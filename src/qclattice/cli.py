@@ -25,9 +25,9 @@ from .cipher import (
     save_key,
     unpack_bits,
 )
-from .errors import FormatError, InvalidParams, QclatticeError, real
+from .errors import FormatError, InvalidParams, QclatticeError
 from .formats import FrameReader, FrameWriter
-from .lattice import check_sigma
+from .lattice import noise_sigma
 
 
 class UsageError(Exception):
@@ -82,11 +82,10 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_decrypt(args) -> int:
-    sigma = args.sigma if args.sigma is not None else 0.0
-    try:  # a finite sigma <= 0 means noiseless; any other must be usable
-        sigma = check_sigma(sigma) if real(sigma, "sigma") > 0 else 0.0
+    try:
+        sigma = noise_sigma(args.sigma or 0.0)
     except InvalidParams as e:
-        raise UsageError(f"--sigma {sigma}: {e}")
+        raise UsageError(f"--sigma {args.sigma}: {e}")
     key = _load_key_file(args.key)
     session = CipherSession(key)
     p = key.params
@@ -151,16 +150,11 @@ def cmd_analyze(args) -> int:
         params = _load_key_file(args.key).params
     else:
         params = _params_from_args(args)
-    report = analysis.build_report(params)
+    items, text = analysis.build_report(params)
     if args.json:
-        payload = dict(item.split("=", 1) for item in report.kv_lines())
-        print(json.dumps(payload))
+        print(json.dumps({k: f"{v}" for k, v in items}))
     else:
-        for line in report.text_lines():
-            print(line)
-        print()
-        for line in report.kv_lines():
-            print(line)
+        print(*text, "", *(f"{k}={v}" for k, v in items), sep="\n")
     return 0
 
 
@@ -242,10 +236,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except QclatticeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (QclatticeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -71,7 +71,11 @@ def integer(v, what: str, lo=-math.inf, hi=math.inf, error=InvalidParams) -> int
     # type(v) is int skips the ABC check, which costs 0.5 us; a bool's type is bool
     if (type(v) is not int and (isinstance(v, bool) or not isinstance(v, numbers.Integral))
             or not lo <= v < hi):
-        raise error(f"{what} must be an integer in [{lo}, {hi}), not {v!r}")
+        try:
+            shown = repr(v)
+        except ValueError:  # an int or Fraction past 4,300 digits: its type and size
+            shown = f"a {int(v).bit_length()}-bit {type(v).__name__}"
+        raise error(f"{what} must be an integer in [{lo}, {hi}), not {shown}")
     return int(v)
 
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import gf2poly, primitives
 from .bitmat import poly_to_bits
-from .errors import InvalidParams, ZeroSeedSlice, vector
+from .errors import InvalidParams, ZeroSeedSlice, integer, vector
 
 
 @functools.lru_cache(maxsize=64)
@@ -80,8 +80,8 @@ class Lfsr:
     __slots__ = ("length", "taps", "state", "_mask", "_recip", "_tap_list", "_word")
 
     def __init__(self, length: int, poly: int, seed: int):
-        if length < 1:
-            raise InvalidParams("LFSR length must be >= 1")
+        length = integer(length, "LFSR length", 1)
+        poly, seed = integer(poly, "LFSR polynomial"), integer(seed, "LFSR seed")
         mask = (1 << length) - 1
         if seed & mask == 0:
             raise InvalidParams("LFSR seed must be nonzero")
@@ -109,6 +109,7 @@ class Lfsr:
 
     def advance(self, k: int) -> int:
         """Take ``k`` steps and return their output bits, first least significant."""
+        k = integer(k, "LFSR step count", 0)
         if k > _SERIES_AFTER_WORDS * self._word:
             seq = self._output(k + self.length)
             self.state = seq >> k  # the state is the next `length` output bits
@@ -128,8 +129,7 @@ class Lfsr:
 
     def jump(self, k: int) -> None:
         """Take ``k`` steps in O(log k) multiplications, discarding the output."""
-        if k < 0:
-            raise InvalidParams("cannot jump an LFSR backwards")
+        k = integer(k, "LFSR jump length", 0)
         if k * self.length < _JUMP_BY_ADVANCE_BELOW:
             self.advance(k)
             return
@@ -155,10 +155,11 @@ class ReseedingLfsr:
         self.main = Lfsr(length, primitives.poly(length), seed)
         self.companion = Lfsr(length, primitives.reciprocal(length), seed)
         self.seed = self.main.state
-        self.segment = (1 << length) - 1
+        self.segment = (1 << self.main.length) - 1
         self.phase = 0
 
     def next_bits(self, count: int) -> np.ndarray:
+        count = integer(count, "bit count", 0)
         acc = pos = 0
         while pos < count:
             k = min(count - pos, self.segment - self.phase)
@@ -173,8 +174,7 @@ class ReseedingLfsr:
 
     def seek(self, t: int) -> None:
         """Position the stream at output bit ``t`` (0 = first bit after seeding)."""
-        if t < 0:
-            raise InvalidParams("stream position must be >= 0")
+        t = integer(t, "stream position", 0)
         reseeds, self.phase = divmod(t, self.segment)
         self.companion.state = self.seed
         self.companion.jump(reseeds)
@@ -228,9 +228,10 @@ class PermutationStream:
     """
 
     def __init__(self, q: int, seeds):
+        q = integer(q, "permutation block size q", 1)
         gamma = (q - 1).bit_length()  # the key's seed width, CipherParams.gamma
         mask = (1 << gamma) - 1
-        seeds = [seed & mask for seed in seeds]
+        seeds = [integer(seed, "permutation seed") & mask for seed in seeds]
         if not all(seeds):
             raise ZeroSeedSlice("permutation seed slice is all-zero")
         self._windows, self._offset, position = _permutation_ring(
@@ -247,7 +248,7 @@ class PermutationStream:
 
     def seek(self, j: int) -> None:
         """Position the stream at frame ``j`` (0 = the draws from the seeds)."""
-        self.frame = j % self._period
+        self.frame = integer(j, "permutation frame", 0) % self._period
 
 
 class BlockPermutation:

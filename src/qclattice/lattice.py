@@ -155,3 +155,8 @@ def check_sigma(sigma: float) -> float:
     if not (sq > 0 and math.isfinite(0.5 / sq)):
         raise InvalidParams(f"sigma {sigma} must be finite and positive, with 1/(2 sigma^2) finite")
     return sigma
+
+
+def noise_sigma(sigma) -> float:
+    """A decoder's sigma: 0.0 (noiseless) for a finite real sigma <= 0, else check_sigma(sigma)."""
+    return check_sigma(sigma) if real(sigma, "sigma") > 0 else 0.0

@@ -115,10 +115,11 @@ def test_report_reproducible_and_complete():
     a = build_report(PAPER_PARAMS)
     b = build_report(PAPER_PARAMS)
     assert a == b
-    kv = dict(line.split("=", 1) for line in a.kv_lines())
+    items, text = a
+    kv = {k: f"{v}" for k, v in items}
     assert kv["key_bits"] == "214"
     assert abs(float(kv["bruteforce_log2"]) - 176) <= 1
     assert abs(float(kv["differential_log2"]) - 129) <= 2
     assert kv["rate_paper"] == "5"
-    text = "\n".join(a.text_lines())
+    text = "\n".join(text)
     assert "214 bits" in text

@@ -2,9 +2,13 @@
 
 Frames 0-63 of the toy key (n = 26) cover the permutation stream's period
 (2^4 - 1 = 15 frames) and the error stream's ((2^5 - 1)^2 bits, 37
-frames).  Each library stage is fed the reference's previous stage, so the
-first stage that differs is the one named, and the library must decrypt
-every reference ciphertext back to its message.
+frames).  At n = 258 the paper key's frames 0-3, 61-65 and 1,010-1,014
+cross the permutation period (2^6 - 1 = 63 frames) and the end of the
+error stream's ((2^9 - 1)^2 bits, inside frame 1,012); the oracle replays
+every frame before them in counter order.  Each library stage is fed the
+reference's previous stage, so the first stage that differs is the one
+named, and the library must decrypt every reference ciphertext back to its
+message.
 """
 
 import numpy as np
@@ -14,18 +18,20 @@ from cipher_reference import ReferenceCipher
 from conftest import random_message
 from qclattice import CipherSession
 
-FRAMES = 64
+TOY_FRAMES = range(64)
+PAPER_FRAMES = (*range(4), *range(61, 66), *range(1010, 1015))
 
 
-@pytest.fixture(scope="module")
-def frames(toy_key):
-    """(frame, mode, message, the reference's stages) for frames 0..FRAMES-1."""
-    p = toy_key.params
-    oracle = ReferenceCipher(toy_key)
-    rng = np.random.default_rng(26)
+def _reference_frames(key, wanted):
+    """(frame, mode, message, the reference's stages) for each wanted frame."""
+    p = key.params
+    oracle = ReferenceCipher(key)
+    rng = np.random.default_rng(p.n)
     out = []
-    for j in range(FRAMES):
-        material = oracle.material()
+    for j in range(max(wanted) + 1):
+        material = oracle.material()  # drawn for every frame: the oracle cannot seek
+        if j not in wanted:
+            continue
         scale = (100, p.raw_bound)[j % 2]
         for joint, m in ((True, random_message(rng, p.n, p.L)),
                          (False, rng.integers(-scale, scale + 1, size=p.n))):
@@ -33,29 +39,42 @@ def frames(toy_key):
     return out
 
 
+@pytest.fixture(scope="module")
+def frames(toy_key):
+    return _reference_frames(toy_key, TOY_FRAMES)
+
+
+@pytest.fixture(scope="module")
+def paper_frames(paper_key):
+    return _reference_frames(paper_key, PAPER_FRAMES)
+
+
 def _same(frame, stage, got, want):
     assert [int(c) for c in got] == want, f"frame {frame}: {stage} differs from the reference"
 
 
-def test_library_stages_match_the_reference(toy_key, frames):
-    material, session = CipherSession(toy_key), CipherSession(toy_key)
+def _check_stages(key, frames):
+    material, session = CipherSession(key), CipherSession(key)
     for j, joint, m, want in frames:
         if joint:
+            material.advance_to(j)
             _, e, h, perm = material._frame_material()
             _same(j, "e", e, want["e"])
             _same(j, "h", h, want["h"])
-            _same(j, "perm", perm.apply(np.arange(toy_key.params.n)), want["perm"])
+            _same(j, "perm", perm.apply(np.arange(key.params.n)), want["perm"])
         a = np.array([int(mi) + 1 - ei for mi, ei in zip(m, want["e"])])
         _same(j, "x", session.nlf.apply_f(a, np.array(want["h"])), want["x"])
         lattice = session.lattice.shape if joint else session.lattice.encode
         _same(j, "lam", lattice(np.array(want["x"])), want["lam"])
 
 
-def test_encrypt_matches_the_reference_and_decrypts_it(toy_key, frames):
-    tx = {True: CipherSession(toy_key), False: CipherSession(toy_key)}
-    rx = {True: CipherSession(toy_key), False: CipherSession(toy_key)}
+def _check_encrypt(key, frames):
+    tx = {True: CipherSession(key), False: CipherSession(key)}
+    rx = {True: CipherSession(key), False: CipherSession(key)}
     for j, joint, m, want in frames:
         y = np.array(want["y"])
+        tx[joint].advance_to(j)
+        rx[joint].advance_to(j)
         if joint:
             ct = tx[True].encrypt_joint(m)
             assert ct.counter == j
@@ -64,6 +83,22 @@ def test_encrypt_matches_the_reference_and_decrypts_it(toy_key, frames):
         else:
             _same(j, "y (raw)", tx[False].encrypt_raw(m), want["y"])
             assert np.array_equal(rx[False].decrypt_raw(y), m), f"frame {j}"
+
+
+def test_library_stages_match_the_reference(toy_key, frames):
+    _check_stages(toy_key, frames)
+
+
+def test_encrypt_matches_the_reference_and_decrypts_it(toy_key, frames):
+    _check_encrypt(toy_key, frames)
+
+
+def test_library_stages_match_the_reference_at_n258(paper_key, paper_frames):
+    _check_stages(paper_key, paper_frames)
+
+
+def test_encrypt_matches_the_reference_and_decrypts_it_at_n258(paper_key, paper_frames):
+    _check_encrypt(paper_key, paper_frames)
 
 
 def test_shaping_ties_match_the_reference(toy_key):

@@ -194,6 +194,20 @@ def test_simulate_unwritable_output_fails_before_any_trial(tmp_path, capsys, key
     assert not any(line.startswith("vnr") for line in err.splitlines())
 
 
+@pytest.mark.parametrize("value, code", [("abc", 1), ("2.5", 1), ("", 0), ("2", 0)])
+def test_simulate_reads_the_workers_variable_or_exits_1(capsys, keyfile, monkeypatch,
+                                                        value, code):
+    # a malformed value used to be dropped for one worker, with exit 0
+    monkeypatch.setenv("QCLATTICE_WORKERS", value)
+    got, out, err = run(capsys, "simulate", "--key", keyfile, "--vnr-db", "12:1:12",
+                        "--trials", "2")
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("error: $QCLATTICE_WORKERS = ")
+    else:
+        assert out.startswith("vnr_db,ser,fer,trials,seed\n")
+
+
 def fresh_python(*argv):
     """Run a fresh interpreter that imports this checkout's qclattice."""
     src = str(Path(qclattice.__file__).resolve().parents[1])

@@ -20,6 +20,7 @@ import contextlib
 import dataclasses
 import io
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from hypothesis import strategies as st
 from conftest import deadline, random_message
 from qclattice import CipherParams, CipherSession, keygen, rdf_search
 from qclattice.analysis import default_l2, message_expansion
+from qclattice.bitmat import PolyMulMatrix, circulants
 from qclattice.channel import SweepSpec, add_awgn, run_sweep
 from qclattice.cipher import frame_capacity_bytes, pack_bits, save_key, unpack_bits
 from qclattice.cli import main
@@ -40,9 +42,10 @@ from qclattice.errors import (
     NotLatticePoint,
     QclatticeError,
     int_vector,
+    integer,
 )
 from qclattice.formats import FrameReader, FrameWriter
-from qclattice.keystream import BlockPermutation
+from qclattice.keystream import BlockPermutation, Lfsr, PermutationStream, ReseedingLfsr
 from qclattice.lattice import LatticeCtx, check_sigma
 from qclattice.nlf import NlfContext
 from qclattice.primitives import poly, poly_id, reciprocal
@@ -364,6 +367,37 @@ def _nlf(g, d):
     return ctx.g, ctx.d, ctx.apply_f(SHORT_INTS, CONTROL).tolist()
 
 
+LFSR_POLY = poly(9)
+
+
+def _lfsr(length, taps, seed):
+    lf = Lfsr(length, taps, seed)
+    return lf.length, lf.taps, lf.state, lf.advance(40)
+
+
+def _stepped(step, k):
+    """A fresh 9-bit register's output from advance(k) or jump(k), and its state."""
+    lf = Lfsr(9, LFSR_POLY, 5)
+    return getattr(lf, step)(k), lf.state
+
+
+def _reseeding(method, v):
+    """The next 8 bits and the phase after next_bits(v) or seek(v) on a fresh stream."""
+    stream = ReseedingLfsr(5, 9)
+    getattr(stream, method)(v)
+    return stream.next_bits(8).tolist(), stream.phase
+
+
+def _perms(q, seeds, frame=0):
+    stream = PermutationStream(q, seeds)
+    stream.seek(frame)
+    return stream.frame, stream.next_perm().tolist()
+
+
+def _mul_matrix(g, c):
+    return [e.tolist() for e in PolyMulMatrix(g, c).gens]
+
+
 # name: (call, a valid integer for it, the error that refuses a non-integer)
 SCALAR_SITES = {
     "keygen.master_seed": (lambda v: save_key(keygen(PARAMS, v)), 3, InvalidParams),
@@ -401,6 +435,20 @@ SCALAR_SITES = {
     "FrameWriter.n": (_frame_writer, N, FormatError),
     "write_frame.counter": (lambda v: _write(False, v)(POINT), 2, FormatError),
     "write_frame.payload_len": (lambda v: _write(False, 0, v)(POINT), 2, FormatError),
+    "Lfsr.length": (lambda v: _lfsr(v, LFSR_POLY, 5), 9, InvalidParams),
+    "Lfsr.poly": (lambda v: _lfsr(9, v, 5), LFSR_POLY, InvalidParams),
+    "Lfsr.seed": (lambda v: _lfsr(9, LFSR_POLY, v), 5, InvalidParams),
+    "Lfsr.advance": (lambda v: _stepped("advance", v), 40, InvalidParams),
+    "Lfsr.jump": (lambda v: _stepped("jump", v), 40, InvalidParams),
+    "ReseedingLfsr.next_bits": (lambda v: _reseeding("next_bits", v), 40, InvalidParams),
+    "ReseedingLfsr.seek": (lambda v: _reseeding("seek", v), 40, InvalidParams),
+    "PermutationStream.q": (lambda v: _perms(v, [3, 5]), PARAMS.q, InvalidParams),
+    "PermutationStream.seeds": (lambda v: _perms(PARAMS.q, [v, 5]), 3, InvalidParams),
+    "PermutationStream.seek": (lambda v: _perms(PARAMS.q, [3, 5], v), 2, InvalidParams),
+    "PolyMulMatrix.g": (lambda v: _mul_matrix(v, 5), NLF.g, InvalidParams),
+    "PolyMulMatrix.c": (lambda v: _mul_matrix(NLF.g, v), 5, InvalidParams),
+    "circulants.b": (lambda v: circulants(v, [1, 2]).tolist(), PARAMS.b, InvalidParams),
+    "circulants.row": (lambda v: circulants(PARAMS.b, [1, v]).tolist(), 5, InvalidParams),
 }
 
 SCALAR_BAD = {
@@ -453,11 +501,48 @@ def test_scalar_sites_take_numpy_integers_as_python_ints(site):
     ("FrameWriter.n", 2**32),
     ("write_frame.counter", 2**64),
     ("write_frame.payload_len", 2**32),
+    ("Lfsr.length", 0),
+    ("ReseedingLfsr.seek", -1),
+    ("PermutationStream.q", 0),
+    ("PolyMulMatrix.g", 1),  # degree 0
+    ("PolyMulMatrix.g", 2),  # g(0) = 0
+    ("PolyMulMatrix.c", -1),
+    ("circulants.b", 0),
+    ("circulants.row", -1),
+    ("circulants.row", 1 << PARAMS.b),  # spilled into its neighbour's bits
 ])
 def test_scalar_range_refusals(site, value):
     call, _, error = SCALAR_SITES[site]
     with pytest.raises(error):
         call(value)
+
+
+@pytest.mark.parametrize("value", [-1, -3, np.int64(-1)])
+@pytest.mark.parametrize("site", ["Lfsr.advance", "Lfsr.jump", "ReseedingLfsr.next_bits",
+                                  "PermutationStream.seek"])
+def test_negative_stream_positions_and_counts_are_refused(site, value):
+    # advance(-1) returned 0, next_bits(-3) raised numpy's ValueError, and
+    # PermutationStream.seek(-1) wrapped to the last frame of the period
+    with pytest.raises(InvalidParams, match="must be an integer in \\[0, inf\\)"):
+        SCALAR_SITES[site][0](value)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("site", ["keygen.master_seed", "SweepSpec.trials_per_point",
+                                  "unpack_bits.payload_len", "FrameWriter.n",
+                                  "write_frame.counter", "write_frame.payload_len",
+                                  "circulants.row"])
+def test_bounded_scalar_sites_refuse_a_huge_integer(site, sign):
+    # the refusal formatted the value with repr, which raised ValueError
+    # ("Exceeds the limit (4300 digits)") instead of the site's error
+    call, _, error = SCALAR_SITES[site]
+    with pytest.raises(error, match="not a 16610-bit int$"):
+        call(sign * 10**5000)
+
+
+def test_integer_names_a_huge_fraction_by_its_size():
+    with pytest.raises(InvalidParams, match="not a 16609-bit Fraction$"):
+        integer(Fraction(10**5000, 3), "x", 0, 10)
 
 
 @pytest.mark.parametrize("shipped", [poly, reciprocal])
