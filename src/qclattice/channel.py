@@ -212,14 +212,22 @@ def run_sweep(key: SecretKey, spec: SweepSpec, workers: int | None = None, progr
     with no usable sigma.
     """
     sigmas = point_sigmas(key, spec)
+    workers = sweep_workers(workers)
+    return _sweep(partial(_cipher_link, key), key.params.n, sigmas, spec, workers, progress)
+
+
+def sweep_workers(workers: int | None = None) -> int:
+    """The worker count run_sweep uses: workers, else $QCLATTICE_WORKERS, else 1.
+
+    Raises InvalidParams for a non-integer workers or variable.
+    """
     if workers is None:
         env = os.environ.get(WORKERS_ENV) or "1"
         try:
             workers = int(env)
         except ValueError:
             raise InvalidParams(f"${WORKERS_ENV} = {env!r} is not an integer") from None
-    workers = integer(workers, "workers")
-    return _sweep(partial(_cipher_link, key), key.params.n, sigmas, spec, workers, progress)
+    return integer(workers, "workers")
 
 
 def lattice_sweep(ctx: LatticeCtx, cfg: DecoderConfig, spec: SweepSpec, progress=None):

@@ -14,11 +14,20 @@ receiver seeks to the counter of each frame it sees, forward or back, in
 O(log j) time, so missing, repeated and reordered frames decrypt
 independently.
 
+The pipeline runs on one frame or on a (B, n) block of the next B
+counters; a frame is the B = 1 case of the same stages.  A block draws its
+material with one ``next_bits`` per stream, and checks, masks, permutes
+(one gather), shapes and recovers all rows at once; only the NLF's
+x-powers and correlates and the SPA decoder run row by row.  A block
+returns (result, errors): a row that fails leaves the block with the
+QclatticeError its frame raises alone, and the other rows go on, which
+is what lets the CLI stream 64-frame blocks with frame-by-frame output.
+
 Every argument is checked before any cast and before the frame's material
-is drawn, so a refusal uses no counter value: the message, a raw
-ciphertext and each ``unpack_bits`` frame by ``errors.int_vector``, a
-joint observation by ``errors.vector`` and its sigma by
-``lattice.noise_sigma``.
+is drawn, so a refusal, which refuses a whole block, uses no counter
+value: the message, a raw ciphertext and each ``unpack_bits`` frame by
+``errors.int_vector``, a joint observation by ``errors.vector`` and its
+sigma by ``lattice.noise_sigma``.
 
 ``CipherParams.secret_fields`` is the one statement of the key layout:
 the name, value count and bit width of each secret field, in file order.
@@ -48,6 +57,7 @@ from .errors import (
     InvalidParams,
     NotInLattice,
     NotLatticePoint,
+    QclatticeError,
     int_vector,
     integer,
     vector,
@@ -174,8 +184,8 @@ class SecretKey:
 
 @dataclass(frozen=True)
 class Ciphertext:
-    y: np.ndarray
-    counter: int
+    y: np.ndarray  # (n,), or (B, n) for a block
+    counter: int  # of the frame, or of a block's first row
 
 
 def _draw_nonzero(rng: random.Random, nbits: int) -> int:
@@ -208,24 +218,104 @@ _DECODER = DecoderConfig()
 def _fold(v) -> np.ndarray:
     """The constellation layout: odd coordinates map v -> -1 - v, even ones keep v.
 
-    Its own inverse: it takes symbols 0..L-1 to a constellation vector and back.
+    Its own inverse: it takes symbols 0..L-1 to a constellation vector and back,
+    along the last axis of a vector or a block.
     """
     out = np.array(v, dtype=np.int64)
-    out[1::2] = -1 - out[1::2]
+    out[..., 1::2] = -1 - out[..., 1::2]
     return out
 
 
 def _check_symbols(sym: np.ndarray, L: int, error):
-    """Raise error unless every folded symbol lies in [0, L): the constellation, pair by pair."""
+    """Raise error unless every folded symbol lies in [0, L): the constellation,
+    pair by pair; the message names the first bad row's first bad kind."""
     bad = (sym < 0) | (sym >= L)
     if bad.any():
-        if bad[0::2].any():
+        rows = bad.reshape(-1, bad.shape[-1])
+        if rows[rows.any(axis=1).argmax(), 0::2].any():
             raise error("even-pair coordinate outside [0, L-1]")
         raise error("odd-pair coordinate outside [-L, -1]")
 
 
+class _Rows:
+    """The rows of a frame block still running, and the error of each row that failed.
+
+    A stage runs on the live rows at once; a row that fails leaves the
+    block with the QclatticeError it raises alone, so every row ends as the
+    frame would by itself.  Stage outputs line up with ``live``.  A single
+    frame, a vector, runs the same stages and raises its error at once.
+    """
+
+    def __init__(self, frames: np.ndarray):
+        self.single = frames.ndim == 1
+        self.n = frames.shape[-1]
+        self.errors = [None] * (1 if self.single else len(frames))
+        self.live = None if self.single else np.arange(len(frames))
+
+    def _all_live(self) -> bool:
+        return self.single or len(self.live) == len(self.errors)
+
+    def pick(self, block: np.ndarray) -> np.ndarray:
+        """The live rows of a full block."""
+        return block if self._all_live() else block[self.live]
+
+    def keep(self, ok, error, message):
+        """Fail the live rows where ok is False with error(message); an index of the rest."""
+        if ok.all():
+            return ...
+        if self.single:
+            raise error(message)
+        for i in self.live[~ok]:
+            self.errors[i] = error(message)
+        self.live = self.live[ok]
+        return ok
+
+    def each(self, fn, *columns) -> np.ndarray:
+        """fn(*row) for each live row, as int64; the rows it raises for fail."""
+        if self.single:
+            return fn(*columns)
+        out = []
+        for i, *args in zip(self.live.tolist(), *columns):
+            try:
+                out.append(fn(*args))
+            except QclatticeError as e:
+                self.errors[i] = e
+        if len(out) < len(self.live):
+            self.live = np.array([i for i in self.live.tolist() if self.errors[i] is None],
+                                 dtype=np.int64)
+        return np.array(out, dtype=np.int64).reshape(len(out), self.n)
+
+    def at(self, fn, *columns) -> np.ndarray:
+        """fn(*columns) on the live rows at once; row by row when it raises, to fail just those."""
+        try:
+            return fn(*columns)
+        except QclatticeError:
+            if self.single:
+                raise
+            return self.each(fn, *columns)
+
+    def scatter(self, values: np.ndarray) -> np.ndarray:
+        """The live rows' values in a full block, failed rows zero."""
+        if self._all_live():
+            return values
+        out = np.zeros((len(self.errors), self.n), dtype=values.dtype)
+        out[self.live] = values
+        return out
+
+    def outcome(self, result):
+        """A frame's result; a block's (result, errors)."""
+        return result if self.single else (result, tuple(self.errors))
+
+
 class CipherSession:
-    """Stateful encrypt/decrypt context; frames advance the material."""
+    """Stateful encrypt/decrypt context; frames advance the material.
+
+    Each map takes one frame, a length-n vector, or a (B, n) block of the
+    next B counters.  A frame returns its result or raises; a block returns
+    (result, errors), where row i of the result is frame i's (zeros where
+    it failed) and errors[i] is None or the QclatticeError that frame
+    raises alone.  A refused argument refuses the whole block.
+    """
 
     def __init__(self, key: SecretKey):
         p = key.params
@@ -239,13 +329,23 @@ class CipherSession:
 
     # --- rotating material -------------------------------------------------
 
-    def _frame_material(self):
-        j = self.counter
-        e = self.e_lfsr.next_bits(self.params.n).astype(np.int64)
-        h = self.h_lfsr.next_bits(self.params.d)
-        perm = BlockPermutation(self.params.q, self.perm_stream.next_perm())
-        self.counter += 1
-        return j, e, h, perm
+    def _frame_material(self, rows=None):
+        """(counter, e, h, permutation) of the next frame: e of shape (n,), h (d,).
+
+        Given rows, those of the next rows frames: the first counter, e
+        (rows, n), h (rows, d) and the permutation of (rows, n) blocks.
+        """
+        p = self.params
+        j, count = self.counter, 1 if rows is None else rows
+        e = self.e_lfsr.next_bits(count * p.n).astype(np.int64)
+        h = self.h_lfsr.next_bits(count * p.d)
+        if rows is None:
+            perms = self.perm_stream.next_perm()
+        else:
+            e, h = e.reshape(rows, p.n), h.reshape(rows, p.d)
+            perms = [self.perm_stream.next_perm() for _ in range(rows)]
+        self.counter += count
+        return j, e, h, BlockPermutation(p.q, perms)
 
     def advance_to(self, frame: int):
         """Seek the material streams to any frame counter, ahead or behind.
@@ -268,58 +368,66 @@ class CipherSession:
 
     def check_constellation(self, m: np.ndarray):
         """Pairwise ranges: even 0-indexed coords in [0, L-1], odd in [-L, -1]."""
-        sym = _fold(int_vector(m, self.params.n, "message"))
+        sym = _fold(int_vector(m, self.params.n, "message", rows=True))
         _check_symbols(sym, self.params.L, ConstellationViolation)
 
-    def _encrypt(self, m, joint: bool) -> Ciphertext:
+    def _encrypt(self, m, joint: bool):
         """Every check runs before the material draw: a refusal uses no counter value."""
-        m = int_vector(m, self.params.n, "message")
+        p = self.params
+        m = int_vector(m, p.n, "message", rows=True)
         if joint:
             self.check_constellation(m)
-        elif (m > self.params.raw_bound).any() or (m < -self.params.raw_bound).any():
-            raise InvalidParams(f"raw message coordinate beyond +-{self.params.raw_bound}")
-        j, e, h, perm = self._frame_material()
+        elif (m > p.raw_bound).any() or (m < -p.raw_bound).any():
+            raise InvalidParams(f"raw message coordinate beyond +-{p.raw_bound}")
+        j, e, h, perm = self._frame_material(len(m) if m.ndim == 2 else None)
+        rows = _Rows(m)
         x = self.nlf.apply_f(m + (1 - e), h)
-        lam = self.lattice.shape(x) if joint else self.lattice.encode(x)
-        return Ciphertext(y=perm.apply(lam + 2 * e), counter=j)
+        lam = rows.at(self.lattice.shape if joint else self.lattice.encode, x)
+        y = perm.apply(rows.scatter(lam + 2 * rows.pick(e)))
+        return rows.outcome(Ciphertext(y=y, counter=j) if joint else y)
 
-    def _decrypt(self, y, joint: bool, sigma: float = 0.0) -> np.ndarray:
+    def _decrypt(self, y, joint: bool, sigma: float = 0.0):
         """Joint mode decodes a real observation, as float64, unless sigma <= 0;
         raw mode reads an exact integer ciphertext and returns only messages encrypt_raw takes."""
+        p = self.params
         if joint:
-            y = vector(y, self.params.n, "observation").astype(np.float64, copy=False)
+            y = vector(y, p.n, "observation", rows=True).astype(np.float64, copy=False)
             sigma = noise_sigma(sigma)
         else:
-            y = int_vector(y, self.params.n, "ciphertext", NotLatticePoint)
-        _, e, h, perm = self._frame_material()
+            y = int_vector(y, p.n, "ciphertext", NotLatticePoint, rows=True)
+        _, e, h, perm = self._frame_material(len(y) if y.ndim == 2 else None)
+        rows = _Rows(y)
         r = perm.apply_inverse(y) - 2 * e
         if not joint:
-            x = self.lattice.encode_inverse(r)
+            x = rows.at(self.lattice.encode_inverse, r)
         elif sigma <= 0:
-            if not observation_ok(r):
-                raise NotLatticePoint("noiseless input is not finite, or reaches 2^52")
+            r = r[rows.keep(observation_ok(r), NotLatticePoint,
+                            "noiseless input is not finite, or reaches 2^52")]
             lam = np.rint(r).astype(np.int64)
-            if not self.lattice.syndrome_ok(lam):
-                raise NotLatticePoint("noiseless input is not a lattice translate point")
-            x = self.lattice.mod_recover(lam)
+            lam = lam[rows.keep(self.lattice.syndrome_ok(lam), NotLatticePoint,
+                                "noiseless input is not a lattice translate point")]
+            x = rows.at(self.lattice.mod_recover, lam)
         else:
-            x = self.lattice.mod_recover(decode(self.lattice, _DECODER, r, sigma))
-        m = self.nlf.invert_f(x, h) - (1 - e)
-        if not joint and (np.abs(m) > self.params.raw_bound).any():
-            raise NotInLattice(f"raw message coordinate beyond +-{self.params.raw_bound}")
-        return m
+            lam = rows.each(lambda r: decode(self.lattice, _DECODER, r, sigma), r)
+            x = rows.at(self.lattice.mod_recover, lam)
+        m = rows.at(self.nlf.invert_f, x, rows.pick(h)) - (1 - rows.pick(e))
+        if not joint:
+            m = m[rows.keep((np.abs(m) <= p.raw_bound).all(axis=-1), NotInLattice,
+                            f"raw message coordinate beyond +-{p.raw_bound}")]
+        return rows.outcome(rows.scatter(m))
 
-    def encrypt_joint(self, m) -> Ciphertext:
+    def encrypt_joint(self, m):
+        """Ciphertext of m; for a block, one Ciphertext of (B, n) y from the first counter."""
         return self._encrypt(m, joint=True)
 
-    def decrypt_joint(self, r, sigma: float) -> np.ndarray:
+    def decrypt_joint(self, r, sigma: float):
         return self._decrypt(r, joint=True, sigma=sigma)
 
-    def encrypt_raw(self, m) -> np.ndarray:
+    def encrypt_raw(self, m):
         """Raw mode takes any integer vector with every |m_i| <= params.raw_bound."""
-        return self._encrypt(m, joint=False).y
+        return self._encrypt(m, joint=False)
 
-    def decrypt_raw(self, y) -> np.ndarray:
+    def decrypt_raw(self, y):
         return self._decrypt(y, joint=False)
 
 
@@ -338,35 +446,37 @@ def pack_bits(data: bytes, n: int, L: int):
     """Map a byte stream onto constellation vectors.
 
     Yields (message_vector, payload_byte_count); the final partial frame is
-    zero-padded.  Empty input yields one zero-padded frame.
+    zero-padded.  Empty input yields one zero-padded frame.  The first
+    vector comes once the whole input is packed, as one block.
     """
     cap = frame_capacity_bytes(n, L)
     bits_per = int(L).bit_length() - 1  # exact: L passed the check
     if cap == 0:
         raise InvalidParams("frame too small to carry a byte")
-    chunks = [data[i : i + cap] for i in range(0, len(data), cap)] or [b""]
-    weights = 1 << np.arange(bits_per, dtype=np.int64)
-    for chunk in chunks:
-        padded = chunk.ljust(cap, b"\x00")
-        bits = np.unpackbits(np.frombuffer(padded, dtype=np.uint8), bitorder="little")
-        fields = np.zeros(n * bits_per, dtype=np.uint8)
-        fields[: cap * 8] = bits
-        yield _fold(fields.reshape(n, bits_per).astype(np.int64) @ weights), len(chunk)
+    frames = max(1, -(-len(data) // cap))
+    padded = np.frombuffer(data.ljust(frames * cap, b"\x00"), dtype=np.uint8)
+    fields = np.zeros((frames, n * bits_per), dtype=np.uint8)
+    fields[:, : cap * 8] = np.unpackbits(padded.reshape(frames, cap), axis=1, bitorder="little")
+    block = _fold(fields.reshape(frames, n, bits_per) @ (1 << np.arange(bits_per, dtype=np.int64)))
+    for i, m in enumerate(block):
+        yield m, min(cap, len(data) - i * cap)
 
 
 def unpack_bits(frames, n: int, L: int) -> bytes:
-    """Invert pack_bits; frames is an iterable of (vector, payload_len)."""
+    """Invert pack_bits; frames is an iterable of (vector, payload_len), unpacked as one block."""
     cap = frame_capacity_bytes(n, L)
     bits_per = int(L).bit_length() - 1  # exact: L passed the check
-    out = bytearray()
+    vectors, lengths = [], []
     for m, payload_len in frames:
-        payload_len = integer(payload_len, "payload length", 0, cap + 1, FormatError)
-        vals = _fold(int_vector(m, n, "frame", FormatError))
-        _check_symbols(vals, L, FormatError)
-        bits = ((vals[:, None] >> np.arange(bits_per)) & 1).astype(np.uint8)
-        raw = np.packbits(bits.reshape(-1)[: cap * 8], bitorder="little").tobytes()
-        out.extend(raw[:payload_len])
-    return bytes(out)
+        lengths.append(integer(payload_len, "payload length", 0, cap + 1, FormatError))
+        vectors.append(int_vector(m, n, "frame", FormatError))
+    if not vectors:
+        return b""
+    vals = _fold(np.stack(vectors))
+    _check_symbols(vals, L, FormatError)
+    bits = ((vals[..., None] >> np.arange(bits_per)) & 1).astype(np.uint8)
+    raw = np.packbits(bits.reshape(len(vals), -1)[:, : cap * 8], axis=1, bitorder="little")
+    return raw[np.arange(cap) < np.array(lengths)[:, None]].tobytes()
 
 
 # --- key file -----------------------------------------------------------------

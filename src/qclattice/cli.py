@@ -1,18 +1,26 @@
 """Command-line surface: keygen, encrypt, decrypt, simulate, analyze.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error.  Frame processing
-streams with bounded memory; simulate writes CSV and reports progress on
-standard error.
+Exit codes: 0 success, 1 runtime failure, 2 usage error.  encrypt and
+decrypt stream blocks of up to BLOCK_FRAMES frames in bounded memory: each
+block is packed or unpacked at once and runs through the cipher as (B, n)
+arrays, decrypt splitting it into runs of consecutive counters.  Their
+output, messages and exit codes are those of one frame at a time: a frame
+that fails costs only itself under --on-fail skip, and the frames before
+a failure or a truncated frame are written.  simulate writes CSV and
+reports progress on standard error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
 from contextlib import nullcontext
+
+import numpy as np
 
 from . import analysis, channel
 from .cipher import (
@@ -28,6 +36,12 @@ from .cipher import (
 from .errors import FormatError, InvalidParams, QclatticeError
 from .formats import FrameReader, FrameWriter
 from .lattice import noise_sigma
+
+
+# Frames per cipher call.  The per-frame cost hardly falls past 32 (n = 258,
+# 2-vCPU VM: encrypt 66 -> 62 us and noiseless decrypt 211 -> 202 us from 32
+# to 64), and a (64, 1496) int64 array is 0.77 MB.
+BLOCK_FRAMES = 64
 
 
 class UsageError(Exception):
@@ -72,13 +86,57 @@ def cmd_encrypt(args) -> int:
     with open(args.input, "rb") as fin, open(args.output, "wb") as fout:
         writer = FrameWriter(fout, p.n, key.digest(), observations=False)
         while True:
-            chunk = fin.read(cap)
+            chunk = fin.read(cap * BLOCK_FRAMES)
             if not chunk:
                 break
-            for m, payload in pack_bits(chunk, p.n, p.L):
-                ct = session.encrypt_joint(m)
-                writer.write_frame(ct.counter, payload, ct.y)
+            frames = list(pack_bits(chunk, p.n, p.L))
+            ct, errors = session.encrypt_joint(np.stack([m for m, _ in frames]))
+            for i, ((_, payload), y, error) in enumerate(zip(frames, ct.y, errors)):
+                if error is not None:
+                    raise error
+                writer.write_frame(ct.counter + i, payload, y)
     return 0
+
+
+def _read_block(reader):
+    """Up to BLOCK_FRAMES frames, and the error that ended the file early, or None."""
+    frames = []
+    try:
+        for frame in itertools.islice(reader, BLOCK_FRAMES):
+            frames.append(frame)
+    except (QclatticeError, OSError) as e:  # raised once the frames before it are written
+        return frames, e
+    return frames, None
+
+
+def _decrypt_block(session, frames, sigma: float, cap: int) -> list:
+    """Each frame's plaintext, or the QclatticeError it fails with when decrypted alone."""
+    p = session.params
+    out = [FormatError(f"payload {payload} exceeds frame capacity {cap}") if payload > cap
+           else None for _, payload, _ in frames]
+    live = [i for i, o in enumerate(out) if o is None]
+    pairs = {}  # (message, payload) of each frame that decrypted
+    # counter minus position is constant along a run of consecutive counters
+    for _, run in itertools.groupby(enumerate(live), lambda t: frames[t[1]][0] - t[0]):
+        run = [i for _, i in run]
+        session.advance_to(frames[run[0]][0])
+        m, errors = session.decrypt_joint(np.stack([frames[i][2] for i in run]), sigma)
+        for i, row, error in zip(run, m, errors):
+            if error is None:
+                pairs[i] = (row, frames[i][1])
+            else:
+                out[i] = error
+    try:
+        plain, at = unpack_bits(pairs.values(), p.n, p.L), 0
+        for i, (_, payload) in pairs.items():
+            out[i], at = plain[at : at + payload], at + payload
+    except QclatticeError:  # a message off the constellation: unpack each frame alone
+        for i, pair in pairs.items():
+            try:
+                out[i] = unpack_bits([pair], p.n, p.L)
+            except QclatticeError as e:
+                out[i] = e
+    return out
 
 
 def cmd_decrypt(args) -> int:
@@ -101,22 +159,22 @@ def cmd_decrypt(args) -> int:
             print("error: observation file needs --sigma > 0", file=sys.stderr)
             return 1
         cap = frame_capacity_bytes(p.n, p.L)
-        for counter, payload, coords in reader:
-            try:
-                if payload > cap:
-                    raise FormatError(f"payload {payload} exceeds frame capacity {cap}")
-                session.advance_to(counter)
-                m = session.decrypt_joint(coords, sigma)
-                plain = unpack_bits([(m, payload)], p.n, p.L)
-            except QclatticeError as e:
-                if args.on_fail == "abort":
-                    print(f"error: frame {counter}: {e}", file=sys.stderr)
-                    return 1
-                print(f"warning: frame {counter}: {e}; emitting zeros",
-                      file=sys.stderr)
-                plain = b"\x00" * min(payload, cap)
-            fout.write(plain)
-    return 0
+        while True:
+            frames, stop = _read_block(reader)
+            for (counter, payload, _), plain in zip(frames, _decrypt_block(session, frames,
+                                                                            sigma, cap)):
+                if isinstance(plain, QclatticeError):
+                    if args.on_fail == "abort":
+                        print(f"error: frame {counter}: {plain}", file=sys.stderr)
+                        return 1
+                    print(f"warning: frame {counter}: {plain}; emitting zeros",
+                          file=sys.stderr)
+                    plain = b"\x00" * min(payload, cap)
+                fout.write(plain)
+            if stop is not None:
+                raise stop
+            if len(frames) < BLOCK_FRAMES:
+                return 0
 
 
 def cmd_simulate(args) -> int:
@@ -135,10 +193,11 @@ def cmd_simulate(args) -> int:
         channel.point_sigmas(key, spec)
     except InvalidParams as e:
         raise UsageError(f"--vnr-db {args.vnr_db}: {e}")
-    # opened before the first trial, so a bad path fails before the sweep runs
+    # a bad worker count fails before the output opens, and a bad path before the sweep runs
+    workers = channel.sweep_workers(args.workers)
     with open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout) as fh:
         rows = channel.run_sweep(
-            key, spec, workers=args.workers,
+            key, spec, workers=workers,
             progress=lambda msg: print(msg, file=sys.stderr),
         )
         fh.write(channel.rows_to_csv(rows))

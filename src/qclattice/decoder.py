@@ -35,9 +35,9 @@ from .rdfcode import QcCode
 OBSERVATION_BOUND = 2.0**52
 
 
-def observation_ok(r: np.ndarray) -> bool:
-    """Whether every coordinate of r is finite and below 2^52 in magnitude."""
-    return bool((np.abs(r) < OBSERVATION_BOUND).all())
+def observation_ok(r: np.ndarray):
+    """Whether every coordinate of r is finite and below 2^52 in magnitude; per row of a block."""
+    return (np.abs(r) < OBSERVATION_BOUND).all(axis=-1)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Integer arguments (code parameters, L, d, seeds, frame counters) go through
 ``integer``, real ones (sigma, VNRs, the LLR clip) through ``real``; length-n
 vectors through ``vector`` (any integer or real dtype: observations) or
 ``int_vector`` (an integer dtype int64 holds: exact maps), whose ``as_array``
-refuses a ragged nesting.  Each checks before any cast, so no entry point
+refuses a ragged nesting; with ``rows`` they also take a (B, n) block of
+frames.  Each checks before any cast, so no entry point
 truncates, parses or wraps its input: it raises its own error.
 """
 
@@ -100,20 +101,21 @@ def as_array(v, what: str, error=InvalidParams) -> np.ndarray:
         raise error(f"{what} is not an array: {e}") from None
 
 
-def vector(v, n: int, what: str, error=InvalidParams) -> np.ndarray:
-    """v as an array of shape (n,) and an integer or real dtype, uncast, or raise error."""
+def vector(v, n: int, what: str, error=InvalidParams, rows=False) -> np.ndarray:
+    """v as an array of shape (n,), or (B, n) when rows, and an integer or real
+    dtype, uncast, or raise error."""
     v = as_array(v, what, error)
-    if v.shape != (n,):
-        raise error(f"{what} has shape {v.shape}, not ({n},)")
+    if v.shape != (n,) and not (rows and v.ndim == 2 and v.shape[1] == n):
+        raise error(f"{what} has shape {v.shape}, not ({'B, ' if rows else ''}{n},)")
     if v.dtype.kind not in "iuf":
         raise error(f"{what} dtype {v.dtype} is not numeric")
     return v
 
 
-def int_vector(v, n: int, what: str, error=InvalidParams) -> np.ndarray:
+def int_vector(v, n: int, what: str, error=InvalidParams, rows=False) -> np.ndarray:
     """``vector`` of an integer dtype int64 holds (not bool or uint64), as int64."""
     v = as_array(v, what, error)
     kind = v.dtype.kind  # int64 holds every signed type and unsigned below 64 bits
     if not (kind == "i" or kind == "u" and v.dtype.itemsize < 8):
         raise error(f"{what} dtype {v.dtype} is not an integer type int64 holds")
-    return vector(v, n, what, error).astype(np.int64, copy=False)
+    return vector(v, n, what, error, rows).astype(np.int64, copy=False)

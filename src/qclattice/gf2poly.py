@@ -159,6 +159,46 @@ def xpowmod(e: int, m: int) -> int:
     return r
 
 
+@functools.lru_cache(maxsize=16)
+def _montgomery(m: int):
+    """(exponents of 1/m mod x^256, exponents of m), both ascending: x^-w steps, w < 256."""
+    inv = inverse_series(m, 1 << _WINDOW)
+    return (tuple(k for k in range(inv.bit_length()) if inv >> k & 1),
+            tuple(k for k in range(m.bit_length()) if m >> k & 1))
+
+
+def xinvpowmod(e: int, m: int) -> int:
+    """``x**-e mod m`` for ``e >= 0`` and ``m`` of degree >= 1 with ``m(0) = 1``.
+
+    xpowmod's windows with x^-w in place of x^w, as a Montgomery step: q =
+    (r mod x^w)(1/m mod x^w) makes r + q m divisible by x^w, and (r + q m)
+    / x^w has degree below deg m, so it needs no reduction.  For a sparse m,
+    1/m mod x^256 is sparse too (1 + x^83 + x^166 + x^249 for x^258 + x^83 +
+    1), and both products are a few shift-XORs.
+    """
+    if e == 0:
+        return 1
+    tables = _frobenius(m)
+    inv, taps = _montgomery(m)
+    mask = (1 << _WINDOW) - 1
+    shift = (e.bit_length() - 1) // _WINDOW * _WINDOW
+    r, w = 1, e >> shift
+    while True:
+        low, q = r & ((1 << w) - 1), 0
+        for k in inv:
+            if k >= w:
+                break
+            q ^= low << k
+        q &= (1 << w) - 1
+        for t in taps:
+            r ^= q << t
+        r >>= w
+        if not shift:
+            return r
+        shift -= _WINDOW
+        r, w = _frobenius_apply(r, tables), (e >> shift) & mask
+
+
 def invmod(a: int, m: int):
     """Inverse of ``a`` modulo ``m`` via extended Euclid, or None."""
     if mod(a, m) == 0:
@@ -174,9 +214,14 @@ def invmod(a: int, m: int):
     return mod(s0, m)
 
 
+_REVERSED_BYTE = bytes(int(f"{v:08b}"[::-1], 2) for v in range(256))
+
+
 def reverse(a: int, n: int) -> int:
     """Reciprocal polynomial x**n * a(1/x) of a degree-<=n polynomial."""
-    return int(f"{a & ((2 << n) - 1):0{n + 1}b}"[::-1], 2)
+    size = n // 8 + 1  # bytes holding the n + 1 coefficients
+    raw = (a & ((2 << n) - 1)).to_bytes(size, "little").translate(_REVERSED_BYTE)
+    return int.from_bytes(raw, "big") >> (8 * size - n - 1)
 
 
 @functools.lru_cache(maxsize=64)

@@ -252,7 +252,8 @@ class PermutationStream:
 
 
 class BlockPermutation:
-    """Block-diagonal permutation: v independent q-blocks.
+    """Block-diagonal permutation: v independent q-blocks, of one frame
+    (perms of shape (v, q)) or of each row of a frame block ((B, v, q)).
 
     Unchecked: each block must be a permutation of 0..q-1, as every
     ``PermutationStream`` draw is (``_permutation_ring`` checks the walk).
@@ -260,14 +261,22 @@ class BlockPermutation:
 
     def __init__(self, q: int, perms):
         blocks = np.asarray(perms, dtype=np.int64)
-        fwd = (blocks + np.arange(0, blocks.size, q)[:, None]).ravel()
-        inv = np.empty_like(fwd)
-        inv[fwd] = np.arange(fwd.size)
-        self.n = fwd.size
-        self._fwd, self._inv = fwd, inv
+        self.shape = blocks.shape[:-2] + (blocks.shape[-2] * q,)
+        self.n = self.shape[-1]
+        # indices into the flattened frames: block i moves within [iq, (i+1)q)
+        flat = blocks.reshape(-1, q) + np.arange(0, blocks.size, q)[:, None]
+        self._fwd = flat.reshape(self.shape)
+
+    def _gather(self, x, index) -> np.ndarray:
+        x = vector(x, self.n, "vector", rows=True)
+        if x.shape != self.shape:
+            raise InvalidParams(f"vector has shape {x.shape}, not {self.shape}")
+        return np.take(x, index)  # index holds flat positions, in the shape of x
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return vector(x, self.n, "vector")[self._fwd]
+        return self._gather(x, self._fwd)
 
     def apply_inverse(self, y: np.ndarray) -> np.ndarray:
-        return vector(y, self.n, "vector")[self._inv]
+        inv = np.empty(self._fwd.shape, dtype=np.int64)  # built here: encryption never needs it
+        np.put(inv, self._fwd, np.arange(inv.size))
+        return self._gather(y, inv)

@@ -12,13 +12,18 @@ H.  The transmit alphabet is the translate {2*x*G - 1}, whose points all
 have odd coordinates.  Shaping replaces x by x' = x - z*(n*L - 1) so that
 x'G lands in a hypercube and returns the translate point encode(x');
 recovery undoes the shift with a signed modulo, so shape/mod_recover pair
-up like encode/encode_inverse.  Everything here is exact integer
-arithmetic; floats appear only in the VNR conversion and the noise sigma
-check.
+up like encode/encode_inverse.  Every map takes one length-n vector or a
+(B, n) block of them, row by row.  Everything here is exact integer
+arithmetic; shape forms sys*A in float64, whose sums of at most k < 2^11
+terms below 2^29 stay below 2^40, where float64 is exact (numpy runs int64
+products without BLAS: 8 against 1.5 us a row at the reference parameters,
+240 against 36 us at n = 1496, in blocks of 64 on a 2-vCPU VM).  Other
+floats appear only in the VNR conversion and the noise sigma check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -40,6 +45,11 @@ class LatticeCtx:
         self.mod_full = self.n * self.L - 1
         self.half = self.mod_full // 2
 
+    @functools.cached_property
+    def _a_float(self) -> np.ndarray:
+        """A as float64, for shape's product; built on the first call, not in setup."""
+        return self.a.astype(np.float64)
+
     @classmethod
     def from_code(cls, code: QcCode, shaping_limit: int) -> "LatticeCtx":
         return cls(code, systematic_generator(code), shaping_limit)
@@ -48,38 +58,42 @@ class LatticeCtx:
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         """Translate encoding 2*x*G - 1; all components odd."""
-        x = int_vector(x, self.n, "vector")
-        sys = x[: self.k]
-        return 2 * np.concatenate([sys, sys @ self.a + 2 * x[self.k :]]) - 1
+        x = int_vector(x, self.n, "vector", rows=True)
+        sys = x[..., : self.k]
+        return 2 * np.concatenate([sys, sys @ self.a + 2 * x[..., self.k :]], axis=-1) - 1
 
     def _residue(self, lam):
-        """(u_sys, u_par - u_sys*A) for u = (lam + 1)/2 of an all-odd integer lam."""
-        lam = int_vector(lam, self.n, "lattice point", NotLatticePoint)
-        if not (lam & 1).all():
-            raise NotLatticePoint("vector has an even coordinate")
+        """(u_sys, u_par - u_sys*A, odd) for u = (lam + 1)/2 of an integer lam;
+        odd says whether all of a row's coordinates are odd."""
+        lam = int_vector(lam, self.n, "lattice point", NotLatticePoint, rows=True)
         u = (lam + 1) >> 1
-        sys = u[: self.k]
-        return sys, u[self.k :] - sys @ self.a
+        sys = u[..., : self.k]
+        return sys, u[..., self.k :] - sys @ self.a, (lam & 1).all(axis=-1)
 
     def encode_inverse(self, lam: np.ndarray) -> np.ndarray:
         """The x with encode(x) = lam: [u_sys, (u_par - u_sys*A)/2].
 
-        Raises NotLatticePoint unless lam is a length-n vector of an
-        integer dtype int64 holds, with all coordinates odd, whose
+        Raises NotLatticePoint unless every row of lam is a length-n vector
+        of an integer dtype int64 holds, with all coordinates odd, whose
         u_par - u_sys*A is even: a point of the translate.
         """
-        sys, t = self._residue(lam)
+        sys, t, odd = self._residue(lam)
+        if not odd.all():
+            raise NotLatticePoint("vector has an even coordinate")
         if (t & 1).any():
             raise NotLatticePoint("vector is not a lattice translate point")
-        return np.concatenate([sys, t >> 1])
+        return np.concatenate([sys, t >> 1], axis=-1)
 
-    def syndrome_ok(self, lam: np.ndarray) -> bool:
-        """Whether lam is a translate point: encode_inverse(lam) would not raise."""
+    def syndrome_ok(self, lam: np.ndarray):
+        """Whether lam is a translate point: encode_inverse(lam) would not raise.
+
+        A numpy bool for a vector, and one per row for a block.
+        """
         try:
-            _, t = self._residue(lam)
+            _, t, odd = self._residue(lam)
         except NotLatticePoint:
-            return False
-        return not (t & 1).any()
+            return np.False_
+        return odd & ~(t & 1).any(axis=-1)
 
     # --- hypercube shaping ----------------------------------------------
 
@@ -95,22 +109,26 @@ class LatticeCtx:
         coordinates are shifted into the box regardless, which keeps
         re-shaping a shaped vector the identity.)
         """
-        x = int_vector(x, self.n, "vector")
-        sys = x[: self.k]
+        x = int_vector(x, self.n, "vector", rows=True)
+        sys = x[..., : self.k]
         # signed bounds: 2 * np.abs(x) wraps in int64 once |x| >= 2^62
         if (sys > self.half).any() or (sys < -self.half).any():
             raise ShapingOverflow("coordinate outside the recoverable window")
-        par = x[self.k :]
-        s = sys @ self.a  # column sums of A weighted by x, length n-k
-        # z_i = round((x_i + s_i/2) / (n*L - 1)); ties round to even so that
-        # re-shaping an already-shaped vector is the identity even when a
-        # coordinate sits exactly on the box wall
+        par = x[..., self.k :]
+        # column sums of A weighted by x, length n-k: exact in float64 (module
+        # docstring).  One vector product per row: as one (B, k) product it went
+        # to a threaded BLAS, 50 times slower at n = 1496 on a loaded 2-vCPU VM.
+        s = (sys.astype(np.float64)[..., None, :] @ self._a_float)[..., 0, :].astype(np.int64)
+        # z_i = round((x_i + s_i/2) / M) for M = n*L - 1; ties round to even so
+        # that re-shaping an already-shaped vector is the identity even when a
+        # coordinate sits exactly on the box wall.  Rounding num / 2M half up
+        # is floor((num + M) / 2M); a tie leaves remainder 0, where an odd
+        # quotient steps back to the even one below.
         num = 2 * par + s
-        den = 2 * self.mod_full
-        q, r = np.divmod(num, den)
-        z_par = q + ((2 * r > den) | ((2 * r == den) & (q & 1 == 1)))
-        par_prime = par - z_par * self.mod_full
-        return 2 * np.concatenate([sys, s + 2 * par_prime]) - 1  # 2*x'G - 1, reusing s
+        q, r = np.divmod(num + self.mod_full, 2 * self.mod_full)
+        z_par = q - (q & (r == 0))
+        # 2*x'G - 1 with x'_par = x_par - z M, whose parity part s + 2 x'_par is num - 2 M z
+        return 2 * np.concatenate([sys, num - z_par * (2 * self.mod_full)], axis=-1) - 1
 
     def mod_recover(self, lam_tilde_prime: np.ndarray) -> np.ndarray:
         """Invert shaping: lattice translate point -> original vector x.

@@ -208,6 +208,19 @@ def test_simulate_reads_the_workers_variable_or_exits_1(capsys, keyfile, monkeyp
         assert out.startswith("vnr_db,ser,fer,trials,seed\n")
 
 
+@pytest.mark.parametrize("value", ["abc", "2.5"])
+def test_simulate_bad_workers_variable_creates_no_output(tmp_path, capsys, keyfile,
+                                                        monkeypatch, value):
+    # -o used to be opened before the variable was read, leaving an empty CSV
+    monkeypatch.setenv("QCLATTICE_WORKERS", value)
+    csv = tmp_path / "s.csv"
+    code, out, err = run(capsys, "simulate", "--key", keyfile, "--vnr-db", "12:1:12",
+                         "--trials", "2", "-o", str(csv))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: $QCLATTICE_WORKERS = ")
+    assert not csv.exists()
+
+
 def fresh_python(*argv):
     """Run a fresh interpreter that imports this checkout's qclattice."""
     src = str(Path(qclattice.__file__).resolve().parents[1])

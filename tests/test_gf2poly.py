@@ -74,6 +74,15 @@ def test_powmod_matches_reference(m, e):
     assert gf2poly.xpowmod(e, m) == ref.powmod(2, e, m)
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([6, 16, 26, 258, 1496]),
+       st.one_of(st.integers(0, 600), st.integers(0, 1 << 80)))
+def test_xinvpowmod_matches_inverse_of_xpowmod(deg, e):
+    # window digits up to 255 clear up to 255 low bits in one Montgomery step
+    g = poly(deg)
+    assert gf2poly.xinvpowmod(e, g) == gf2poly.invmod(gf2poly.xpowmod(e, g), g)
+
+
 def test_mod_by_one_and_by_monomial():
     assert gf2poly.mod(0b1011, 1) == 0
     assert gf2poly.mod((1 << 300) | 0b101, 1 << 8) == 0b101

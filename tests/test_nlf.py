@@ -14,7 +14,7 @@ from gf2_reference import (
 from qclattice import gf2poly, primitives
 from qclattice.bitmat import power_poly_matrix
 from qclattice.errors import InvalidParams, NotInLattice
-from qclattice.nlf import NlfContext, _x_neg_pow2
+from qclattice.nlf import NlfContext
 from qclattice.primitives import poly
 
 
@@ -258,9 +258,8 @@ def test_invert_rejects_int64_wrapped_preimage(ctx_small):
 
 @pytest.mark.parametrize("deg", primitives.supported_degrees())
 def test_x_neg_pow2_matches_invmod(deg):
-    # d squarings of x^-1 = g >> 1 against the inverse of x^(2^d) by Euclid;
-    # __wrapped__ skips the cache, so every case is computed here
+    # gf2poly.xinvpowmod's x^-(2^d) against the inverse of x^(2^d) by Euclid
     g = poly(deg)
     for d in (0, 1, 2, 7, 61, 80):
         want = gf2poly.invmod(gf2poly.xpowmod(1 << d, g), g)
-        assert _x_neg_pow2.__wrapped__(g, d) == want
+        assert gf2poly.xinvpowmod(1 << d, g) == want
