@@ -12,6 +12,7 @@ Generator(Philox(key=...)).
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from contextlib import nullcontext
@@ -116,25 +117,28 @@ def point_sigmas(key: SecretKey, spec: SweepSpec) -> list:
 
 
 def _cipher_link(key, start):
-    """(send, receive) of the full cipher, the transmitter seeked to frame start.
+    """(send, receive) of the full cipher through one session.
 
-    Trial t uses frame t of the material stream, which restarts per point.
-    The receiver seeks to the frame just sent before each decrypt, so a
-    receiver that fails early cannot shift the frames of later trials.
+    Trial t uses frame t of the material stream, which restarts per point:
+    send seeks to its trial's frame and receive to the counter of the
+    ciphertext send made, so a receiver that fails early cannot shift the
+    frames of later trials.
     """
     n, L = key.params.n, key.params.L
-    tx, rx = CipherSession(key), CipherSession(key)
-    tx.advance_to(start)
+    session, frames, sent = CipherSession(key), itertools.count(start), None
 
     def send(rng):
+        nonlocal sent
         m = np.empty(n, dtype=np.int64)
         m[0::2] = rng.integers(0, L, size=n // 2)
         m[1::2] = rng.integers(-L, 0, size=n // 2)
-        return m, tx.encrypt_joint(m).y
+        session.advance_to(next(frames))
+        sent = session.encrypt_joint(m)
+        return m, sent.y
 
     def receive(r, sigma):
-        rx.advance_to(tx.counter - 1)
-        return rx.decrypt_joint(r, sigma)
+        session.advance_to(sent.counter)
+        return session.decrypt_joint(r, sigma)
 
     return send, receive
 

@@ -14,14 +14,16 @@ receiver seeks to the counter of each frame it sees, forward or back, in
 O(log j) time, so missing, repeated and reordered frames decrypt
 independently.
 
-The pipeline runs on one frame or on a (B, n) block of the next B
-counters; a frame is the B = 1 case of the same stages.  A block draws its
-material with one ``next_bits`` per stream, and checks, masks, permutes
-(one gather), shapes and recovers all rows at once; only the NLF's
-x-powers and correlates and the SPA decoder run row by row.  A block
-returns (result, errors): a row that fails leaves the block with the
-QclatticeError its frame raises alone, and the other rows go on, which
-is what lets the CLI stream 64-frame blocks with frame-by-frame output.
+The pipeline runs one shape, a (B, n) block of the next B counters: a
+frame, a length-n vector, enters as a one-row block once its argument is
+checked, and leaves as that row or raises that row's error.  A block
+draws its material with one ``next_bits`` per stream, and checks, masks,
+permutes (one gather), shapes and recovers all rows at once; only the
+NLF's x-powers and correlates and the SPA decoder run row by row.  A
+block returns (result, errors): a row that fails leaves the block with
+the QclatticeError its frame raises alone, and the other rows go on,
+which is what lets the CLI stream 64-frame blocks with frame-by-frame
+output.
 
 Every argument is checked before any cast and before the frame's material
 is drawn, so a refusal, which refuses a whole block, uses no counter
@@ -222,14 +224,14 @@ def _fold(v) -> np.ndarray:
     along the last axis of a vector or a block.
     """
     out = np.array(v, dtype=np.int64)
-    out[..., 1::2] = -1 - out[..., 1::2]
+    out[..., 1::2] ^= -1  # ~v = -1 - v
     return out
 
 
 def _check_symbols(sym: np.ndarray, L: int, error):
     """Raise error unless every folded symbol lies in [0, L): the constellation,
     pair by pair; the message names the first bad row's first bad kind."""
-    bad = (sym < 0) | (sym >= L)
+    bad = sym.view(np.uint64) >= L  # a negative symbol reads as at least 2^63
     if bad.any():
         rows = bad.reshape(-1, bad.shape[-1])
         if rows[rows.any(axis=1).argmax(), 0::2].any():
@@ -240,81 +242,81 @@ def _check_symbols(sym: np.ndarray, L: int, error):
 class _Rows:
     """The rows of a frame block still running, and the error of each row that failed.
 
-    A stage runs on the live rows at once; a row that fails leaves the
-    block with the QclatticeError it raises alone, so every row ends as the
-    frame would by itself.  Stage outputs line up with ``live``.  A single
-    frame, a vector, runs the same stages and raises its error at once.
+    A frame enters the pipeline as a one-row block.  A stage runs on the
+    live rows at once; a row that fails leaves the block with the
+    QclatticeError it raises alone, so every row ends as the frame would by
+    itself, and once no row is live no stage runs.  Stage outputs line up
+    with ``live``.
     """
 
-    def __init__(self, frames: np.ndarray):
-        self.single = frames.ndim == 1
-        self.n = frames.shape[-1]
-        self.errors = [None] * (1 if self.single else len(frames))
-        self.live = None if self.single else np.arange(len(frames))
-
-    def _all_live(self) -> bool:
-        return self.single or len(self.live) == len(self.errors)
+    def __init__(self, count: int, n: int):
+        self.n = n
+        self.errors = [None] * count
+        self.live = np.arange(count)
 
     def pick(self, block: np.ndarray) -> np.ndarray:
         """The live rows of a full block."""
-        return block if self._all_live() else block[self.live]
+        return block if len(self.live) == len(self.errors) else block[self.live]
 
-    def keep(self, ok, error, message):
-        """Fail the live rows where ok is False with error(message); an index of the rest."""
+    def keep(self, test, values, error, message) -> np.ndarray:
+        """The live rows of values that pass test; the others fail with error(message)."""
+        ok = test(values) if len(self.live) else np.True_
         if ok.all():
-            return ...
-        if self.single:
-            raise error(message)
+            return values
         for i in self.live[~ok]:
             self.errors[i] = error(message)
         self.live = self.live[ok]
-        return ok
+        return values[ok]
 
     def each(self, fn, *columns) -> np.ndarray:
-        """fn(*row) for each live row, as int64; the rows it raises for fail."""
-        if self.single:
-            return fn(*columns)
+        """fn(*row) for each live row, as int64; the rows it raises for fail; a lone row by at()."""
+        if len(self.live) == 1:
+            return self.at(lambda *row: fn(*row)[None], *(c[0] for c in columns))
         out = []
         for i, *args in zip(self.live.tolist(), *columns):
             try:
                 out.append(fn(*args))
             except QclatticeError as e:
                 self.errors[i] = e
-        if len(out) < len(self.live):
-            self.live = np.array([i for i in self.live.tolist() if self.errors[i] is None],
-                                 dtype=np.int64)
+        self.live = self.live[[self.errors[i] is None for i in self.live.tolist()]]
         return np.array(out, dtype=np.int64).reshape(len(out), self.n)
 
     def at(self, fn, *columns) -> np.ndarray:
-        """fn(*columns) on the live rows at once; row by row when it raises, to fail just those."""
+        """fn(*columns) on the live rows, if any; on a raise a lone row fails, several rerun."""
         try:
-            return fn(*columns)
-        except QclatticeError:
-            if self.single:
-                raise
+            return fn(*columns) if len(self.live) else self.each(fn)  # each of no row: empty
+        except QclatticeError as e:
+            if len(self.live) == 1:
+                self.errors[self.live[0]], self.live = e, self.live[:0]
             return self.each(fn, *columns)
 
     def scatter(self, values: np.ndarray) -> np.ndarray:
         """The live rows' values in a full block, failed rows zero."""
-        if self._all_live():
+        if len(self.live) == len(self.errors):
             return values
         out = np.zeros((len(self.errors), self.n), dtype=values.dtype)
         out[self.live] = values
         return out
 
-    def outcome(self, result):
-        """A frame's result; a block's (result, errors)."""
-        return result if self.single else (result, tuple(self.errors))
+
+def _exit(frames, block, errors, wrap=lambda y: y):
+    """(wrap(block), errors) for a (B, n) input; for an (n,) frame, wrap(its row) or its error."""
+    if frames.ndim == 2:
+        return wrap(block), tuple(errors)
+    if errors[0] is not None:
+        raise errors[0]
+    return wrap(block[0])
 
 
 class CipherSession:
     """Stateful encrypt/decrypt context; frames advance the material.
 
     Each map takes one frame, a length-n vector, or a (B, n) block of the
-    next B counters.  A frame returns its result or raises; a block returns
-    (result, errors), where row i of the result is frame i's (zeros where
-    it failed) and errors[i] is None or the QclatticeError that frame
-    raises alone.  A refused argument refuses the whole block.
+    next B counters, and runs a frame as a one-row block.  A frame returns
+    its result or raises; a block returns (result, errors), where row i of
+    the result is frame i's (zeros where it failed) and errors[i] is None
+    or the QclatticeError that frame raises alone.  A refused argument
+    refuses the whole block.
     """
 
     def __init__(self, key: SecretKey):
@@ -337,15 +339,12 @@ class CipherSession:
         """
         p = self.params
         j, count = self.counter, 1 if rows is None else rows
-        e = self.e_lfsr.next_bits(count * p.n).astype(np.int64)
-        h = self.h_lfsr.next_bits(count * p.d)
-        if rows is None:
-            perms = self.perm_stream.next_perm()
-        else:
-            e, h = e.reshape(rows, p.n), h.reshape(rows, p.d)
-            perms = [self.perm_stream.next_perm() for _ in range(rows)]
+        shape = () if rows is None else (rows,)
+        e = self.e_lfsr.next_bits(count * p.n).astype(np.int64).reshape(shape + (p.n,))
+        h = self.h_lfsr.next_bits(count * p.d).reshape(shape + (p.d,))
+        perms = [self.perm_stream.next_perm() for _ in range(count)]
         self.counter += count
-        return j, e, h, BlockPermutation(p.q, perms)
+        return j, e, h, BlockPermutation(p.q, np.array(perms).reshape(shape + (p.v, p.q)))
 
     def advance_to(self, frame: int):
         """Seek the material streams to any frame counter, ahead or behind.
@@ -379,12 +378,13 @@ class CipherSession:
             self.check_constellation(m)
         elif (m > p.raw_bound).any() or (m < -p.raw_bound).any():
             raise InvalidParams(f"raw message coordinate beyond +-{p.raw_bound}")
-        j, e, h, perm = self._frame_material(len(m) if m.ndim == 2 else None)
-        rows = _Rows(m)
-        x = self.nlf.apply_f(m + (1 - e), h)
+        block = m.reshape(-1, p.n)  # a frame enters as a one-row block
+        j, e, h, perm = self._frame_material(len(block))
+        rows = _Rows(len(block), p.n)
+        x = self.nlf.apply_f(block + (1 - e), h)
         lam = rows.at(self.lattice.shape if joint else self.lattice.encode, x)
         y = perm.apply(rows.scatter(lam + 2 * rows.pick(e)))
-        return rows.outcome(Ciphertext(y=y, counter=j) if joint else y)
+        return _exit(m, y, rows.errors, lambda y: Ciphertext(y=y, counter=j) if joint else y)
 
     def _decrypt(self, y, joint: bool, sigma: float = 0.0):
         """Joint mode decodes a real observation, as float64, unless sigma <= 0;
@@ -395,26 +395,23 @@ class CipherSession:
             sigma = noise_sigma(sigma)
         else:
             y = int_vector(y, p.n, "ciphertext", NotLatticePoint, rows=True)
-        _, e, h, perm = self._frame_material(len(y) if y.ndim == 2 else None)
-        rows = _Rows(y)
-        r = perm.apply_inverse(y) - 2 * e
-        if not joint:
-            x = rows.at(self.lattice.encode_inverse, r)
-        elif sigma <= 0:
-            r = r[rows.keep(observation_ok(r), NotLatticePoint,
-                            "noiseless input is not finite, or reaches 2^52")]
-            lam = np.rint(r).astype(np.int64)
-            lam = lam[rows.keep(self.lattice.syndrome_ok(lam), NotLatticePoint,
-                                "noiseless input is not a lattice translate point")]
-            x = rows.at(self.lattice.mod_recover, lam)
-        else:
-            lam = rows.each(lambda r: decode(self.lattice, _DECODER, r, sigma), r)
-            x = rows.at(self.lattice.mod_recover, lam)
+        block = y.reshape(-1, p.n)  # a frame enters as a one-row block
+        _, e, h, perm = self._frame_material(len(block))
+        rows = _Rows(len(block), p.n)
+        lam = perm.apply_inverse(block) - 2 * e  # the lattice point, or its observation
+        if joint and sigma <= 0:
+            lam = rows.keep(observation_ok, lam, NotLatticePoint,
+                            "noiseless input is not finite, or reaches 2^52")
+            lam = rows.keep(self.lattice.syndrome_ok, np.rint(lam).astype(np.int64),
+                            NotLatticePoint, "noiseless input is not a lattice translate point")
+        elif joint:
+            lam = rows.each(lambda r: decode(self.lattice, _DECODER, r, sigma), lam)
+        x = rows.at(self.lattice.mod_recover if joint else self.lattice.encode_inverse, lam)
         m = rows.at(self.nlf.invert_f, x, rows.pick(h)) - (1 - rows.pick(e))
         if not joint:
-            m = m[rows.keep((np.abs(m) <= p.raw_bound).all(axis=-1), NotInLattice,
-                            f"raw message coordinate beyond +-{p.raw_bound}")]
-        return rows.outcome(rows.scatter(m))
+            m = rows.keep(lambda m: (np.abs(m) <= p.raw_bound).all(axis=-1), m, NotInLattice,
+                          f"raw message coordinate beyond +-{p.raw_bound}")
+        return _exit(y, rows.scatter(m), rows.errors)
 
     def encrypt_joint(self, m):
         """Ciphertext of m; for a block, one Ciphertext of (B, n) y from the first counter."""

@@ -267,16 +267,16 @@ class BlockPermutation:
         flat = blocks.reshape(-1, q) + np.arange(0, blocks.size, q)[:, None]
         self._fwd = flat.reshape(self.shape)
 
-    def _gather(self, x, index) -> np.ndarray:
+    def _checked(self, x) -> np.ndarray:
         x = vector(x, self.n, "vector", rows=True)
         if x.shape != self.shape:
             raise InvalidParams(f"vector has shape {x.shape}, not {self.shape}")
-        return np.take(x, index)  # index holds flat positions, in the shape of x
+        return x
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self._gather(x, self._fwd)
+        return np.take(self._checked(x), self._fwd)  # _fwd holds flat positions, in the shape of x
 
     def apply_inverse(self, y: np.ndarray) -> np.ndarray:
-        inv = np.empty(self._fwd.shape, dtype=np.int64)  # built here: encryption never needs it
-        np.put(inv, self._fwd, np.arange(inv.size))
-        return self._gather(y, inv)
+        x = np.empty_like(self._checked(y))
+        np.put(x, self._fwd, y)  # the scatter that undoes apply's gather
+        return x

@@ -112,7 +112,7 @@ class LatticeCtx:
         x = int_vector(x, self.n, "vector", rows=True)
         sys = x[..., : self.k]
         # signed bounds: 2 * np.abs(x) wraps in int64 once |x| >= 2^62
-        if (sys > self.half).any() or (sys < -self.half).any():
+        if sys.size and (sys.max() > self.half or sys.min() < -self.half):
             raise ShapingOverflow("coordinate outside the recoverable window")
         par = x[..., self.k :]
         # column sums of A weighted by x, length n-k: exact in float64 (module

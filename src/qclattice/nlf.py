@@ -5,6 +5,10 @@ by the d control bits h (alpha = sum h_i 2^i), and a is an integer vector
 (of a dtype int64 holds: ``errors.int_vector``).  Both maps also take a
 (B, n) block of vectors with a (B, d) block of control lines, row by row:
 the x-powers and correlates run once per row, the rest once per block.
+Each map views its input as rows and picks the product form once, by row
+count: a lone row, a vector or a one-row block, multiplies and peels as
+a plain vector through its own products; several rows map row i by row
+i's products.
 U generates GF(2)[x]/(g), so the mod-2 power U^alpha is the multiplication
 matrix of x^alpha mod g, held in generator form
 (:class:`~qclattice.bitmat.PolyMulMatrix`: one bit sequence per tap block
@@ -64,33 +68,30 @@ class NlfContext:
         h = as_array(h, "control vector")
         if h.shape != (self.d,):
             raise InvalidParams(f"control vector must have length {self.d}")
-        if not ((h == 0) | (h == 1)).all():
+        if not set(h.tolist()) <= {0, 1}:
             raise InvalidParams("control bits must each be 0 or 1")
         return bits_to_poly(h.astype(np.uint8, copy=False))
 
-    def _x_power(self, h, inverse: bool = False) -> int:
-        """x^alpha mod g, or x^-alpha mod g."""
-        return (gf2poly.xinvpowmod if inverse else gf2poly.xpowmod)(self._alpha(h), self.g)
-
     def _entry(self, h) -> PolyMulMatrix:
         """The 0/1 matrix U^alpha selected by h, in generator form."""
-        return power_poly_matrix(self.g, self._x_power(h))
+        return power_poly_matrix(self.g, gf2poly.xpowmod(self._alpha(h), self.g))
 
-    def _controls(self, h, x: np.ndarray) -> list:
-        """h as one control vector per row of x: [h] for a vector, h's rows for a block."""
+    def _controls(self, h, x: np.ndarray):
+        """h as one control vector per row of x: [h] for a vector, h, row by row, for a block."""
         if x.ndim == 1:
             return [h]
         h = as_array(h, "control vector")
         if h.shape[:1] != x.shape[:1]:
             raise InvalidParams(f"control block must have {len(x)} rows")
-        return list(h)
+        return h
 
     # --- the map and its inverse ------------------------------------------
 
     def apply_f(self, a, h) -> np.ndarray:
         """a * U^alpha over the integers; each row of a block a by its row of h."""
         a = int_vector(a, self.n, "input vector", rows=True)
-        return _by_row([self._entry(c).vecmul for c in self._controls(h, a)], a.ndim == 2)(a)
+        mul, rows = _by_row([self._entry(c).vecmul for c in self._controls(h, a)], a)
+        return mul(rows).reshape(a.shape)
 
     def invert_f(self, x, h) -> np.ndarray:
         """The unique integer preimage of x under apply_f(., h); of every row of a block.
@@ -108,9 +109,8 @@ class NlfContext:
             alpha = self._alpha(c)
             mats.append(power_poly_matrix(self.g, gf2poly.xpowmod(alpha, self.g)).float_mul)
             invs.append(power_poly_matrix(self.g, gf2poly.xinvpowmod(alpha, self.g)).float_mul)
-        mul, mul_inv = _by_row(mats, x.ndim == 2), _by_row(invs, x.ndim == 2)
-        residual = x
-        v = np.zeros(x.shape, dtype=np.int64)
+        (mul, residual), (mul_inv, _) = _by_row(mats, x), _by_row(invs, x)
+        v = np.zeros(residual.shape, dtype=np.int64)
         for t in range(54):  # 53 value digits of |v| <= 2^52, then the sign digit
             # 0/1 vectors in both products: every sum is at most n, exact in float32
             bits = mul_inv((residual & 1).astype(np.float32)).astype(np.int64) & 1
@@ -125,13 +125,11 @@ class NlfContext:
             raise NotInLattice("no integer preimage exists")
         if (np.abs(v) > _PREIMAGE_BOUND).any():  # |v| < 2^55 here
             raise NotInLattice("no integer preimage exists")
-        return v
+        return v.reshape(x.shape)
 
 
-def _by_row(products, block: bool):
-    """The map of a vector by products[0], or of a block's row i by products[i]."""
-    if not block:
-        return products[0]
-    if len(products) == 1:  # as its row: a list to stack costs as much as a product
-        return lambda a: products[0](a[0])[None]
-    return lambda a: np.array([f(r) for f, r in zip(products, a)]).reshape(a.shape)
+def _by_row(products, a):
+    """(map, rows) of a: a lone row as a vector that products[0] maps, or row i by products[i]."""
+    if len(products) == 1:
+        return products[0], a.reshape(-1)
+    return (lambda b: np.array([f(r) for f, r in zip(products, b)]).reshape(b.shape)), a
