@@ -16,13 +16,12 @@ columns form a Toeplitz block fixed by one bit sequence (Sunar & Koc,
 matrix is one ``np.correlate`` per block, with no n x n array.  Dense 0/1
 matrices, where a caller needs one, are plain uint8 arrays.
 
-The bit sequences are float32, used only as a carrier of exact integers:
-each output of a product sums at most n entries of the vector against 0/1
-taps, so while max|a| * n < 2^24 every partial sum is an integer that
-float32 holds exactly, in any summation order, and numpy's float32
-correlate runs about 1.7 times faster than its float64 one at n = 258 and
-n = 1496 (which in turn is 3-5 times faster than its int64 one).  Larger
-vectors take the int64 correlate.
+Exact products in floats, the one statement of the rule: each output of an
+integer x times a 0/1 matrix of ``terms`` rows sums at most ``terms`` entries
+of x, so while max|x| * terms < 2^24 (float32) or 2^53 (float64) every partial
+sum is an integer the float holds exactly, in any order; ``float_exact`` tests
+it.  numpy's float32 correlate runs 1.7 times faster than its float64 one at
+n = 258 and 1496, which runs 3-5 times faster than its int64 one.
 """
 
 from __future__ import annotations
@@ -34,7 +33,15 @@ import numpy as np
 from . import gf2poly
 from .errors import InvalidParams, integer
 
-_FLOAT_EXACT = 1 << 24  # float32 holds every integer of smaller magnitude
+_EXACT = {np.float32: 1 << 24, np.float64: 1 << 53}  # each holds every integer of smaller magnitude
+_max, _min = np.maximum.reduce, np.minimum.reduce  # x.max() costs 0.15 us more a call
+
+
+def float_exact(x: np.ndarray, terms: int, dtype: type) -> bool:
+    """Whether dtype carries integer x times any 0/1 matrix of ``terms`` rows exactly."""
+    lim = (_EXACT[dtype] - 1) // terms
+    # signed bounds, as np.abs(-2^63) wraps negative
+    return not x.size or _max(x, None) <= lim and _min(x, None) >= -lim
 
 
 def bits_to_poly(bits) -> int:
@@ -133,23 +140,20 @@ class PolyMulMatrix:
     def vecmul(self, a) -> np.ndarray:
         """Row vector times the 0/1 matrix over the integers (int64).
 
-        Exact in float32 while max|a| * n < 2^24; above that the int64
-        correlate, which wraps mod 2^64 like any int64 product.
+        float32 where ``float_exact`` allows it, else the int64 correlate,
+        which wraps mod 2^64 like any int64 product.
         """
         a = np.asarray(a, dtype=np.int64)
-        # the bound is tested on the converted vector: every |a_i| < 2^24
-        # converts exactly, and a larger one converts to at least 2^24
-        f = a.astype(np.float32)
-        if np.abs(f).max() <= (_FLOAT_EXACT - 1) // self.rows:
-            return self.float_mul(f).astype(np.int64)
+        if float_exact(a, self.rows, np.float32):
+            return self.float_mul(a.astype(np.float32)).astype(np.int64)
         return np.concatenate([np.correlate(a, e.astype(np.int64), "valid") for e in self.gens])
 
     def float_mul(self, a: np.ndarray) -> np.ndarray:
         """Row vector times the 0/1 matrix in float32.
 
-        Exact when a is a float32 vector of integers with max|a| * n < 2^24
-        (0/1 vectors qualify up to n = 2^24 - 1); the caller guarantees the
-        bound.  Column t_b + k of block b is sum_i a_i e_b[i - k + W_b - 1],
+        Exact for a float32 vector of integers that ``float_exact`` passes
+        (0/1 vectors do, up to n = 2^24 - 1); the caller guarantees it.
+        Column t_b + k of block b is sum_i a_i e_b[i - k + W_b - 1],
         which is entry k of correlate(a, e_b), the shorter vector first.
         """
         return np.concatenate([np.correlate(a, e, "valid") for e in self.gens])

@@ -375,7 +375,7 @@ class CipherSession:
         p = self.params
         m = int_vector(m, p.n, "message", rows=True)
         if joint:
-            self.check_constellation(m)
+            _check_symbols(_fold(m), p.L, ConstellationViolation)
         elif (m > p.raw_bound).any() or (m < -p.raw_bound).any():
             raise InvalidParams(f"raw message coordinate beyond +-{p.raw_bound}")
         block = m.reshape(-1, p.n)  # a frame enters as a one-row block

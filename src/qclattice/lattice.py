@@ -13,12 +13,11 @@ have odd coordinates.  Shaping replaces x by x' = x - z*(n*L - 1) so that
 x'G lands in a hypercube and returns the translate point encode(x');
 recovery undoes the shift with a signed modulo, so shape/mod_recover pair
 up like encode/encode_inverse.  Every map takes one length-n vector or a
-(B, n) block of them, row by row.  Everything here is exact integer
-arithmetic; shape forms sys*A in float64, whose sums of at most k < 2^11
-terms below 2^29 stay below 2^40, where float64 is exact (numpy runs int64
-products without BLAS: 8 against 1.5 us a row at the reference parameters,
-240 against 36 us at n = 1496, in blocks of 64 on a 2-vCPU VM).  Other
-floats appear only in the VNR conversion and the noise sigma check.
+(B, n) block of them, row by row.  All of it is exact integer arithmetic:
+sys*A runs in float64 where bitmat's rule for exact products allows it
+(numpy runs int64 products without BLAS: 8 against 1.5 us a row at n = 258,
+240 against 36 us at n = 1496, in blocks of 64 on a 2-vCPU VM), else in
+int64.  Other floats appear only in the VNR conversion and the sigma check.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ import math
 
 import numpy as np
 
+from .bitmat import float_exact
 from .errors import InvalidParams, NotLatticePoint, ShapingOverflow, int_vector, integer, real
 from .rdfcode import QcCode, systematic_generator
 
@@ -47,8 +47,16 @@ class LatticeCtx:
 
     @functools.cached_property
     def _a_float(self) -> np.ndarray:
-        """A as float64, for shape's product; built on the first call, not in setup."""
-        return self.a.astype(np.float64)
+        """A transposed, as float64, for _times_a; built on the first call, not in setup."""
+        return np.ascontiguousarray(self.a.T, dtype=np.float64)
+
+    def _times_a(self, sys: np.ndarray) -> np.ndarray:
+        """sys*A (int64) of a vector or of each row of a block; int64 wraps mod 2^64."""
+        if not float_exact(sys, self.k, np.float64):
+            return sys @ self.a
+        # row by row: one (B, k) product went to a threaded BLAS, 50x slower at n = 1496
+        f, at = sys.astype(np.float64), self._a_float
+        return (np.dot(at, f) if f.ndim == 1 else (at @ f[..., None])[..., 0]).astype(np.int64)
 
     @classmethod
     def from_code(cls, code: QcCode, shaping_limit: int) -> "LatticeCtx":
@@ -60,7 +68,7 @@ class LatticeCtx:
         """Translate encoding 2*x*G - 1; all components odd."""
         x = int_vector(x, self.n, "vector", rows=True)
         sys = x[..., : self.k]
-        return 2 * np.concatenate([sys, sys @ self.a + 2 * x[..., self.k :]], axis=-1) - 1
+        return 2 * np.concatenate([sys, self._times_a(sys) + 2 * x[..., self.k :]], axis=-1) - 1
 
     def _residue(self, lam):
         """(u_sys, u_par - u_sys*A, odd) for u = (lam + 1)/2 of an integer lam;
@@ -68,7 +76,7 @@ class LatticeCtx:
         lam = int_vector(lam, self.n, "lattice point", NotLatticePoint, rows=True)
         u = (lam + 1) >> 1
         sys = u[..., : self.k]
-        return sys, u[..., self.k :] - sys @ self.a, (lam & 1).all(axis=-1)
+        return sys, u[..., self.k :] - self._times_a(sys), (lam & 1).all(axis=-1)
 
     def encode_inverse(self, lam: np.ndarray) -> np.ndarray:
         """The x with encode(x) = lam: [u_sys, (u_par - u_sys*A)/2].
@@ -115,19 +123,15 @@ class LatticeCtx:
         if sys.size and (sys.max() > self.half or sys.min() < -self.half):
             raise ShapingOverflow("coordinate outside the recoverable window")
         par = x[..., self.k :]
-        # column sums of A weighted by x, length n-k: exact in float64 (module
-        # docstring).  One vector product per row: as one (B, k) product it went
-        # to a threaded BLAS, 50 times slower at n = 1496 on a loaded 2-vCPU VM.
-        s = (sys.astype(np.float64)[..., None, :] @ self._a_float)[..., 0, :].astype(np.int64)
-        # z_i = round((x_i + s_i/2) / M) for M = n*L - 1; ties round to even so
+        # z_i = round((x_i + (sys A)_i / 2) / M) for M = n*L - 1; ties round to even so
         # that re-shaping an already-shaped vector is the identity even when a
         # coordinate sits exactly on the box wall.  Rounding num / 2M half up
         # is floor((num + M) / 2M); a tie leaves remainder 0, where an odd
         # quotient steps back to the even one below.
-        num = 2 * par + s
+        num = 2 * par + self._times_a(sys)
         q, r = np.divmod(num + self.mod_full, 2 * self.mod_full)
         z_par = q - (q & (r == 0))
-        # 2*x'G - 1 with x'_par = x_par - z M, whose parity part s + 2 x'_par is num - 2 M z
+        # 2*x'G - 1 with x'_par = x_par - z M, whose parity part sys A + 2 x'_par is num - 2 M z
         return 2 * np.concatenate([sys, num - z_par * (2 * self.mod_full)], axis=-1) - 1
 
     def mod_recover(self, lam_tilde_prime: np.ndarray) -> np.ndarray:

@@ -34,10 +34,10 @@ leave no preimage with |v| <= 2^52.  A row that reaches its fixed point
 repeats b_t from then on, so a block peels until every row has, and the
 same correction gives each row's v.  No such preimage maps beyond n 2^52, so refusing those x
 keeps every residual within n 2^52 + n < 2^63 (n < 2^11, every shipped
-degree).  Both products take 0/1 vectors, so every sum is at most n < 2^24:
-they run as float32 correlates, which carry these integers exactly (bitmat
-holds the 2^24 guard for general vectors, such as apply_f's input).  The
-cipher path stays exact; no rounded float reaches it.
+degree).  Both products take 0/1 vectors, so they run as float32
+correlates, exact by bitmat's rule for exact products since n < 2^24;
+apply_f's general vectors pass that rule's test (``PolyMulMatrix.vecmul``).
+The cipher path stays exact; no rounded float reaches it.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ class NlfContext:
         (mul, residual), (mul_inv, _) = _by_row(mats, x), _by_row(invs, x)
         v = np.zeros(residual.shape, dtype=np.int64)
         for t in range(54):  # 53 value digits of |v| <= 2^52, then the sign digit
-            # 0/1 vectors in both products: every sum is at most n, exact in float32
+            # 0/1 vectors in both products: exact in float32 by bitmat's rule
             bits = mul_inv((residual & 1).astype(np.float32)).astype(np.int64) & 1
             v += bits << t
             product = mul(bits.astype(np.float32)).astype(np.int64)
@@ -132,4 +132,4 @@ def _by_row(products, a):
     """(map, rows) of a: a lone row as a vector that products[0] maps, or row i by products[i]."""
     if len(products) == 1:
         return products[0], a.reshape(-1)
-    return (lambda b: np.array([f(r) for f, r in zip(products, b)]).reshape(b.shape)), a
+    return (lambda b: np.array([f(r) for f, r in zip(products, b)], b.dtype).reshape(b.shape)), a

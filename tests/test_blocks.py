@@ -213,6 +213,9 @@ def test_an_empty_block_gives_empty_results(toy_key):
     ):
         assert out.shape == (0, p.n) and out.dtype == np.int64 and errors == ()
     assert session.counter == 5
+    no_rows, no_controls = np.zeros((0, p.n), dtype=np.int64), np.zeros((0, p.d), dtype=np.uint8)
+    for out in session.nlf.apply_f(no_rows, no_controls), session.nlf.invert_f(no_rows, no_controls):
+        assert out.shape == (0, p.n) and out.dtype == np.int64
 
 
 # --- the CLI at block boundaries ------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import PAPER_PARAMS
 from gf2_reference import h_dense, syndrome_ok_dense
+from qclattice import CipherParams, keygen
+from qclattice.bitmat import float_exact
 from qclattice.errors import InvalidParams, NotLatticePoint, ShapingOverflow
 from qclattice.lattice import LatticeCtx
 from qclattice.rdfcode import rdf_search
@@ -249,3 +253,112 @@ def test_lattice_ctx_from_other_code():
     for _ in range(200):
         x = rng.integers(-(ctx.n * 4) // 2 + 1, (ctx.n * 4) // 2, size=ctx.n)
         assert np.array_equal(ctx.mod_recover(ctx.shape(x)), x)
+
+
+# --- sys*A on both sides of bitmat's float64 guard ------------------------------
+
+# (params, seed) of the toy, reference and largest keys: n = 26, 258 and 1496
+GUARD_KEYS = {
+    26: (CipherParams(b=13, n0=2, dv=3, q=13, L=4, d=8), 42),
+    258: (PAPER_PARAMS, 1),
+    1496: (CipherParams(b=187, n0=8, dv=5, q=187, L=16, d=77), 1),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def key_lattice(n):
+    params, seed = GUARD_KEYS[n]
+    return LatticeCtx.from_code(keygen(params, seed).code, params.L)
+
+
+def int64_maps(ctx):
+    """The lattice maps with sys*A as numpy's int64 matmul, which wraps mod 2^64."""
+    k, a, M = ctx.k, ctx.a, ctx.mod_full
+
+    def encode(x):
+        return 2 * np.concatenate([x[..., :k], x[..., :k] @ a + 2 * x[..., k:]], axis=-1) - 1
+
+    def residue(lam):
+        u = (lam + 1) >> 1
+        return u[..., :k], u[..., k:] - u[..., :k] @ a, (lam & 1).all(axis=-1)
+
+    def encode_inverse(lam):
+        sys, t, odd = residue(lam)
+        if not odd.all() or (t & 1).any():
+            raise NotLatticePoint
+        return np.concatenate([sys, t >> 1], axis=-1)
+
+    def syndrome_ok(lam):
+        _, t, odd = residue(lam)
+        return odd & ~(t & 1).any(axis=-1)
+
+    def shape(x):
+        sys = x[..., :k]
+        if sys.max() > ctx.half or sys.min() < -ctx.half:
+            raise ShapingOverflow
+        num = 2 * x[..., k:] + sys @ a
+        q, r = np.divmod(num + M, 2 * M)
+        return 2 * np.concatenate([sys, num - (q - (q & (r == 0))) * (2 * M)], axis=-1) - 1
+
+    def mod_recover(lam):
+        r = np.mod(encode_inverse(lam), M)
+        r[2 * r >= ctx.n * ctx.L] -= M
+        return r
+
+    return {"encode": encode, "shape": shape, "encode_inverse": encode_inverse,
+            "mod_recover": mod_recover, "syndrome_ok": syndrome_ok}
+
+
+def _outcome(fn, v):
+    try:
+        return np.asarray(fn(v)).tolist()
+    except (NotLatticePoint, ShapingOverflow) as exc:
+        return type(exc).__name__
+
+
+@st.composite
+def guard_rows(draw):
+    """(n, rows): one to three int64 rows for the key of length n, each drawn with
+    its largest |entry| at the float64 limit (2^53 - 1) // k, one off it, at 2^51,
+    at a shaping or an ordinary size, or holding -2^63."""
+    # choices from a seeded generator: hypothesis would favour some entries
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = list(GUARD_KEYS)[rng.integers(len(GUARD_KEYS))]
+    ctx = key_lattice(n)
+    lim = (2**53 - 1) // ctx.k
+    rows = []
+    for _ in range(rng.integers(1, 4)):
+        amp = (lim, lim - 1, lim + 1, 2**51, ctx.half, 17)[rng.integers(6)]
+        row = rng.integers(-amp, amp, size=n, endpoint=True)
+        if rng.integers(2):  # every entry at +-amp: the largest column sums amp allows
+            row = np.where(row < 0, -amp, amp)
+        row[rng.integers(ctx.k)] = (amp, -amp)[rng.integers(2)]
+        if rng.integers(6) == 0:
+            row[rng.integers(ctx.k)] = -(2**63)
+        rows.append(row)
+    return n, np.array(rows, dtype=np.int64)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120, database=None)
+@given(guard_rows(), st.data())
+def test_product_matches_int64_on_both_sides_of_the_float_guard(case, data):
+    """Every map that forms sys*A returns what the int64 product gives, or raises
+    the same error, for a vector and for a block, whichever form the guard picks."""
+    n, rows = case
+    ctx, ref = key_lattice(n), int64_maps(key_lattice(n))
+    for row in rows:
+        amp = max(abs(int(v)) for v in row[: ctx.k])
+        assert float_exact(row[: ctx.k], ctx.k, np.float64) == (amp * ctx.k < 2**53)
+    points = ref["encode"](rows)
+    kind = data.draw(st.sampled_from(["point", "nudged", "even", "odd"]))
+    if kind == "nudged":  # off the lattice, still odd
+        points[0, data.draw(st.integers(0, n - 1))] += 2
+    elif kind == "even":
+        points[-1, data.draw(st.integers(0, n - 1))] -= 1
+    elif kind == "odd":
+        points = 2 * rows + 1
+    single = data.draw(st.booleans())  # the first row as a (n,) vector
+    for name, arg in (("encode", rows), ("shape", rows), ("encode_inverse", points),
+                      ("mod_recover", points), ("syndrome_ok", points)):
+        arg = arg[0] if single else arg
+        assert _outcome(getattr(ctx, name), arg) == _outcome(ref[name], arg), name
