@@ -117,28 +117,28 @@ def point_sigmas(key: SecretKey, spec: SweepSpec) -> list:
 
 
 def _cipher_link(key, start):
-    """(send, receive) of the full cipher through one session.
+    """(send, receive) of the full cipher through a transmit and a receive session.
 
     Trial t uses frame t of the material stream, which restarts per point:
-    send seeks to its trial's frame and receive to the counter of the
-    ciphertext send made, so a receiver that fails early cannot shift the
-    frames of later trials.
+    send sets its counter to its trial's frame and receive to the counter of
+    the ciphertext send made, so a receiver that fails early cannot shift
+    the frames of later trials, and the receiver never rewinds.
     """
     n, L = key.params.n, key.params.L
-    session, frames, sent = CipherSession(key), itertools.count(start), None
+    tx, rx, frames, sent = CipherSession(key), CipherSession(key), itertools.count(start), None
 
     def send(rng):
         nonlocal sent
         m = np.empty(n, dtype=np.int64)
         m[0::2] = rng.integers(0, L, size=n // 2)
         m[1::2] = rng.integers(-L, 0, size=n // 2)
-        session.advance_to(next(frames))
-        sent = session.encrypt_joint(m)
+        tx.advance_to(next(frames))
+        sent = tx.encrypt_joint(m)
         return m, sent.y
 
     def receive(r, sigma):
-        session.advance_to(sent.counter)
-        return session.decrypt_joint(r, sigma)
+        rx.advance_to(sent.counter)
+        return rx.decrypt_joint(r, sigma)
 
     return send, receive
 

@@ -6,24 +6,23 @@ decryption runs it backwards.  Raw mode (the Rao-Nam-like cipher) takes an
 integer message up to ``CipherParams.raw_bound`` and maps it with
 encode/encode_inverse; joint mode takes a transmit-constellation message
 and maps it with shape/mod_recover, so the ciphertext doubles as a
-power-constrained channel codeword.  A session owns the rotating material
-(error vector, control line, block permutation) and hands out frames'
-material in counter order from wherever it was last positioned.
-Transmitter and receiver stay synchronized through the frame counter: a
-receiver seeks to the counter of each frame it sees, forward or back, in
-O(log j) time, so missing, repeated and reordered frames decrypt
-independently.
+power-constrained channel codeword.  A session's one keystream position
+is its frame counter, which addresses every material stream (error
+vector, control line, block permutation) as in counter mode.  A receiver
+sets it to the counter of each frame it sees, forward or back, and the
+draw reaches that frame in O(log j) time, so missing, repeated and
+reordered frames decrypt independently.
 
 The pipeline runs one shape, a (B, n) block of the next B counters: a
 frame, a length-n vector, enters as a one-row block once its argument is
 checked, and leaves as that row or raises that row's error.  A block
-draws its material with one ``next_bits`` per stream, and checks, masks,
-permutes (one gather), shapes and recovers all rows at once; only the
-NLF's x-powers and correlates and the SPA decoder run row by row.  A
-block returns (result, errors): a row that fails leaves the block with
-the QclatticeError its frame raises alone, and the other rows go on,
-which is what lets the CLI stream 64-frame blocks with frame-by-frame
-output.
+draws its material with one ``next_bits`` per LFSR stream and one
+``next_perm`` gather, and checks, masks, permutes (one gather), shapes
+and recovers all rows at once; only the NLF's x-powers and correlates
+and the SPA decoder run row by row.  A block returns (result, errors): a
+row that fails leaves the block with the QclatticeError its frame raises
+alone, and the other rows go on, which is what lets the CLI stream
+64-frame blocks with frame-by-frame output.
 
 Every argument is checked before any cast and before the frame's material
 is drawn, so a refusal, which refuses a whole block, uses no counter
@@ -309,7 +308,7 @@ def _exit(frames, block, errors, wrap=lambda y: y):
 
 
 class CipherSession:
-    """Stateful encrypt/decrypt context; frames advance the material.
+    """Encrypt/decrypt context; a map draws the frames from the counter on and moves it past them.
 
     Each map takes one frame, a length-n vector, or a (B, n) block of the
     next B counters, and runs a frame as a one-row block.  A frame returns
@@ -331,37 +330,25 @@ class CipherSession:
 
     # --- rotating material -------------------------------------------------
 
-    def _frame_material(self, rows=None):
-        """(counter, e, h, permutation) of the next frame: e of shape (n,), h (d,).
-
-        Given rows, those of the next rows frames: the first counter, e
-        (rows, n), h (rows, d) and the permutation of (rows, n) blocks.
-        """
-        p = self.params
-        j, count = self.counter, 1 if rows is None else rows
-        shape = () if rows is None else (rows,)
-        e = self.e_lfsr.next_bits(count * p.n).astype(np.int64).reshape(shape + (p.n,))
-        h = self.h_lfsr.next_bits(count * p.d).reshape(shape + (p.d,))
-        perms = [self.perm_stream.next_perm() for _ in range(count)]
-        self.counter += count
-        return j, e, h, BlockPermutation(p.q, np.array(perms).reshape(shape + (p.v, p.q)))
-
-    def advance_to(self, frame: int):
-        """Seek the material streams to any frame counter, ahead or behind.
+    def _frame_material(self, rows: int):
+        """(counter, e (rows, n), h (rows, d), permutation of (rows, n) blocks) from the counter on.
 
         Frame j's material starts at bit j*n of the error stream, bit j*d of
-        the control stream and frame j of the permutation stream; every
-        stream jumps there from its seed in O(log j) multiplications, so a
-        crafted u64 counter costs about as much as a near one.  frame: an integer >= 0.
+        the control stream and frame j of the permutation stream.  A stream
+        not there jumps from its seed in O(log j) multiplications, so a
+        crafted u64 counter costs about as much as a near one.
         """
-        frame = integer(frame, "frame counter", 0)
-        if frame == self.counter:
-            return
-        p = self.params
-        self.e_lfsr.seek(frame * p.n)
-        self.h_lfsr.seek(frame * p.d)
-        self.perm_stream.seek(frame)
-        self.counter = frame
+        p, j = self.params, self.counter
+        self.e_lfsr.seek(j * p.n)
+        self.h_lfsr.seek(j * p.d)
+        e = self.e_lfsr.next_bits(rows * p.n).astype(np.int64).reshape(rows, p.n)
+        h = self.h_lfsr.next_bits(rows * p.d).reshape(rows, p.d)
+        self.counter = j + rows
+        return j, e, h, BlockPermutation(p.q, self.perm_stream.next_perm(j, rows))
+
+    def advance_to(self, frame: int):
+        """Set the frame counter, ahead or behind; frame: an integer >= 0."""
+        self.counter = integer(frame, "frame counter", 0)
 
     # --- the frame pipeline of both schemes --------------------------------
 

@@ -23,13 +23,15 @@ position in O(log t) multiplications:
   L'Ecuyer, "Efficient Jump Ahead for F2-Linear Random Number Generators",
   INFORMS J. Computing 2008); jumps with k * length below 2^18 advance.
   ``ReseedingLfsr.seek(t)`` jumps the companion register to the segment
-  holding bit t and the main register to its phase.
+  holding bit t and the main register to its phase, unless the stream
+  already stands at ``position`` t.
 - Permutations.  Every q-block is a rotation of one sequence: the
   accepted values in the order one cycle of the gamma-bit register visits
-  them.  That ring is cached per (q, gamma, taps), and a frame's v blocks
-  are one gather from it.  Every draw is a permutation by construction:
-  ``_permutation_ring`` checks once per ring that the walk visits every
-  nonzero state once, so ``BlockPermutation`` does not re-check a frame.
+  them.  That ring is cached per (q, gamma, taps), and a block of frames,
+  addressed by counter, is one gather from it.  Every draw is a
+  permutation by construction: ``_permutation_ring`` checks once per ring
+  that the walk visits every nonzero state once, so ``BlockPermutation``
+  does not re-check a frame.
 """
 
 from __future__ import annotations
@@ -156,7 +158,12 @@ class ReseedingLfsr:
         self.companion = Lfsr(length, primitives.reciprocal(length), seed)
         self.seed = self.main.state
         self.segment = (1 << self.main.length) - 1
-        self.phase = 0
+        self.position = 0  # the output bit the next draw starts at
+
+    @property
+    def phase(self) -> int:
+        """Output bits since the last reseed."""
+        return self.position % self.segment
 
     def next_bits(self, count: int) -> np.ndarray:
         count = integer(count, "bit count", 0)
@@ -165,9 +172,8 @@ class ReseedingLfsr:
             k = min(count - pos, self.segment - self.phase)
             acc |= self.main.advance(k) << pos
             pos += k
-            self.phase += k
-            if self.phase == self.segment:
-                self.phase = 0
+            self.position += k
+            if not self.phase:
                 self.companion.advance(1)
                 self.main.state = self.companion.state
         return poly_to_bits(acc, count)
@@ -175,11 +181,14 @@ class ReseedingLfsr:
     def seek(self, t: int) -> None:
         """Position the stream at output bit ``t`` (0 = first bit after seeding)."""
         t = integer(t, "stream position", 0)
-        reseeds, self.phase = divmod(t, self.segment)
+        if t == self.position:
+            return
+        reseeds, phase = divmod(t, self.segment)
         self.companion.state = self.seed
         self.companion.jump(reseeds)
         self.main.state = self.companion.state
-        self.main.jump(self.phase)
+        self.main.jump(phase)
+        self.position = t
 
 
 @functools.lru_cache(maxsize=32)
@@ -223,8 +232,8 @@ class PermutationStream:
     values are accepted, duplicates cannot occur, and the accepted order
     defines the permutation.  Frame j draws from the initial value j steps
     past each seed, so the sequence has period 2^gamma - 1.
-    ``next_perm()`` returns the frame's (v, q) blocks as one gather from
-    the cached ring of ``_permutation_ring`` and steps to the next frame.
+    ``next_perm(j, count)`` returns the (count, v, q) blocks of frames j on
+    as one gather from the cached ring of ``_permutation_ring``.
     """
 
     def __init__(self, q: int, seeds):
@@ -239,16 +248,11 @@ class PermutationStream:
         )
         self._period = mask
         self._start = position[seeds]
-        self.frame = 0
 
-    def next_perm(self) -> np.ndarray:
-        blocks = self._windows[self._offset[self._start + self.frame]]
-        self.frame = (self.frame + 1) % self._period
-        return blocks
-
-    def seek(self, j: int) -> None:
-        """Position the stream at frame ``j`` (0 = the draws from the seeds)."""
-        self.frame = integer(j, "permutation frame", 0) % self._period
+    def next_perm(self, j: int, count: int) -> np.ndarray:
+        j = integer(j, "permutation frame", 0) % self._period
+        frames = np.arange(j, j + integer(count, "permutation frame count", 0)) % self._period
+        return self._windows[self._offset[self._start + frames[:, None]]]
 
 
 class BlockPermutation:

@@ -50,9 +50,15 @@ class LatticeCtx:
         """A transposed, as float64, for _times_a; built on the first call, not in setup."""
         return np.ascontiguousarray(self.a.T, dtype=np.float64)
 
-    def _times_a(self, sys: np.ndarray) -> np.ndarray:
-        """sys*A (int64) of a vector or of each row of a block; int64 wraps mod 2^64."""
-        if not float_exact(sys, self.k, np.float64):
+    @functools.cached_property
+    def _window_exact(self) -> bool:
+        """Whether every systematic part inside shape's window passes _times_a's guard."""
+        return float_exact(np.array(self.half), self.k, np.float64)
+
+    def _times_a(self, sys: np.ndarray, exact=None) -> np.ndarray:
+        """sys*A (int64) of a vector or of each row of a block; int64 wraps mod 2^64.
+        exact, if given, is float_exact(sys, k, float64), which the caller has proved."""
+        if not (float_exact(sys, self.k, np.float64) if exact is None else exact):
             return sys @ self.a
         # row by row: one (B, k) product went to a threaded BLAS, 50x slower at n = 1496
         f, at = sys.astype(np.float64), self._a_float
@@ -128,7 +134,7 @@ class LatticeCtx:
         # coordinate sits exactly on the box wall.  Rounding num / 2M half up
         # is floor((num + M) / 2M); a tie leaves remainder 0, where an odd
         # quotient steps back to the even one below.
-        num = 2 * par + self._times_a(sys)
+        num = 2 * par + self._times_a(sys, self._window_exact)
         q, r = np.divmod(num + self.mod_full, 2 * self.mod_full)
         z_par = q - (q & (r == 0))
         # 2*x'G - 1 with x'_par = x_par - z M, whose parity part sys A + 2 x'_par is num - 2 M z

@@ -80,7 +80,7 @@ def joint_run(paper_key):
     rng2 = np.random.default_rng(2024)
     for _ in range(JOINT_FRAMES // 10):
         m = random_message(rng2, p.n, p.L)
-        _, e, h, _ = ver._frame_material()
+        _, e, h, _ = ver._frame_material(1)
         x = ver.nlf.apply_f(m + (1 - e), h)
         lambda_prime = (ver.lattice.shape(x) + 1) // 2
         if (np.abs(lambda_prime) > ver.lattice.n * ver.lattice.L - 1).any():

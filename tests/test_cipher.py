@@ -222,14 +222,14 @@ def test_decrypt_raw_refuses_a_message_encrypt_raw_refuses(paper_key):
     # max|m| = 2^52, which encrypt_raw refuses (raw_bound is about 2^46.2)
     p = paper_key.params
     crafter = CipherSession(paper_key)
-    _, e, h, perm = crafter._frame_material()
+    _, (e,), (h,), perm = crafter._frame_material(1)
     v = np.random.default_rng(7).integers(-9, 10, size=p.n)
     v[[0, p.n - 1]] = 2**52, -(2**52)
-    y = perm.apply(crafter.lattice.encode(crafter.nlf.apply_f(v, h)) + 2 * e)
+    y = perm.apply(crafter.lattice.encode(crafter.nlf.apply_f(v, h))[None] + 2 * e)[0]
     with pytest.raises(NotInLattice, match="raw message coordinate"):
         CipherSession(paper_key).decrypt_raw(y)
     v[[0, p.n - 1]] = p.raw_bound, 1 - p.raw_bound  # m = v - 1 + e is within the bound
-    y = perm.apply(crafter.lattice.encode(crafter.nlf.apply_f(v, h)) + 2 * e)
+    y = perm.apply(crafter.lattice.encode(crafter.nlf.apply_f(v, h))[None] + 2 * e)[0]
     m = CipherSession(paper_key).decrypt_raw(y)
     assert np.array_equal(m, v - 1 + e)
     assert np.array_equal(CipherSession(paper_key).encrypt_raw(m), y)
@@ -282,11 +282,11 @@ def test_desynchronized_session_garbles(toy_key):
 
 def test_advance_to_matches_replayed_material(paper_key):
     replay = CipherSession(paper_key)
-    material = [replay._frame_material() for _ in range(131)]
+    material = [replay._frame_material(1) for _ in range(131)]
     for j in (0, 1, 2, 5, 17, 62, 63, 64, 127, 130):
         s = CipherSession(paper_key)
         s.advance_to(j)
-        got = s._frame_material()
+        got = s._frame_material(1)
         want = material[j]
         assert got[0] == want[0] == j
         assert np.array_equal(got[1], want[1])
@@ -299,20 +299,21 @@ def test_advance_to_hostile_counter_is_fast(paper_key):
         s = CipherSession(paper_key)
         start = time.perf_counter()
         s.advance_to(frame)
+        s._frame_material(1)  # the streams reach the counter on the draw
         assert time.perf_counter() - start < 0.5
-        assert s.counter == frame
+        assert s.counter == frame + 1
 
 
 def test_session_rewinds_to_fresh_material(toy_key):
     s = CipherSession(toy_key)
     s.advance_to(3)
-    s._frame_material()
+    s._frame_material(1)
     for j in (2, 0, 5, 1, 4, 3):
         s.advance_to(j)
-        got = s._frame_material()
+        got = s._frame_material(1)
         fresh = CipherSession(toy_key)
         fresh.advance_to(j)
-        want = fresh._frame_material()
+        want = fresh._frame_material(1)
         assert got[0] == want[0] == j
         assert np.array_equal(got[1], want[1])
         assert np.array_equal(got[2], want[2])
@@ -325,7 +326,7 @@ def test_rotating_material_period():
     params = CipherParams(b=3, n0=2, dv=1, q=3, L=2, d=2)
     key = keygen(params, 5)
     s = CipherSession(key)
-    es = [s._frame_material()[1].copy() for _ in range(60)]
+    es = s._frame_material(60)[1]
     period_bits = ((1 << params.l1) - 1) ** 2
     frames = period_bits // np.gcd(period_bits, params.n)
     assert frames == 49
@@ -338,12 +339,61 @@ def test_material_streams_match_between_sessions(toy_key):
     a = CipherSession(toy_key)
     b = CipherSession(toy_key)
     for _ in range(5):
-        ja, ea, ha, pa = a._frame_material()
-        jb, eb, hb, pb = b._frame_material()
+        ja, ea, ha, pa = a._frame_material(1)
+        jb, eb, hb, pb = b._frame_material(1)
         assert ja == jb
         assert np.array_equal(ea, eb)
         assert np.array_equal(ha, hb)
         assert np.array_equal(pa._fwd, pb._fwd)
+
+
+def _alone(key, counter, name, *args):
+    """What a fresh session at ``counter`` returns for one frame."""
+    s = CipherSession(key)
+    s.advance_to(counter)
+    out = getattr(s, name)(*args)
+    return out.y if name == "encrypt_joint" else out
+
+
+_COUNTERS = st.one_of(st.integers(0, 80), st.integers(2**64 - 80, 2**64 - 1),
+                      st.integers(0, 2**64 - 1))
+_STEPS = st.one_of(
+    st.tuples(st.just("advance_to"), _COUNTERS),
+    # a draw outside any frame moves one stream behind the counter's back
+    st.tuples(st.sampled_from(["e_lfsr", "h_lfsr"]), st.integers(0, 700)),
+    # None maps a lone (n,) frame, an integer a block of that many rows
+    st.tuples(st.sampled_from(["encrypt_joint", "encrypt_raw", "decrypt_joint", "decrypt_raw"]),
+              st.sampled_from([None, 1, 2, 5])),
+)
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.lists(_STEPS, max_size=8), st.integers(0, 2**32 - 1))
+def test_each_row_is_its_counters_frame_after_any_interleaving(toy_key, steps, seed):
+    p = toy_key.params
+    rng = np.random.default_rng(seed)
+    session = CipherSession(toy_key)
+    for name, arg in steps:
+        if name == "advance_to":
+            session.advance_to(arg)
+            continue
+        if name.endswith("lfsr"):
+            getattr(session, name).next_bits(arg)
+            continue
+        j, rows, mode = session.counter, arg or 1, name.split("_")[1]
+        ms = [random_message(rng, p.n, p.L) for _ in range(rows)]
+        ys = [_alone(toy_key, j + i, f"encrypt_{mode}", m) for i, m in enumerate(ms)]
+        given_rows, want = (ms, ys) if name.startswith("encrypt") else (ys, ms)
+        args = (np.stack(given_rows) if arg else given_rows[0],)
+        out = getattr(session, name)(*args, *([0.0] if name == "decrypt_joint" else []))
+        if arg:
+            out, errors = out
+            assert errors == (None,) * rows
+        if name == "encrypt_joint":
+            assert out.counter == j
+            out = out.y
+        assert np.array_equal(out, np.stack(want) if arg else want[0]), (name, j)
+        assert session.counter == j + rows
 
 
 def test_pack_bits_empty_input():

@@ -58,10 +58,10 @@ def _check_stages(key, frames):
     for j, joint, m, want in frames:
         if joint:
             material.advance_to(j)
-            _, e, h, perm = material._frame_material()
-            _same(j, "e", e, want["e"])
-            _same(j, "h", h, want["h"])
-            _same(j, "perm", perm.apply(np.arange(key.params.n)), want["perm"])
+            _, e, h, perm = material._frame_material(1)
+            _same(j, "e", e[0], want["e"])
+            _same(j, "h", h[0], want["h"])
+            _same(j, "perm", perm.apply(np.arange(key.params.n)[None])[0], want["perm"])
         a = np.array([int(mi) + 1 - ei for mi, ei in zip(m, want["e"])])
         _same(j, "x", session.nlf.apply_f(a, np.array(want["h"])), want["x"])
         lattice = session.lattice.shape if joint else session.lattice.encode

@@ -388,10 +388,8 @@ def _reseeding(method, v):
     return stream.next_bits(8).tolist(), stream.phase
 
 
-def _perms(q, seeds, frame=0):
-    stream = PermutationStream(q, seeds)
-    stream.seek(frame)
-    return stream.frame, stream.next_perm().tolist()
+def _perms(q, seeds, j=0, count=2):
+    return PermutationStream(q, seeds).next_perm(j, count).tolist()
 
 
 def _mul_matrix(g, c):
@@ -444,7 +442,9 @@ SCALAR_SITES = {
     "ReseedingLfsr.seek": (lambda v: _reseeding("seek", v), 40, InvalidParams),
     "PermutationStream.q": (lambda v: _perms(v, [3, 5]), PARAMS.q, InvalidParams),
     "PermutationStream.seeds": (lambda v: _perms(PARAMS.q, [v, 5]), 3, InvalidParams),
-    "PermutationStream.seek": (lambda v: _perms(PARAMS.q, [3, 5], v), 2, InvalidParams),
+    "PermutationStream.next_perm.j": (lambda v: _perms(PARAMS.q, [3, 5], v), 2, InvalidParams),
+    "PermutationStream.next_perm.count": (lambda v: _perms(PARAMS.q, [3, 5], 2, v), 2,
+                                          InvalidParams),
     "PolyMulMatrix.g": (lambda v: _mul_matrix(v, 5), NLF.g, InvalidParams),
     "PolyMulMatrix.c": (lambda v: _mul_matrix(NLF.g, v), 5, InvalidParams),
     "circulants.b": (lambda v: circulants(v, [1, 2]).tolist(), PARAMS.b, InvalidParams),
@@ -519,10 +519,11 @@ def test_scalar_range_refusals(site, value):
 
 @pytest.mark.parametrize("value", [-1, -3, np.int64(-1)])
 @pytest.mark.parametrize("site", ["Lfsr.advance", "Lfsr.jump", "ReseedingLfsr.next_bits",
-                                  "PermutationStream.seek"])
+                                  "PermutationStream.next_perm.j",
+                                  "PermutationStream.next_perm.count"])
 def test_negative_stream_positions_and_counts_are_refused(site, value):
-    # advance(-1) returned 0, next_bits(-3) raised numpy's ValueError, and
-    # PermutationStream.seek(-1) wrapped to the last frame of the period
+    # advance(-1) returned 0, next_bits(-3) raised numpy's ValueError, and a
+    # permutation frame of -1 wrapped to the last frame of the period
     with pytest.raises(InvalidParams, match="must be an integer in \\[0, inf\\)"):
         SCALAR_SITES[site][0](value)
 

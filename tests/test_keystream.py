@@ -21,13 +21,12 @@ from qclattice.primitives import poly, reciprocal
 
 def one_block_draws(q, seed, count):
     """The first ``count`` draws of a one-block permutation stream."""
-    stream = PermutationStream(q, [seed])
-    return [stream.next_perm()[0] for _ in range(count)]
+    return list(PermutationStream(q, [seed]).next_perm(0, count)[:, 0])
 
 
 def first_block_permutation(seeds, q):
     """The block permutation of frame 0: one draw from each seed of t."""
-    return BlockPermutation(q, PermutationStream(q, seeds).next_perm())
+    return BlockPermutation(q, PermutationStream(q, seeds).next_perm(0, 1)[0])
 
 
 def test_lfsr_full_period_primitive():
@@ -280,11 +279,11 @@ def test_next_perm_after_seek_matches_reference(q, seed):
     seed = (seed - 1) % period + 1
     oracle = ref.PermutationStream(q, seed, gamma, poly(gamma))
     draws = [oracle.next_perm() for _ in range(2 * period + 3)]
+    stream = PermutationStream(q, [seed])
     for j in range(2 * period + 2):
-        stream = PermutationStream(q, [seed])
-        stream.seek(j)
-        assert np.array_equal(stream.next_perm()[0], draws[j]), j
-        assert np.array_equal(stream.next_perm()[0], draws[j + 1]), j
+        first, second = stream.next_perm(j, 2)[:, 0]
+        assert np.array_equal(first, draws[j]), j
+        assert np.array_equal(second, draws[j + 1]), j
 
 
 def _frame_near_a_wrap(period):
@@ -296,22 +295,19 @@ def _frame_near_a_wrap(period):
 @settings(deadline=None, max_examples=120)
 @given(st.sampled_from([3, 5, 7, 13, 43, 187]), st.data())
 def test_v_seed_stream_matches_stacked_reference_draws(q, data):
-    """seek(j) then next_perm() is the stack of v one-seed oracle draws at j.
+    """Row i of next_perm(j, 2) is the stack of v one-seed oracle draws at j + i.
 
     The oracle replays j mod 2^gamma - 1 steps: its register is primitive,
-    so that is where j steps leave it.  A second draw crosses the wrap
+    so that is where j steps leave it.  The second row crosses the wrap
     when j is one short of it.
     """
     gamma = (q - 1).bit_length()
     period = (1 << gamma) - 1
     seeds = data.draw(st.lists(st.integers(1, period), min_size=1, max_size=8))
     j = data.draw(st.one_of(st.integers(0, (1 << 64) - 1), _frame_near_a_wrap(period)))
-    stream = PermutationStream(q, seeds)
-    stream.seek(j)
     oracles = [ref.PermutationStream(q, seed, gamma, poly(gamma)) for seed in seeds]
     for oracle in oracles:
         oracle.seek(j % period)
-    for _ in range(2):
-        blocks = stream.next_perm()
+    for blocks in PermutationStream(q, seeds).next_perm(j, 2):
         assert blocks.shape == (len(seeds), q)
         assert np.array_equal(blocks, np.stack([o.next_perm() for o in oracles]))
