@@ -246,14 +246,16 @@ def lattice_sweep(ctx: LatticeCtx, cfg: DecoderConfig, spec: SweepSpec, progress
     return _sweep(partial(_lattice_link, ctx, cfg), ctx.n, sigmas, spec, 1, progress)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: float, trials: int, z: float = 1.96):
+    """Wilson score interval, as two floats, for successes in [0, trials] out of trials >= 0."""
+    trials = integer(trials, "trials", 0)
+    successes, z = real(successes, "successes", 0, trials), real(z, "z", math.ulp(0.0))
     if trials == 0:
         return 0.0, 1.0
     p = successes / trials
     denom = 1 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
-    half = z * np.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
+    half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 

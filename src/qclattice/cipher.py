@@ -6,12 +6,13 @@ decryption runs it backwards.  Raw mode (the Rao-Nam-like cipher) takes an
 integer message up to ``CipherParams.raw_bound`` and maps it with
 encode/encode_inverse; joint mode takes a transmit-constellation message
 and maps it with shape/mod_recover, so the ciphertext doubles as a
-power-constrained channel codeword.  A session's one keystream position
-is its frame counter, which addresses every material stream (error
-vector, control line, block permutation) as in counter mode.  A receiver
-sets it to the counter of each frame it sees, forward or back, and the
-draw reaches that frame in O(log j) time, so missing, repeated and
-reordered frames decrypt independently.
+power-constrained channel codeword.  Decryption returns only messages its
+encrypt takes: a frame off that message space raises NotInLattice.  A
+session's one keystream position is its frame counter, which addresses
+every material stream (error vector, control line, block permutation) as
+in counter mode.  A receiver sets it to the counter of each frame it
+sees, forward or back, and the draw reaches that frame in O(log j) time,
+so missing, repeated and reordered frames decrypt independently.
 
 The pipeline runs one shape, a (B, n) block of the next B counters: a
 frame, a length-n vector, enters as a one-row block once its argument is
@@ -227,10 +228,15 @@ def _fold(v) -> np.ndarray:
     return out
 
 
+def _off_constellation(sym: np.ndarray, L: int) -> np.ndarray:
+    """Per folded symbol, whether it lies off the constellation, outside [0, L)."""
+    return sym.view(np.uint64) >= L  # a negative symbol reads as at least 2^63
+
+
 def _check_symbols(sym: np.ndarray, L: int, error):
-    """Raise error unless every folded symbol lies in [0, L): the constellation,
-    pair by pair; the message names the first bad row's first bad kind."""
-    bad = sym.view(np.uint64) >= L  # a negative symbol reads as at least 2^63
+    """Raise error if a folded symbol is off the constellation, pair by pair;
+    the message names the first bad row's first bad kind."""
+    bad = _off_constellation(sym, L)
     if bad.any():
         rows = bad.reshape(-1, bad.shape[-1])
         if rows[rows.any(axis=1).argmax(), 0::2].any():
@@ -374,8 +380,8 @@ class CipherSession:
         return _exit(m, y, rows.errors, lambda y: Ciphertext(y=y, counter=j) if joint else y)
 
     def _decrypt(self, y, joint: bool, sigma: float = 0.0):
-        """Joint mode decodes a real observation, as float64, unless sigma <= 0;
-        raw mode reads an exact integer ciphertext and returns only messages encrypt_raw takes."""
+        """Joint mode decodes a real observation, as float64, unless sigma <= 0; raw mode
+        reads an exact integer ciphertext.  Both return only messages their encrypt takes."""
         p = self.params
         if joint:
             y = vector(y, p.n, "observation", rows=True).astype(np.float64, copy=False)
@@ -395,9 +401,13 @@ class CipherSession:
             lam = rows.each(lambda r: decode(self.lattice, _DECODER, r, sigma), lam)
         x = rows.at(self.lattice.mod_recover if joint else self.lattice.encode_inverse, lam)
         m = rows.at(self.nlf.invert_f, x, rows.pick(h)) - (1 - rows.pick(e))
-        if not joint:
-            m = rows.keep(lambda m: (np.abs(m) <= p.raw_bound).all(axis=-1), m, NotInLattice,
-                          f"raw message coordinate beyond +-{p.raw_bound}")
+        if joint:  # the message space: a row whose message its encrypt refuses fails
+            space = lambda m: ~_off_constellation(_fold(m), p.L).any(axis=-1)
+            what = "joint message coordinate off the constellation"
+        else:
+            space = lambda m: (np.abs(m) <= p.raw_bound).all(axis=-1)
+            what = f"raw message coordinate beyond +-{p.raw_bound}"
+        m = rows.keep(space, m, NotInLattice, what)
         return _exit(y, rows.scatter(m), rows.errors)
 
     def encrypt_joint(self, m):
@@ -474,16 +484,8 @@ def save_key(key: SecretKey) -> str:
         "h_seed": [key.h_seed],
         "t": key.t,
     }
-    fields = {
-        "version": formats.KEY_VERSION,
-        "b": p.b,
-        "n0": p.n0,
-        "dv": p.dv,
-        "q": p.q,
-        "L": p.L,
-        "d": p.d,
-        "digest": key.digest(),
-    }
+    fields = {name: getattr(p, name) for name in p.__dataclass_fields__}
+    fields.update(version=formats.KEY_VERSION, digest=key.digest())
     for name, deg in p.poly_fields():
         fields[name] = primitives.poly_id(deg)
     for name, _, width in p.secret_fields():
@@ -493,7 +495,7 @@ def save_key(key: SecretKey) -> str:
 
 def load_key(text: str) -> SecretKey:
     f = formats.read_key_text(text)
-    names = ("b", "n0", "dv", "q", "L", "d")
+    names = tuple(CipherParams.__dataclass_fields__)
     for name in names:
         # int() also reads 4_3, +43, 043 and ٤٣, which save_key writes back as 43
         if not re.fullmatch("0|[1-9][0-9]*", f[name]):

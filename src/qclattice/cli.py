@@ -3,11 +3,12 @@
 Exit codes: 0 success, 1 runtime failure, 2 usage error.  encrypt and
 decrypt stream blocks of up to BLOCK_FRAMES frames in bounded memory: each
 block is packed or unpacked at once and runs through the cipher as (B, n)
-arrays, decrypt splitting it into runs of consecutive counters.  Their
-output, messages and exit codes are those of one frame at a time: a frame
-that fails costs only itself under --on-fail skip, and the frames before
-a failure or a truncated frame are written.  simulate writes CSV and
-reports progress on standard error.
+arrays, decrypt splitting it into runs of consecutive counters; a frame
+that decrypts off the constellation fails there (NotInLattice), so the
+unpack cannot.  Output, messages and exit codes are those of one frame at
+a time: a frame that fails costs only itself under --on-fail skip, and the
+frames before a failure or a truncated frame are written.  simulate writes
+CSV and reports progress on standard error.
 """
 
 from __future__ import annotations
@@ -115,27 +116,17 @@ def _decrypt_block(session, frames, sigma: float, cap: int) -> list:
     out = [FormatError(f"payload {payload} exceeds frame capacity {cap}") if payload > cap
            else None for _, payload, _ in frames]
     live = [i for i, o in enumerate(out) if o is None]
-    pairs = {}  # (message, payload) of each frame that decrypted
     # counter minus position is constant along a run of consecutive counters
     for _, run in itertools.groupby(enumerate(live), lambda t: frames[t[1]][0] - t[0]):
         run = [i for _, i in run]
         session.advance_to(frames[run[0]][0])
         m, errors = session.decrypt_joint(np.stack([frames[i][2] for i in run]), sigma)
         for i, row, error in zip(run, m, errors):
-            if error is None:
-                pairs[i] = (row, frames[i][1])
-            else:
-                out[i] = error
-    try:
-        plain, at = unpack_bits(pairs.values(), p.n, p.L), 0
-        for i, (_, payload) in pairs.items():
-            out[i], at = plain[at : at + payload], at + payload
-    except QclatticeError:  # a message off the constellation: unpack each frame alone
-        for i, pair in pairs.items():
-            try:
-                out[i] = unpack_bits([pair], p.n, p.L)
-            except QclatticeError as e:
-                out[i] = e
+            out[i] = row if error is None else error
+    done = [i for i in live if isinstance(out[i], np.ndarray)]  # each a constellation message
+    plain, at = unpack_bits([(out[i], frames[i][1]) for i in done], p.n, p.L), 0
+    for i in done:
+        out[i], at = plain[at : at + frames[i][1]], at + frames[i][1]
     return out
 
 

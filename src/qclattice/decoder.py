@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _clip, add_order, spa_core, tree_sum
-from .errors import DecodeFailure, integer, real, vector
+from .errors import DecodeFailure, InvalidParams, as_array, integer, real, vector
 from .lattice import LatticeCtx, check_sigma
 from .rdfcode import QcCode
 
@@ -99,8 +99,9 @@ def channel_llr(r, sigma: float, window: int, clip: float = 30.0):
     -1 + 4t with t centered on round((r -+ 1)/4).  The two translate sets
     mirror each other under r -> -r, so the result is an odd function of
     r.  Clipped to +-clip.  r is a scalar (the result is then a float) or
-    a 1-D array.  Raises InvalidParams for a sigma that check_sigma
-    rejects, a window that is not an integer >= 1, or a clip not in (0, inf).
+    a 1-D array, of an integer or real dtype.  Raises InvalidParams for any
+    other r, a sigma that check_sigma rejects, a window that is not an
+    integer >= 1, or a clip not in (0, inf).
 
     Both sides lie in one (2, translates, n) array, so the max and the
     log-sum-exp run across rows.  The rows are added in the order
@@ -112,8 +113,10 @@ def channel_llr(r, sigma: float, window: int, clip: float = 30.0):
     sigma = check_sigma(sigma)
     window = integer(window, "window", 1)
     clip = real(clip, "llr_clip", math.ulp(0.0))
-    scalar = np.ndim(r) == 0
-    r = np.atleast_1d(np.asarray(r, dtype=np.float64))
+    r = as_array(r, "r")
+    if r.ndim > 1 or r.dtype.kind not in "iuf":
+        raise InvalidParams(f"r must be a scalar or 1-D numeric, not {r.dtype} of shape {r.shape}")
+    scalar, r = r.ndim == 0, np.atleast_1d(r.astype(np.float64, copy=False))
     inv = -1.0 / (2.0 * sigma * sigma)
     near = min(window, 1) if 16.0 / (sigma * sigma) > NEAR_TRANSLATES_GAP else window
     t = np.arange(-near, near + 1, dtype=np.float64)[:, None]

@@ -22,7 +22,7 @@ from conftest import deadline, random_message
 from qclattice import CipherSession
 from qclattice.cipher import frame_capacity_bytes, pack_bits, save_key, unpack_bits
 from qclattice.cli import BLOCK_FRAMES, main
-from qclattice.errors import FormatError, QclatticeError
+from qclattice.errors import FormatError, NotInLattice, QclatticeError
 from qclattice.formats import FrameReader, FrameWriter
 from qclattice.lattice import LatticeCtx
 
@@ -155,9 +155,10 @@ def test_noisy_rows_fail_alone(toy_key, data):
 
     Between 1 and 3 dB decoding fails on about 1-30% of these n = 26
     frames, and on up to about 0.4% SPA converges to a wrong point and the
-    frame decrypts to a wrong message, alone as in the block.  So the
-    plaintext check is made on the rows observed without noise: they
-    decrypt to their plaintext, whatever fails around them.
+    frame decrypts to a wrong message, or fails off the constellation,
+    alone as in the block.  So the plaintext check is made on the rows
+    observed without noise: they decrypt to their plaintext, whatever
+    fails around them.
     """
     p = toy_key.params
     count = data.draw(st.integers(1, 20), label="frames")
@@ -197,6 +198,46 @@ def test_a_block_refused_argument_uses_no_counter_value(toy_key):
     with pytest.raises(QclatticeError, match="odd-pair"):
         session.encrypt_joint(m)
     assert session.counter == 0
+
+
+def _found_message(n):
+    """A message off the constellation: m_0 = 20 and m_1 = 3 (odd coordinates must be
+    negative), the rest 0."""
+    m = np.zeros(n, dtype=np.int64)
+    m[:2] = 20, 3
+    return m
+
+
+def _off_constellation_frame(key, j, m):
+    """The ciphertext perm(shape(apply_f(m + 1 - e, h)) + 2e) of m at counter j: what
+    encrypt_joint would give, built past its constellation check."""
+    session = CipherSession(key)
+    session.advance_to(j)
+    _, e, h, perm = session._frame_material(1)
+    lam = session.lattice.shape(session.nlf.apply_f(m + 1 - e, h))
+    return perm.apply(lam + 2 * e)[0]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3])
+def test_a_frame_off_the_constellation_fails_as_not_in_lattice(paper_key, sigma):
+    # it decrypted to m with no error, leaving unpack_bits the only check
+    y = _off_constellation_frame(paper_key, 0, _found_message(paper_key.params.n))
+    with pytest.raises(NotInLattice, match="^joint message coordinate off the constellation$"):
+        CipherSession(paper_key).decrypt_joint(y.astype(np.float64), sigma)
+
+
+def test_a_block_row_off_the_constellation_fails_alone(paper_key):
+    p = paper_key.params
+    rng = np.random.default_rng(3)
+    sent = np.stack([_found_message(p.n)] + [random_message(rng, p.n, p.L) for _ in range(2)])
+    tx = CipherSession(paper_key)
+    tx.advance_to(1)
+    ct, errors = tx.encrypt_joint(sent[1:])
+    assert errors == (None, None)
+    y = np.vstack([_off_constellation_frame(paper_key, 0, sent[0]), ct.y])
+    got, errors = CipherSession(paper_key).decrypt_joint(y.astype(np.float64), 0.0)
+    assert type(errors[0]) is NotInLattice and errors[1:] == (None, None)
+    assert not got[0].any() and np.array_equal(got[1:], sent[1:])
 
 
 def test_an_empty_block_gives_empty_results(toy_key):
@@ -312,7 +353,7 @@ def test_cli_decrypt_matches_frame_by_frame(tmp_path, keypath, toy_key, count):
 
 
 @pytest.mark.parametrize("position", [0, 31, 63])
-@pytest.mark.parametrize("fault", ["coordinate", "payload", "counter"])
+@pytest.mark.parametrize("fault", ["coordinate", "payload", "counter", "constellation"])
 def test_cli_bad_row_in_a_block_costs_only_itself(tmp_path, keypath, toy_key, position, fault):
     _, frames = _frames(toy_key, 2 * BLOCK_FRAMES + 1)
     i = BLOCK_FRAMES + position  # the second block
@@ -322,11 +363,16 @@ def test_cli_bad_row_in_a_block_costs_only_itself(tmp_path, keypath, toy_key, po
         y[3] += 2
     elif fault == "payload":
         payload = 7  # one byte over the toy frame's capacity
-    else:
+    elif fault == "counter":
         counter = 2**40
+    else:  # a lattice point that decrypts off the constellation
+        y = _off_constellation_frame(toy_key, counter, _found_message(toy_key.params.n))
     frames[i] = (counter, payload, y)
     code, err = _check_decrypt(tmp_path, keypath, toy_key, frames)
     assert (code, len(err)) in ((1, 1), (0, 1))
+    if fault == "constellation":  # decrypt refuses it, before the unpack
+        assert err == [f"warning: frame {counter}: joint message coordinate off the "
+                       "constellation; emitting zeros"]
 
 
 def test_cli_observations_match_frame_by_frame(tmp_path, keypath, toy_key):

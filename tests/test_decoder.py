@@ -123,6 +123,25 @@ def test_llr_zero_d_input_returns_float():
         assert out == channel_llr(np.array([1.0]), 0.5, 4)[0]
 
 
+@pytest.mark.parametrize("r", [
+    np.zeros((2, 3)),  # ValueError from a broadcast
+    np.zeros((1, 3)),  # flattened to 3 LLRs
+    "abc",  # ValueError from the float cast
+    np.array([True, False]),
+    np.array([1.0 + 0j]),
+    [[1.0], [2.0, 3.0]],  # ragged
+], ids=["2d", "one_row", "str", "bool", "complex", "ragged"])
+def test_llr_refuses_an_r_that_is_not_a_scalar_or_1d_numeric(r):
+    with pytest.raises(InvalidParams, match="^r "):
+        channel_llr(r, 0.5, 4)
+
+
+def test_llr_takes_integer_and_float32_r():
+    want = channel_llr(np.array([1.0, -3.0]), 0.5, 4)
+    for r in ([1, -3], np.array([1, -3], dtype=np.int8), np.array([1, -3], dtype=np.float32)):
+        assert channel_llr(r, 0.5, 4).tobytes() == want.tobytes()
+
+
 def test_tanner_arrays_regular(small_ctx):
     code = small_ctx.code
     nbr, edge = tanner_arrays(code)

@@ -13,7 +13,8 @@ that observation entry points take any integer or real dtype.  The
 scalar refusal matrix does the same for every integer argument, and
 checks that a numpy integer gives what the equal Python int gives; the
 real refusal matrix does both for every real argument (sigma, VNR, LLR
-clip), and checks that a refused sigma uses no counter value.
+clip, Wilson interval), and checks that a refused sigma uses no counter
+value.
 """
 
 import contextlib
@@ -31,7 +32,7 @@ from conftest import deadline, random_message
 from qclattice import CipherParams, CipherSession, keygen, rdf_search
 from qclattice.analysis import default_l2, message_expansion
 from qclattice.bitmat import PolyMulMatrix, circulants
-from qclattice.channel import SweepSpec, add_awgn, run_sweep
+from qclattice.channel import SweepSpec, add_awgn, run_sweep, wilson_interval
 from qclattice.cipher import frame_capacity_bytes, pack_bits, save_key, unpack_bits
 from qclattice.cli import main
 from qclattice.decoder import DecoderConfig, channel_llr, decode
@@ -449,6 +450,7 @@ SCALAR_SITES = {
     "PolyMulMatrix.c": (lambda v: _mul_matrix(NLF.g, v), 5, InvalidParams),
     "circulants.b": (lambda v: circulants(v, [1, 2]).tolist(), PARAMS.b, InvalidParams),
     "circulants.row": (lambda v: circulants(PARAMS.b, [1, v]).tolist(), 5, InvalidParams),
+    "wilson_interval.trials": (lambda v: wilson_interval(1, v), 4, InvalidParams),
 }
 
 SCALAR_BAD = {
@@ -510,6 +512,7 @@ def test_scalar_sites_take_numpy_integers_as_python_ints(site):
     ("circulants.b", 0),
     ("circulants.row", -1),
     ("circulants.row", 1 << PARAMS.b),  # spilled into its neighbour's bits
+    ("wilson_interval.trials", -2),  # (3.26, -0.08): lower above upper
 ])
 def test_scalar_range_refusals(site, value):
     call, _, error = SCALAR_SITES[site]
@@ -594,6 +597,8 @@ REAL_ARG_SITES = {
     "SweepSpec.start": (lambda v: SweepSpec(v, 12.0, 1.0, 1, 0), 12.0),
     "SweepSpec.stop": (lambda v: SweepSpec(0.0, v, 1.0, 1, 0), 2.0),
     "SweepSpec.step": (lambda v: SweepSpec(0.0, 2.0, v, 1, 0), 0.5),
+    "wilson_interval.successes": (lambda v: wilson_interval(v, 4), 1.5),
+    "wilson_interval.z": (lambda v: wilson_interval(1, 4, v), 1.5),
 }
 
 REAL_ARG_BAD = {
@@ -632,6 +637,10 @@ def test_real_sites_take_numpy_floats_as_python_floats(site, kind):
     ("decrypt_joint.sigma", 1e-200),  # sigma^2 underflows; used a counter value
     ("SweepSpec.step", 0.0),
     ("SweepSpec.step", -1.0),
+    ("wilson_interval.successes", 5.0),  # (0.0, 1.0) with a RuntimeWarning
+    ("wilson_interval.successes", -0.5),
+    ("wilson_interval.z", 0.0),  # (0.25, 0.25)
+    ("wilson_interval.z", -1.5),  # (0.61, 0.07)
 ])
 def test_real_range_refusals(site, value):
     with pytest.raises(InvalidParams):
