@@ -1,8 +1,10 @@
 """AWGN simulation: noise injection, VNR sweeps, CSV output.
 
 run_sweep (the full cipher) and lattice_sweep (bare lattice coding) share
-one trial loop and one failure policy: a frame whose receiver raises
-DecodeFailure, NotLatticePoint or NotInLattice has every symbol in error.
+one trial loop, one link protocol (link() gives send(rng, t) and
+receive(r, sigma, t); trial t is frame t) and one failure policy: a frame
+whose receiver raises DecodeFailure, NotLatticePoint or NotInLattice has
+every symbol in error.
 Trial randomness comes from a counter-based Philox generator keyed by
 (seed, (point index << 32) ^ trial index), so results are independent of
 execution order and identical for any worker count.  Each chunk of trials
@@ -12,7 +14,6 @@ Generator(Philox(key=...)).
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from contextlib import nullcontext
@@ -116,59 +117,55 @@ def point_sigmas(key: SecretKey, spec: SweepSpec) -> list:
     return [lattice.vnr_sigma(v) for v in spec.points()]
 
 
-def _cipher_link(key, start):
+def _cipher_link(key):
     """(send, receive) of the full cipher through a transmit and a receive session.
 
-    Trial t uses frame t of the material stream, which restarts per point:
-    send sets its counter to its trial's frame and receive to the counter of
-    the ciphertext send made, so a receiver that fails early cannot shift
-    the frames of later trials, and the receiver never rewinds.
+    Both seek frame t for trial t (the stream restarts per point), so a
+    receiver that fails early cannot shift the frames of later trials.
     """
     n, L = key.params.n, key.params.L
-    tx, rx, frames, sent = CipherSession(key), CipherSession(key), itertools.count(start), None
+    tx, rx = CipherSession(key), CipherSession(key)
 
-    def send(rng):
-        nonlocal sent
+    def send(rng, t):
         m = np.empty(n, dtype=np.int64)
         m[0::2] = rng.integers(0, L, size=n // 2)
         m[1::2] = rng.integers(-L, 0, size=n // 2)
-        tx.advance_to(next(frames))
-        sent = tx.encrypt_joint(m)
-        return m, sent.y
+        tx.advance_to(t)
+        return m, tx.encrypt_joint(m).y
 
-    def receive(r, sigma):
-        rx.advance_to(sent.counter)
+    def receive(r, sigma, t):
+        rx.advance_to(t)
         return rx.decrypt_joint(r, sigma)
 
     return send, receive
 
 
-def _lattice_link(ctx, cfg, start):
+def _lattice_link(ctx, cfg):
     """(send, receive) of bare lattice coding: random bits in, decoded point out."""
 
-    def send(rng):
+    def send(rng, t):
         lam = ctx.encode(rng.integers(0, 2, size=ctx.n))
         return lam, lam
 
-    return send, lambda r, sigma: decode(ctx, cfg, r, sigma)
+    return send, lambda r, sigma, t: decode(ctx, cfg, r, sigma)
 
 
 def _run_chunk(link, point, sigma, seed, start, count):
     """(symbol errors, frame errors) of trials [start, start + count) at one point.
 
-    link(start) gives send(rng) -> (sent symbols, channel input) and
-    receive(r, sigma) -> their estimate.  Receiver exceptions other than
-    the three that fail a frame propagate.
+    link() gives send(rng, t) -> (sent symbols, channel input) and
+    receive(r, sigma, t) -> their estimate, for trial t, which is frame t.
+    Receiver exceptions other than the three that fail a frame propagate.
     """
-    send, receive = link(start)
+    send, receive = link()
     rekey = _trial_streams(seed)
     sym_err = frame_err = 0
     for t in range(start, start + count):
         rng = rekey(point, t)
-        sent, x = send(rng)
+        sent, x = send(rng, t)
         r = add_awgn(x, sigma, rng)
         try:
-            errs = int((receive(r, sigma) != sent).sum())
+            errs = int((receive(r, sigma, t) != sent).sum())
         except (DecodeFailure, NotLatticePoint, NotInLattice):
             errs = sent.size
         sym_err += errs
@@ -265,5 +262,7 @@ CSV_HEADER = "vnr_db,ser,fer,trials,seed"
 def rows_to_csv(rows) -> str:
     lines = [CSV_HEADER]
     for vnr_db, ser, fer, trials, seed in rows:
-        lines.append(f"{vnr_db:g},{ser:.10g},{fer:.10g},{trials},{seed}")
+        # the shortest text that reads back as the point; integral points print as integers
+        vnr = repr(float(vnr_db)).removesuffix(".0")
+        lines.append(f"{vnr},{ser:.10g},{fer:.10g},{trials},{seed}")
     return "\n".join(lines) + "\n"

@@ -19,6 +19,7 @@ from gf2_reference import (
     nlf_truth_table,
 )
 from keystream_reference import joint_state
+from qclattice import CipherParams, keygen
 from qclattice.analysis import (
     bruteforce_terms_log2,
     differential_cost_log2,
@@ -257,6 +258,27 @@ def test_acceptance_11b_lattice_comparison():
     assert hi_a < lo_b
     ok(11, f"b: at 2.0 dB the (215,258) lattice (SER {row_a[1]:.3e}) beats "
            f"the (128,256) lattice (SER {row_b[1]:.3e})")
+
+
+def test_acceptance_11d_waterfalls_cross_258_1496(paper_key):
+    # the longer code's waterfall is steeper: it fails more below the
+    # crossing (between 1.5 and 2.0 dB) and less above it.  Trials per size
+    # are set from a recorded seed-20 sweep; n = 258 decodes ~5x cheaper,
+    # so it gets the larger sample at the upper point
+    ctxs = [LatticeCtx.from_code(key.code, key.params.L)
+            for key in (paper_key, keygen(CipherParams(187, 8, 5, 187, 16, 77), 1))]
+    cfg = DecoderConfig()
+
+    def fer_interval(ctx, vnr_db, trials):
+        fer = lattice_sweep(ctx, cfg, SweepSpec(vnr_db, vnr_db, 1.0, trials, 20))[0][2]
+        return wilson_interval(round(fer * trials), trials)
+
+    (lo_258, hi_258), (lo_1496, hi_1496) = (fer_interval(c, 1.5, 100) for c in ctxs)
+    assert hi_258 < lo_1496, (hi_258, lo_1496)
+    (lo_258, _), (_, hi_1496) = fer_interval(ctxs[0], 2.25, 6000), fer_interval(ctxs[1], 2.25, 2500)
+    assert hi_1496 < lo_258, (hi_1496, lo_258)
+    ok(11, f"d: n = 1496 FER above n = 258 at 1.5 dB, below it at 2.25 dB "
+           f"(Wilson upper {hi_1496:.4f} < lower {lo_258:.4f})")
 
 
 def test_acceptance_11c_toy_spa_matches_ml():

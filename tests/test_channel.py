@@ -296,6 +296,11 @@ def test_csv_format():
     assert lines[1] == "0,0.125,0.5,8,42"
     assert text.endswith("\n")
     assert "\r" not in text
+    # grid points closer than %g's six digits still print apart, and read back
+    pts = SweepSpec(12.0000001, 12.0000003, 0.0000001, 1, 0).points()
+    lines = rows_to_csv([(v, 0.0, 0.0, 1, 0) for v in pts]).splitlines()[1:]
+    assert [line.split(",")[0] for line in lines] == ["12.0000001", "12.0000002", "12.0000003"]
+    assert [float(line.split(",")[0]) for line in lines] == pts
 
 
 def test_wilson_interval():
