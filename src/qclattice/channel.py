@@ -24,7 +24,9 @@ import numpy as np
 
 from .cipher import CipherSession, SecretKey
 from .decoder import DecoderConfig, decode
-from .errors import DecodeFailure, InvalidParams, NotInLattice, NotLatticePoint, integer, real
+from .errors import (
+    DecodeFailure, InvalidParams, NotInLattice, NotLatticePoint, integer, numeric, real,
+)
 from .lattice import LatticeCtx
 
 WORKERS_ENV = "QCLATTICE_WORKERS"
@@ -75,13 +77,12 @@ class SweepSpec:
 def add_awgn(x, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """x + N(0, sigma^2) noise; sigma = 0 returns x exactly.
 
-    Raises InvalidParams unless sigma is a finite real >= 0 (``errors.real``).
+    Raises InvalidParams unless sigma is a finite real >= 0 (``errors.real``)
+    and x, of any shape, has an integer or real dtype (``errors.numeric``).
     """
     sigma = real(sigma, "sigma", 0.0)
-    x = np.asarray(x, dtype=np.float64)
-    if sigma == 0:
-        return x.copy()
-    return x + rng.normal(0.0, sigma, size=x.shape)
+    x = numeric(x, "x").astype(np.float64)
+    return x if sigma == 0 else x + rng.normal(0.0, sigma, size=x.shape)
 
 
 def _trial_streams(seed: int):

@@ -340,15 +340,14 @@ class CipherSession:
         """(counter, e (rows, n), h (rows, d), permutation of (rows, n) blocks) from the counter on.
 
         Frame j's material starts at bit j*n of the error stream, bit j*d of
-        the control stream and frame j of the permutation stream.  A stream
-        not there jumps from its seed in O(log j) multiplications, so a
-        crafted u64 counter costs about as much as a near one.
+        the control stream and frame j of the permutation stream.  Each draw
+        is positional: a stream whose last draw did not end there jumps from
+        its seed in O(log j) multiplications, so a crafted u64 counter costs
+        about as much as a near one.
         """
         p, j = self.params, self.counter
-        self.e_lfsr.seek(j * p.n)
-        self.h_lfsr.seek(j * p.d)
-        e = self.e_lfsr.next_bits(rows * p.n).astype(np.int64).reshape(rows, p.n)
-        h = self.h_lfsr.next_bits(rows * p.d).reshape(rows, p.d)
+        e = self.e_lfsr.next_bits(j * p.n, rows * p.n).astype(np.int64).reshape(rows, p.n)
+        h = self.h_lfsr.next_bits(j * p.d, rows * p.d).reshape(rows, p.d)
         self.counter = j + rows
         return j, e, h, BlockPermutation(p.q, self.perm_stream.next_perm(j, rows))
 

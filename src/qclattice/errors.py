@@ -1,8 +1,9 @@
 """Exception types raised across the package, and the one argument check.
 
 Integer arguments (code parameters, L, d, seeds, frame counters) go through
-``integer``, real ones (sigma, VNRs, the LLR clip) through ``real``; length-n
-vectors through ``vector`` (any integer or real dtype: observations) or
+``integer``, real ones (sigma, VNRs, the LLR clip) through ``real``; arrays
+of any shape through ``numeric`` (any integer or real dtype: the channel
+input), length-n vectors through ``vector`` (``numeric``: observations) or
 ``int_vector`` (an integer dtype int64 holds: exact maps), whose ``as_array``
 refuses a ragged nesting; with ``rows`` they also take a (B, n) block of
 frames.  Each checks before any cast, so no entry point
@@ -101,14 +102,19 @@ def as_array(v, what: str, error=InvalidParams) -> np.ndarray:
         raise error(f"{what} is not an array: {e}") from None
 
 
-def vector(v, n: int, what: str, error=InvalidParams, rows=False) -> np.ndarray:
-    """v as an array of shape (n,), or (B, n) when rows, and an integer or real
-    dtype, uncast, or raise error."""
+def numeric(v, what: str, error=InvalidParams) -> np.ndarray:
+    """v as an array of any shape and an integer or real dtype, uncast, or raise error."""
     v = as_array(v, what, error)
-    if v.shape != (n,) and not (rows and v.ndim == 2 and v.shape[1] == n):
-        raise error(f"{what} has shape {v.shape}, not ({'B, ' if rows else ''}{n},)")
     if v.dtype.kind not in "iuf":
         raise error(f"{what} dtype {v.dtype} is not numeric")
+    return v
+
+
+def vector(v, n: int, what: str, error=InvalidParams, rows=False) -> np.ndarray:
+    """``numeric`` of shape (n,), or (B, n) when rows, or raise error."""
+    v = numeric(v, what, error)
+    if v.shape != (n,) and not (rows and v.ndim == 2 and v.shape[1] == n):
+        raise error(f"{what} has shape {v.shape}, not ({'B, ' if rows else ''}{n},)")
     return v
 
 

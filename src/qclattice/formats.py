@@ -43,10 +43,13 @@ def params_digest(b: int, n0: int, dv: int, q: int, L: int, d: int) -> str:
 
 
 def fields_to_hex(values, width: int) -> str:
-    """Hex of ``width``-bit values; value i holds bits [i*width, (i+1)*width)."""
+    """Hex of ``width``-bit values; value i holds bits [i*width, (i+1)*width).
+
+    A value outside [0, 2^width), which would read back as others, raises FormatError.
+    """
     packed = 0
     for i, v in enumerate(values):
-        packed |= v << (i * width)
+        packed |= integer(v, "field value", 0, 1 << width, FormatError) << (i * width)
     return packed.to_bytes((len(values) * width + 7) // 8, "little").hex()
 
 

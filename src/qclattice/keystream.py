@@ -7,7 +7,7 @@ feedback polynomial, the shipped one of the register's length.  The
 permutation stream's v seeds, one per q-block, are the gamma-bit values
 of the key field t (``CipherParams.secret_fields`` gives its layout).
 
-Every stream emits many bits per Python operation and seeks to any
+Every stream emits many bits per Python operation and draws from any
 position in O(log t) multiplications:
 
 - Stepping.  ``Lfsr.advance(k)`` emits length - deg(taps) bits per word
@@ -22,9 +22,10 @@ position in O(log t) multiplications:
   2*length - 1 output bits (Haramoto, Matsumoto, Nishimura, Panneton &
   L'Ecuyer, "Efficient Jump Ahead for F2-Linear Random Number Generators",
   INFORMS J. Computing 2008); jumps with k * length below 2^18 advance.
-  ``ReseedingLfsr.seek(t)`` jumps the companion register to the segment
-  holding bit t and the main register to its phase, unless the stream
-  already stands at ``position`` t.
+  ``ReseedingLfsr.next_bits(t, count)`` returns bits [t, t + count)
+  whatever was drawn before: it jumps the companion register to the
+  segment holding bit t and the main register to its phase, unless the
+  last draw ended at bit t.
 - Permutations.  Every q-block is a rotation of one sequence: the
   accepted values in the order one cycle of the gamma-bit register visits
   them.  That ring is cached per (q, gamma, taps), and a block of frames,
@@ -83,13 +84,14 @@ class Lfsr:
 
     def __init__(self, length: int, poly: int, seed: int):
         length = integer(length, "LFSR length", 1)
-        poly, seed = integer(poly, "LFSR polynomial"), integer(seed, "LFSR seed")
-        mask = (1 << length) - 1
-        if seed & mask == 0:
+        poly = integer(poly, "LFSR polynomial", 0, 2 << length)
+        seed = integer(seed, "LFSR seed", 0, 1 << length)
+        if not seed:
             raise InvalidParams("LFSR seed must be nonzero")
+        mask = (1 << length) - 1
         self.length = length
         self.taps = poly & mask
-        self.state = seed & mask
+        self.state = seed
         self._mask = mask
         self._recip, self._tap_list, self._word = _feedback(length, self.taps)
 
@@ -151,44 +153,37 @@ class ReseedingLfsr:
     steps once and its state replaces the main state.  With q and p
     primitive the companion walks the main register through all 2^l1 - 1
     nonzero seeds, so the joint state first recurs after (2^l1 - 1)^2 bits.
+    ``next_bits(t, count)`` is a pure function of (seed, t, count); the
+    registers only record where the last draw ended, so a draw that starts
+    there jumps nothing.
     """
 
     def __init__(self, length: int, seed: int):
-        self.main = Lfsr(length, primitives.poly(length), seed)
-        self.companion = Lfsr(length, primitives.reciprocal(length), seed)
-        self.seed = self.main.state
-        self.segment = (1 << self.main.length) - 1
-        self.position = 0  # the output bit the next draw starts at
+        self._main = Lfsr(length, primitives.poly(length), seed)
+        self._companion = Lfsr(length, primitives.reciprocal(length), seed)
+        self._seed = self._main.state
+        self._segment = (1 << self._main.length) - 1
+        self._end = 0  # the output bit the registers stand at
 
-    @property
-    def phase(self) -> int:
-        """Output bits since the last reseed."""
-        return self.position % self.segment
-
-    def next_bits(self, count: int) -> np.ndarray:
-        count = integer(count, "bit count", 0)
+    def next_bits(self, t: int, count: int) -> np.ndarray:
+        """Output bits [t, t + count) of the stream; bit 0 is the first after seeding."""
+        t, count = integer(t, "stream position", 0), integer(count, "bit count", 0)
+        if t != self._end:
+            reseeds, phase = divmod(t, self._segment)
+            self._companion.state = self._seed
+            self._companion.jump(reseeds)
+            self._main.state = self._companion.state
+            self._main.jump(phase)
         acc = pos = 0
         while pos < count:
-            k = min(count - pos, self.segment - self.phase)
-            acc |= self.main.advance(k) << pos
+            k = min(count - pos, self._segment - (t + pos) % self._segment)
+            acc |= self._main.advance(k) << pos
             pos += k
-            self.position += k
-            if not self.phase:
-                self.companion.advance(1)
-                self.main.state = self.companion.state
+            if not (t + pos) % self._segment:
+                self._companion.advance(1)
+                self._main.state = self._companion.state
+        self._end = t + count
         return poly_to_bits(acc, count)
-
-    def seek(self, t: int) -> None:
-        """Position the stream at output bit ``t`` (0 = first bit after seeding)."""
-        t = integer(t, "stream position", 0)
-        if t == self.position:
-            return
-        reseeds, phase = divmod(t, self.segment)
-        self.companion.state = self.seed
-        self.companion.jump(reseeds)
-        self.main.state = self.companion.state
-        self.main.jump(phase)
-        self.position = t
 
 
 @functools.lru_cache(maxsize=32)
@@ -240,7 +235,7 @@ class PermutationStream:
         q = integer(q, "permutation block size q", 1)
         gamma = (q - 1).bit_length()  # the key's seed width, CipherParams.gamma
         mask = (1 << gamma) - 1
-        seeds = [integer(seed, "permutation seed") & mask for seed in seeds]
+        seeds = [integer(seed, "permutation seed", 0, mask + 1) for seed in seeds]
         if not all(seeds):
             raise ZeroSeedSlice("permutation seed slice is all-zero")
         self._windows, self._offset, position = _permutation_ring(

@@ -64,35 +64,27 @@ class QcCode:
 def _grow_block(rng: random.Random, b: int, dv: int, used: set):
     """One random block, element by element; None on a dead end.
 
-    A candidate element must not repeat a used cyclic difference (in either
-    direction) and the differences it introduces must be internally
-    distinct; candidates are filtered exactly, then sampled uniformly.
+    A candidate x's new cyclic differences, both directions against each
+    element so far, form one list.  It must have no repeats, which also
+    refuses an element already placed (difference 0 twice), and no
+    difference in ``used`` or the block's own ``local``.  Candidates are
+    filtered exactly, then sampled uniformly.
     """
     ys: list = []
     local: set = set()
     while len(ys) < dv:
+        taken = used | local
         allowed = []
         for x in range(b):
-            if x in ys:
-                continue
             new = []
-            ok = True
             for y in ys:
-                d1 = (x - y) % b
-                d2 = (y - x) % b
-                if d1 in used or d2 in used or d1 in local or d2 in local:
-                    ok = False
-                    break
-                new.append(d1)
-                new.append(d2)
-            if ok and len(set(new)) == 2 * len(ys):
-                allowed.append(x)
+                new += ((x - y) % b, (y - x) % b)
+            if taken.isdisjoint(new) and len(set(new)) == len(new):
+                allowed.append((x, new))
         if not allowed:
             return None
-        x = allowed[rng.randrange(len(allowed))]
-        for y in ys:
-            local.add((x - y) % b)
-            local.add((y - x) % b)
+        x, new = allowed[rng.randrange(len(allowed))]
+        local.update(new)
         ys.append(x)
     return tuple(sorted(ys)), local
 

@@ -3,7 +3,12 @@
 These are the straightforward one-step-at-a-time versions: an LFSR step
 computes one feedback parity, a reseeding stream reseeds when its phase
 wraps, a permutation draw walks a throwaway register until q values are
-accepted, and seeking replays every skipped bit or draw from the seed.
+accepted, and seeking replays every skipped draw from the seed.  A
+reseeding stream seeks one register step at a time too, but skips what a
+reseed overwrites: the companion steps once per reseed before bit t, and
+the main register steps to t's phase, forward or back, whichever is
+shorter.  Both registers are primitive, with period 2^length - 1 (the
+segment), so the companion's step count is taken modulo the segment.
 joint_state and permutation_matrix read the library's own objects for
 tests that need the whole register state or the dense permutation.
 """
@@ -22,6 +27,13 @@ class Lfsr:
         fb = bin(self.state & self.taps).count("1") & 1
         self.state = (self.state >> 1) | (fb << (self.length - 1))
         return out
+
+    def step_back(self):
+        """Undo one step: the taps hold x^0, so the dropped bit completes the feedback."""
+        assert self.taps & 1
+        fb = self.state >> (self.length - 1)
+        high = (self.state << 1) & ((1 << self.length) - 1)
+        self.state = high | (fb ^ bin(high & self.taps).count("1") & 1)
 
 
 class ReseedingLfsr:
@@ -46,13 +58,25 @@ class ReseedingLfsr:
 
     def seek(self, t):
         self.__init__(*self._args)
-        for _ in range(t):
-            self.next_bit()
+        reseeds, self.phase = divmod(t, self.segment)
+        for _ in range(reseeds % self.segment):
+            self.companion.step()
+        self.main.state = self.companion.state
+        if self.phase <= self.segment // 2:
+            for _ in range(self.phase):
+                self.main.step()
+        else:
+            for _ in range(self.segment - self.phase):
+                self.main.step_back()
+
+    def joint_state(self):
+        return (self.main.state, self.companion.state, self.phase)
 
 
-def joint_state(stream):
-    """(main state, companion state, phase) of a reseeding stream, either kind."""
-    return (stream.main.state, stream.companion.state, stream.phase)
+def joint_state(stream, t):
+    """(main state, companion state, phase) of a library reseeding stream
+    whose last draw ended at bit t."""
+    return (stream._main.state, stream._companion.state, t % stream._segment)
 
 
 class PermutationStream:

@@ -187,18 +187,18 @@ def test_acceptance_7_rdf_validity():
 def test_acceptance_8_keystream_periods():
     for l1 in range(2, 9):
         lf = ReseedingLfsr(l1, 1)
-        start = joint_state(lf)
+        start = joint_state(lf, 0)
         target = ((1 << l1) - 1) ** 2
-        steps = 0
+        t = 0
         while True:
-            lf.next_bits(1)
-            steps += 1
-            if joint_state(lf) == start:
+            lf.next_bits(t, 1)
+            t += 1
+            if joint_state(lf, t) == start:
                 break
-            assert steps <= target
-        assert steps == target
+            assert t <= target
+        assert t == target
     lf = ReseedingLfsr(9, 0x155)
-    weights = [int(lf.next_bits(258).sum()) for _ in range(1000)]
+    weights = [int(lf.next_bits(258 * j, 258).sum()) for j in range(1000)]
     mean = float(np.mean(weights))
     assert abs(mean - 129.0) <= 129.0 * 0.08
     ok(8, f"joint periods (2^l1 - 1)^2 for l1 <= 8; mean weight {mean:.2f}")

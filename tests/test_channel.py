@@ -48,6 +48,12 @@ def test_awgn_reproducible():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("x", [(), 3, [[1, 2, 3], [4, 5, 6]], np.zeros((2, 0), dtype=np.uint8)])
+def test_awgn_takes_any_shape(x):
+    out = add_awgn(x, 0.5, np.random.default_rng(0))
+    assert out.shape == np.shape(x) and out.dtype == np.float64
+
+
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, -1.0])
 def test_awgn_rejects_negative_or_non_finite_sigma(sigma):
     # nan used to return all-NaN noise, inf +-inf

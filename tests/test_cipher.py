@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 import time
@@ -359,8 +360,11 @@ _COUNTERS = st.one_of(st.integers(0, 80), st.integers(2**64 - 80, 2**64 - 1),
                       st.integers(0, 2**64 - 1))
 _STEPS = st.one_of(
     st.tuples(st.just("advance_to"), _COUNTERS),
-    # a draw outside any frame moves one stream behind the counter's back
-    st.tuples(st.sampled_from(["e_lfsr", "h_lfsr"]), st.integers(0, 700)),
+    # a draw outside any frame, at a position near the frames or anywhere,
+    # leaves one stream's registers where the counter's frame does not start
+    st.tuples(st.sampled_from(["e_lfsr", "h_lfsr"]),
+              st.tuples(st.one_of(st.integers(0, 3000), st.integers(0, 2**70)),
+                        st.integers(0, 700))),
     # None maps a lone (n,) frame, an integer a block of that many rows
     st.tuples(st.sampled_from(["encrypt_joint", "encrypt_raw", "decrypt_joint", "decrypt_raw"]),
               st.sampled_from([None, 1, 2, 5])),
@@ -378,7 +382,7 @@ def test_each_row_is_its_counters_frame_after_any_interleaving(toy_key, steps, s
             session.advance_to(arg)
             continue
         if name.endswith("lfsr"):
-            getattr(session, name).next_bits(arg)
+            getattr(session, name).next_bits(*arg)
             continue
         j, rows, mode = session.counter, arg or 1, name.split("_")[1]
         ms = [random_message(rng, p.n, p.L) for _ in range(rows)]
@@ -436,6 +440,13 @@ def test_key_file_roundtrip(paper_key):
     text = save_key(paper_key)
     assert load_key(text) == paper_key
     assert save_key(load_key(text)) == text
+
+
+def test_save_key_refuses_a_seed_wider_than_its_field(paper_key):
+    # gamma = 6: t[0] = 68 saved as a file that load_key read as t = (4, 17, ...)
+    t = (68, 16) + paper_key.t[2:]
+    with pytest.raises(FormatError, match="field value"):
+        save_key(dataclasses.replace(paper_key, t=t))
 
 
 def test_key_file_deterministic():

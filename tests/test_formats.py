@@ -34,6 +34,18 @@ def test_hex_int_roundtrip():
     assert fields_to_hex([0x1AB], 9) == "ab01"
     assert fields_to_hex([1, 2, 3, 0], 6) == "813000"
     assert hex_to_fields("813000", 4, 6) == [1, 2, 3, 0]
+    assert fields_to_hex([255, 5], 8) == "ff05"
+
+
+@pytest.mark.parametrize("values", [
+    [300, 5],  # wrote 2c05, which reads back as [44, 5]
+    [5, 300],  # OverflowError from to_bytes
+    [-1, 5],  # OverflowError from to_bytes
+    [256, 0],
+], ids=["spills", "last_overflows", "negative", "edge"])
+def test_fields_to_hex_refuses_a_value_wider_than_its_field(values):
+    with pytest.raises(FormatError, match="field value"):
+        fields_to_hex(values, 8)
     for text, message in (
         ("zz", "bad hex"), ("0", "bad hex"), ("0 f", "bad hex"),
         ("", "not 1 bytes"), ("0f00", "not 1 bytes"),

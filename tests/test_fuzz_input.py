@@ -382,11 +382,10 @@ def _stepped(step, k):
     return getattr(lf, step)(k), lf.state
 
 
-def _reseeding(method, v):
-    """The next 8 bits and the phase after next_bits(v) or seek(v) on a fresh stream."""
+def _reseeding(t, count):
+    """next_bits(t, count) on a fresh stream, and the 8 bits after it."""
     stream = ReseedingLfsr(5, 9)
-    getattr(stream, method)(v)
-    return stream.next_bits(8).tolist(), stream.phase
+    return stream.next_bits(t, count).tolist(), stream.next_bits(t + count, 8).tolist()
 
 
 def _perms(q, seeds, j=0, count=2):
@@ -439,8 +438,9 @@ SCALAR_SITES = {
     "Lfsr.seed": (lambda v: _lfsr(9, LFSR_POLY, v), 5, InvalidParams),
     "Lfsr.advance": (lambda v: _stepped("advance", v), 40, InvalidParams),
     "Lfsr.jump": (lambda v: _stepped("jump", v), 40, InvalidParams),
-    "ReseedingLfsr.next_bits": (lambda v: _reseeding("next_bits", v), 40, InvalidParams),
-    "ReseedingLfsr.seek": (lambda v: _reseeding("seek", v), 40, InvalidParams),
+    # seek is the position t of next_bits(t, count), next_bits its count
+    "ReseedingLfsr.next_bits": (lambda v: _reseeding(40, v), 40, InvalidParams),
+    "ReseedingLfsr.seek": (lambda v: _reseeding(v, 40), 40, InvalidParams),
     "PermutationStream.q": (lambda v: _perms(v, [3, 5]), PARAMS.q, InvalidParams),
     "PermutationStream.seeds": (lambda v: _perms(PARAMS.q, [v, 5]), 3, InvalidParams),
     "PermutationStream.next_perm.j": (lambda v: _perms(PARAMS.q, [3, 5], v), 2, InvalidParams),
@@ -504,8 +504,14 @@ def test_scalar_sites_take_numpy_integers_as_python_ints(site):
     ("write_frame.counter", 2**64),
     ("write_frame.payload_len", 2**32),
     ("Lfsr.length", 0),
+    ("Lfsr.seed", 1 << 9 | 3),  # ran as seed 3
+    ("Lfsr.seed", -1),  # ran as state 511
+    ("Lfsr.poly", LFSR_POLY | 1 << 20),  # the stray bit was dropped
+    ("Lfsr.poly", -1),
     ("ReseedingLfsr.seek", -1),
     ("PermutationStream.q", 0),
+    ("PermutationStream.seeds", 1 << 4 | 6),  # q = 13: drew seed 6's permutations
+    ("PermutationStream.seeds", -10),  # wrapped to seed 6
     ("PolyMulMatrix.g", 1),  # degree 0
     ("PolyMulMatrix.g", 2),  # g(0) = 0
     ("PolyMulMatrix.c", -1),
@@ -570,11 +576,28 @@ def test_frame_writer_refuses_a_malformed_digest(digest):
     assert buf.getvalue() == b""
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+@pytest.mark.parametrize("x", [
+    "abc",  # ValueError from the float cast
+    [[1.0, 2.0], [3.0]],  # ValueError: inhomogeneous shape
+    None,  # became nan
+    [1 + 2j, 3],  # lost its imaginary part
+    np.array([True, False]),
+    np.array([b"1", b"2"]),
+], ids=["str", "ragged", "none", "complex", "bool", "bytes"])
+def test_add_awgn_refuses_a_non_numeric_x(x, sigma):
+    with pytest.raises(InvalidParams, match="x"):
+        add_awgn(x, sigma, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("site, value", [
     ("unpack_bits.payload_len", 6),
     ("write_frame.counter", 2**64 - 1),
     ("write_frame.payload_len", 2**32 - 1),
     ("FrameWriter.n", 0),
+    ("Lfsr.seed", (1 << 9) - 1),
+    ("Lfsr.poly", (2 << 9) - 1),
+    ("PermutationStream.seeds", 15),
 ])
 def test_scalar_range_edges_are_taken(site, value):
     SCALAR_SITES[site][0](value)

@@ -49,34 +49,34 @@ def test_lfsr_rejects_zero_seed():
 def test_reseeding_stream_deterministic():
     a = ReseedingLfsr(5, 9)
     b = ReseedingLfsr(5, 9)
-    assert np.array_equal(a.next_bits(500), b.next_bits(500))
+    assert np.array_equal(a.next_bits(0, 500), b.next_bits(0, 500))
 
 
 @pytest.mark.parametrize("l1", [3, 4, 5, 6])
 def test_reseeding_joint_period(l1):
     lf = ReseedingLfsr(l1, 1)
-    start = ref.joint_state(lf)
-    steps = 0
+    start = ref.joint_state(lf, 0)
+    t = 0
     target = ((1 << l1) - 1) ** 2
     while True:
-        lf.next_bits(1)
-        steps += 1
-        if ref.joint_state(lf) == start:
+        lf.next_bits(t, 1)
+        t += 1
+        if ref.joint_state(lf, t) == start:
             break
-        assert steps <= target
-    assert steps == target
+        assert t <= target
+    assert t == target
 
 
 def test_error_vector_mean_weight():
     lf = ReseedingLfsr(9, 333)
-    weights = [int(lf.next_bits(258).sum()) for _ in range(1000)]
+    weights = [int(lf.next_bits(258 * j, 258).sum()) for j in range(1000)]
     assert abs(np.mean(weights) - 129) <= 10
 
 
 def test_error_vector_deterministic():
     a = ReseedingLfsr(9, 7)
     b = ReseedingLfsr(9, 7)
-    assert np.array_equal(a.next_bits(258), b.next_bits(258))
+    assert np.array_equal(a.next_bits(0, 258), b.next_bits(0, 258))
 
 
 def test_permutation_q7_is_state_sequence():
@@ -190,26 +190,43 @@ def _seed(length):
 @given(st.sampled_from(SMALL_LENGTHS + REFERENCE_LENGTHS), st.data())
 def test_next_bits_matches_reference_from_any_phase(length, data):
     new, old = _pair(length, data.draw(_seed(length)))
+    t = 0
     for count in data.draw(st.lists(st.integers(0, 600), min_size=1, max_size=6)):
-        assert np.array_equal(new.next_bits(count), old.next_bits(count))
-        assert ref.joint_state(new) == ref.joint_state(old)
+        assert np.array_equal(new.next_bits(t, count), old.next_bits(count))
+        t += count
+        assert ref.joint_state(new, t) == old.joint_state()
 
 
 @pytest.mark.parametrize("length", SMALL_LENGTHS)
 def test_seek_matches_replay_at_every_position(length):
-    """Every t across three joint periods, two seeds."""
+    """Every t across three joint periods, two seeds: the registers after an
+    empty draw at t, then the bits from t."""
     total = 3 * ((1 << length) - 1) ** 2
     k = 2 * length + 1
     for seed in (1, (1 << length) - 1):
         new, old = _pair(length, seed)
         states, bits = [], []
         for _ in range(total + k):
-            states.append(ref.joint_state(old))
+            states.append(old.joint_state())
             bits.append(old.next_bit())
         for t in range(total):
-            new.seek(t)
-            assert ref.joint_state(new) == states[t], t
-            assert new.next_bits(k).tolist() == bits[t : t + k], t
+            new.next_bits(t, 0)
+            assert ref.joint_state(new, t) == states[t], t
+            assert new.next_bits(t, k).tolist() == bits[t : t + k], t
+
+
+@pytest.mark.parametrize("length", SMALL_LENGTHS)
+def test_reference_seek_matches_its_replay(length):
+    """The oracle's seek, which skips what reseeds overwrite and steps the
+    main register back past half a segment, against its own bit-by-bit
+    replay at every t of one joint period and a segment past it."""
+    segment = (1 << length) - 1
+    _, replay = _pair(length, segment)
+    _, seeker = _pair(length, segment)
+    for t in range(segment * (segment + 1)):
+        seeker.seek(t)
+        assert seeker.joint_state() == replay.joint_state(), t
+        replay.next_bit()
 
 
 REPLAY_BITS = 100_000 + 600
@@ -222,7 +239,7 @@ def _replayed(length, seed):
     _, old = _pair(length, seed)
     states, bits = [], []
     for _ in range(REPLAY_BITS):
-        states.append(ref.joint_state(old))
+        states.append(old.joint_state())
         bits.append(old.next_bit())
     return states, np.array(bits, dtype=np.uint8)
 
@@ -234,9 +251,9 @@ def test_seek_matches_replay_at_reference_lengths(length, which, t, count):
     seed = REPLAY_SEEDS[length][which]
     states, bits = _replayed(length, seed)
     new, _ = _pair(length, seed)
-    new.seek(t)
-    assert ref.joint_state(new) == states[t]
-    assert np.array_equal(new.next_bits(count), bits[t : t + count])
+    new.next_bits(t, 0)
+    assert ref.joint_state(new, t) == states[t]
+    assert np.array_equal(new.next_bits(t, count), bits[t : t + count])
 
 
 @settings(deadline=None, max_examples=150)
@@ -246,11 +263,40 @@ def test_seek_then_step_equals_seek_further(length, data, a, b, k):
     seed = data.draw(_seed(length))
     first, _ = _pair(length, seed)
     second, _ = _pair(length, seed)
-    first.seek(a)
-    tail = first.next_bits(b + k)[b:]
-    second.seek(a + b)
-    assert np.array_equal(second.next_bits(k), tail)
-    assert ref.joint_state(second) == ref.joint_state(first)
+    tail = first.next_bits(a, b + k)[b:]
+    assert np.array_equal(second.next_bits(a + b, k), tail)
+    assert ref.joint_state(second, a + b + k) == ref.joint_state(first, a + b + k)
+
+
+def _position(length, top):
+    """A bit t in [0, top]: anywhere, where the oracle's seek stays short
+    (lengths up to 11), or within 600 bits of a reseed."""
+    segment = (1 << length) - 1
+    near = st.builds(lambda r, d: max(r * segment + d, 0),
+                     st.integers(0, top // segment), st.integers(-600, 600))
+    return st.one_of(st.integers(0, top), near) if length <= 11 else near
+
+
+@pytest.mark.parametrize("length", SMALL_LENGTHS + REFERENCE_LENGTHS + N1496_LENGTHS)
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_positional_draws_match_a_fresh_reference(length, data):
+    """Any sequence of next_bits(t, count) on one stream: out of order,
+    repeated, resuming where the last draw ended, across reseeds, and with
+    t up to 2^64 n at n = 258.  Each draw is bits [t, t + count) of a fresh
+    bit-serial oracle."""
+    seed = data.draw(_seed(length))
+    stream, _ = _pair(length, seed)
+    starts, end = [0], 0
+    for _ in range(data.draw(st.integers(1, 6))):
+        t = data.draw(st.one_of(_position(length, (1 << 64) * 258), st.sampled_from(starts),
+                                st.just(end)))
+        count = data.draw(st.integers(0, 600))
+        _, oracle = _pair(length, seed)
+        oracle.seek(t)
+        assert np.array_equal(stream.next_bits(t, count), oracle.next_bits(count)), (t, count)
+        starts.append(t)
+        end = t + count
 
 
 @settings(deadline=None, max_examples=60)
