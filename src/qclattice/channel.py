@@ -121,8 +121,8 @@ def point_sigmas(key: SecretKey, spec: SweepSpec) -> list:
 def _cipher_link(key):
     """(send, receive) of the full cipher through a transmit and a receive session.
 
-    Both seek frame t for trial t (the stream restarts per point), so a
-    receiver that fails early cannot shift the frames of later trials.
+    Both name counter t for trial t (the stream restarts per point), so a
+    failed receive cannot shift later trials; two sessions never jump back.
     """
     n, L = key.params.n, key.params.L
     tx, rx = CipherSession(key), CipherSession(key)
@@ -131,14 +131,9 @@ def _cipher_link(key):
         m = np.empty(n, dtype=np.int64)
         m[0::2] = rng.integers(0, L, size=n // 2)
         m[1::2] = rng.integers(-L, 0, size=n // 2)
-        tx.advance_to(t)
-        return m, tx.encrypt_joint(m).y
+        return m, tx.encrypt_joint(m, counters=t).y
 
-    def receive(r, sigma, t):
-        rx.advance_to(t)
-        return rx.decrypt_joint(r, sigma)
-
-    return send, receive
+    return send, lambda r, sigma, t: rx.decrypt_joint(r, sigma, counters=t)
 
 
 def _lattice_link(ctx, cfg):

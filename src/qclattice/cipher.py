@@ -7,19 +7,19 @@ integer message up to ``CipherParams.raw_bound`` and maps it with
 encode/encode_inverse; joint mode takes a transmit-constellation message
 and maps it with shape/mod_recover, so the ciphertext doubles as a
 power-constrained channel codeword.  Decryption returns only messages its
-encrypt takes: a frame off that message space raises NotInLattice.  A
-session's one keystream position is its frame counter, which addresses
-every material stream (error vector, control line, block permutation) as
-in counter mode.  A receiver sets it to the counter of each frame it
-sees, forward or back, and the draw reaches that frame in O(log j) time,
-so missing, repeated and reordered frames decrypt independently.
+encrypt takes: a frame off that message space raises NotInLattice.  The
+frame counter addresses every material stream (error vector, control
+line, block permutation) as in counter mode: a map takes each frame's
+counter, in any order, and the draw reaches frame j in O(log j) time, so
+missing, repeated and reordered frames decrypt independently.
 
-The pipeline runs one shape, a (B, n) block of the next B counters: a
-frame, a length-n vector, enters as a one-row block once its argument is
-checked, and leaves as that row or raises that row's error.  A block
+The pipeline runs one shape, a (B, n) block of frames at any B counters:
+a frame, a length-n vector, enters as a one-row block once its argument
+is checked, and leaves as that row or raises that row's error.  A block
 draws its material with one ``next_bits`` per LFSR stream and one
-``next_perm`` gather, and checks, masks, permutes (one gather), shapes
-and recovers all rows at once; only the NLF's x-powers and correlates
+``next_perm`` gather per run of consecutive counters, and checks, masks,
+permutes (one gather), shapes and recovers all rows at once; only the
+NLF's x-powers and correlates
 and the SPA decoder run row by row.  A block returns (result, errors): a
 row that fails leaves the block with the QclatticeError its frame raises
 alone, and the other rows go on, which is what lets the CLI stream
@@ -314,14 +314,14 @@ def _exit(frames, block, errors, wrap=lambda y: y):
 
 
 class CipherSession:
-    """Encrypt/decrypt context; a map draws the frames from the counter on and moves it past them.
+    """Encrypt/decrypt context; each map draws every frame's material at its counter.
 
-    Each map takes one frame, a length-n vector, or a (B, n) block of the
-    next B counters, and runs a frame as a one-row block.  A frame returns
-    its result or raises; a block returns (result, errors), where row i of
-    the result is frame i's (zeros where it failed) and errors[i] is None
-    or the QclatticeError that frame raises alone.  A refused argument
-    refuses the whole block.
+    Each map takes a length-n frame or a (B, n) block and its ``counters``:
+    one, or B in any order; else the next from ``counter`` on, which ends
+    past the last run drawn.  A frame returns its result or raises; a block
+    returns (result, errors): row i is frame i's result (zeros where it
+    failed), errors[i] None or the QclatticeError that frame raises alone.
+    A refused argument refuses the whole block.
     """
 
     def __init__(self, key: SecretKey):
@@ -337,19 +337,41 @@ class CipherSession:
     # --- rotating material -------------------------------------------------
 
     def _frame_material(self, rows: int):
-        """(counter, e (rows, n), h (rows, d), permutation of (rows, n) blocks) from the counter on.
+        """(counter, e (rows, n), h (rows, d), permutation of (rows, n) blocks): one _material run.
 
-        Frame j's material starts at bit j*n of the error stream, bit j*d of
-        the control stream and frame j of the permutation stream.  Each draw
-        is positional: a stream whose last draw did not end there jumps from
-        its seed in O(log j) multiplications, so a crafted u64 counter costs
-        about as much as a near one.
+        The run starts at the counter; frame j's material starts at bit j*n
+        of the error stream, bit j*d of the control stream and frame j of the
+        permutation stream.  Each draw is positional: a stream whose last draw
+        did not end there jumps from its seed in O(log j) multiplications, so
+        a crafted u64 counter costs about as much as a near one.
         """
         p, j = self.params, self.counter
         e = self.e_lfsr.next_bits(j * p.n, rows * p.n).astype(np.int64).reshape(rows, p.n)
         h = self.h_lfsr.next_bits(j * p.d, rows * p.d).reshape(rows, p.d)
         self.counter = j + rows
         return j, e, h, BlockPermutation(p.q, self.perm_stream.next_perm(j, rows))
+
+    def _material(self, frames: np.ndarray, counters):
+        """_frame_material's tuple for the rows of frames at their counters, checked first
+        as advance_to checks one: one draw per run of consecutive counters, in row order."""
+        rows = len(frames) if frames.ndim == 2 else 1
+        if counters is None:
+            counters = range(self.counter, self.counter + rows)
+        elif frames.ndim == 1:  # a frame takes one counter
+            counters = [counters]
+        if not hasattr(counters, "__len__") or len(counters) != rows:
+            raise InvalidParams(f"a block of {rows} frames needs {rows} frame counters")
+        counters = [integer(c, "frame counter", 0) for c in counters]
+        cuts = [i for i in range(1, rows) if counters[i] != counters[i - 1] + 1]
+        parts = []
+        for a, b in zip([0] + cuts, cuts + [rows]):
+            self.counter = counters[a] if rows else self.counter
+            parts.append(self._frame_material(b - a))
+        if len(parts) == 1:
+            return parts[0]
+        j, e, h, perms = zip(*parts)
+        perm = BlockPermutation(self.params.q, np.concatenate([p.blocks for p in perms]))
+        return j[0], np.concatenate(e), np.concatenate(h), perm
 
     def advance_to(self, frame: int):
         """Set the frame counter, ahead or behind; frame: an integer >= 0."""
@@ -362,7 +384,7 @@ class CipherSession:
         sym = _fold(int_vector(m, self.params.n, "message", rows=True))
         _check_symbols(sym, self.params.L, ConstellationViolation)
 
-    def _encrypt(self, m, joint: bool):
+    def _encrypt(self, m, joint: bool, counters):
         """Every check runs before the material draw: a refusal uses no counter value."""
         p = self.params
         m = int_vector(m, p.n, "message", rows=True)
@@ -370,15 +392,14 @@ class CipherSession:
             _check_symbols(_fold(m), p.L, ConstellationViolation)
         elif (m > p.raw_bound).any() or (m < -p.raw_bound).any():
             raise InvalidParams(f"raw message coordinate beyond +-{p.raw_bound}")
-        block = m.reshape(-1, p.n)  # a frame enters as a one-row block
-        j, e, h, perm = self._frame_material(len(block))
-        rows = _Rows(len(block), p.n)
-        x = self.nlf.apply_f(block + (1 - e), h)
+        j, e, h, perm = self._material(m, counters)
+        rows = _Rows(len(e), p.n)  # a frame enters as a one-row block
+        x = self.nlf.apply_f(m + (1 - e), h)
         lam = rows.at(self.lattice.shape if joint else self.lattice.encode, x)
         y = perm.apply(rows.scatter(lam + 2 * rows.pick(e)))
         return _exit(m, y, rows.errors, lambda y: Ciphertext(y=y, counter=j) if joint else y)
 
-    def _decrypt(self, y, joint: bool, sigma: float = 0.0):
+    def _decrypt(self, y, joint: bool, counters, sigma: float = 0.0):
         """Joint mode decodes a real observation, as float64, unless sigma <= 0; raw mode
         reads an exact integer ciphertext.  Both return only messages their encrypt takes."""
         p = self.params
@@ -387,10 +408,9 @@ class CipherSession:
             sigma = noise_sigma(sigma)
         else:
             y = int_vector(y, p.n, "ciphertext", NotLatticePoint, rows=True)
-        block = y.reshape(-1, p.n)  # a frame enters as a one-row block
-        _, e, h, perm = self._frame_material(len(block))
-        rows = _Rows(len(block), p.n)
-        lam = perm.apply_inverse(block) - 2 * e  # the lattice point, or its observation
+        _, e, h, perm = self._material(y, counters)
+        rows = _Rows(len(e), p.n)  # a frame enters as a one-row block
+        lam = perm.apply_inverse(y.reshape(e.shape)) - 2 * e  # a lattice point or observation
         if joint and sigma <= 0:
             lam = rows.keep(observation_ok, lam, NotLatticePoint,
                             "noiseless input is not finite, or reaches 2^52")
@@ -409,19 +429,19 @@ class CipherSession:
         m = rows.keep(space, m, NotInLattice, what)
         return _exit(y, rows.scatter(m), rows.errors)
 
-    def encrypt_joint(self, m):
-        """Ciphertext of m; for a block, one Ciphertext of (B, n) y from the first counter."""
-        return self._encrypt(m, joint=True)
+    def encrypt_joint(self, m, *, counters=None):
+        """Ciphertext of m; for a block, one Ciphertext of (B, n) y and the first row's counter."""
+        return self._encrypt(m, True, counters)
 
-    def decrypt_joint(self, r, sigma: float):
-        return self._decrypt(r, joint=True, sigma=sigma)
+    def decrypt_joint(self, r, sigma: float, *, counters=None):
+        return self._decrypt(r, True, counters, sigma)
 
-    def encrypt_raw(self, m):
+    def encrypt_raw(self, m, *, counters=None):
         """Raw mode takes any integer vector with every |m_i| <= params.raw_bound."""
-        return self._encrypt(m, joint=False)
+        return self._encrypt(m, False, counters)
 
-    def decrypt_raw(self, y):
-        return self._decrypt(y, joint=False)
+    def decrypt_raw(self, y, *, counters=None):
+        return self._decrypt(y, False, counters)
 
 
 # --- bit framing --------------------------------------------------------------

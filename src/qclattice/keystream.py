@@ -259,7 +259,7 @@ class BlockPermutation:
     """
 
     def __init__(self, q: int, perms):
-        blocks = np.asarray(perms, dtype=np.int64)
+        self.blocks = blocks = np.asarray(perms, dtype=np.int64)
         self.shape = blocks.shape[:-2] + (blocks.shape[-2] * q,)
         self.n = self.shape[-1]
         # indices into the flattened frames: block i moves within [iq, (i+1)q)

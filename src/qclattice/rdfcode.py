@@ -64,11 +64,10 @@ class QcCode:
 def _grow_block(rng: random.Random, b: int, dv: int, used: set):
     """One random block, element by element; None on a dead end.
 
-    A candidate x's new cyclic differences, both directions against each
-    element so far, form one list.  It must have no repeats, which also
-    refuses an element already placed (difference 0 twice), and no
-    difference in ``used`` or the block's own ``local``.  Candidates are
-    filtered exactly, then sampled uniformly.
+    A candidate x's cyclic differences, both directions against each element
+    so far, must all be new: x is refused at the first in ``used``, in the
+    block's own ``local`` or repeated (a placed x repeats difference 0).
+    Candidates are filtered exactly, then sampled uniformly.
     """
     ys: list = []
     local: set = set()
@@ -78,8 +77,11 @@ def _grow_block(rng: random.Random, b: int, dv: int, used: set):
         for x in range(b):
             new = []
             for y in ys:
-                new += ((x - y) % b, (y - x) % b)
-            if taken.isdisjoint(new) and len(set(new)) == len(new):
+                up, down = (x - y) % b, (y - x) % b
+                if up in taken or down in taken or up == down or up in new or down in new:
+                    break
+                new += (up, down)
+            else:
                 allowed.append((x, new))
         if not allowed:
             return None

@@ -22,7 +22,7 @@ from conftest import deadline, random_message
 from qclattice import CipherSession
 from qclattice.cipher import frame_capacity_bytes, pack_bits, save_key, unpack_bits
 from qclattice.cli import BLOCK_FRAMES, main
-from qclattice.errors import FormatError, NotInLattice, QclatticeError
+from qclattice.errors import FormatError, InvalidParams, NotInLattice, QclatticeError
 from qclattice.formats import FrameReader, FrameWriter
 from qclattice.lattice import LatticeCtx
 
@@ -190,6 +190,51 @@ def test_noisy_rows_fail_alone(toy_key, data):
             assert errors[i] is None and np.array_equal(got[i], m[i]), i
 
 
+def _counter_lists(n, segment):
+    """Lists of frame counters: runs up, down or in place (duplicates), with gaps between
+    them, near 0, near 2^64 - 1, anywhere, or at a frame whose bits cross a reseed of an
+    error stream of that segment length."""
+    last = 2**64 - 1
+    start = st.one_of(
+        st.integers(0, 200), st.integers(last - 200, last), st.just(last),
+        st.integers(0, last),
+        st.integers(1, last * n // segment).map(lambda k: k * segment // n),
+    )
+    run = st.tuples(start, st.integers(1, 6), st.sampled_from([1, -1, 0]))
+    return st.lists(run, min_size=1, max_size=5).map(lambda runs: [
+        min(max(j + step * i, 0), last) for j, size, step in runs for i in range(size)])
+
+
+@BLOCKS
+@given(st.data())
+def test_any_counter_list_matches_frame_by_frame(toy_key, data):
+    p = toy_key.params
+    counters = data.draw(_counter_lists(p.n, 2**p.l1 - 1), label="counters")
+    count = len(counters)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    bad = data.draw(st.sets(st.integers(0, count - 1)), label="corrupted rows")
+    m = np.stack([random_message(rng, p.n, p.L) for _ in range(count)])
+    for mode in ("joint", "raw"):
+        enc, dec = f"encrypt_{mode}", f"decrypt_{mode}"
+        want = np.stack([_alone(toy_key, j, enc, row) for j, row in zip(counters, m)])
+        session = CipherSession(toy_key)
+        out, errors = getattr(session, enc)(m, counters=counters)
+        if mode == "joint":
+            assert out.counter == counters[0]
+            out = out.y
+        assert errors == (None,) * count and np.array_equal(out, want), mode
+        y = want.astype(np.float64 if mode == "joint" else np.int64)
+        y[sorted(bad), 3] += 2  # fails alone, at its own counter
+        extra = (0.0,) if mode == "joint" else ()
+        got, errors = getattr(session, dec)(y, *extra, counters=counters)
+        for i, j in enumerate(counters):
+            alone = _outcome(lambda: _alone(toy_key, j, dec, y[i], *extra))
+            row = got[i] if errors[i] is None else (type(errors[i]), str(errors[i]))
+            assert _same(row, alone), (mode, i, j)
+            if i not in bad:
+                assert np.array_equal(row, m[i]), (mode, i, j)
+
+
 def test_a_block_refused_argument_uses_no_counter_value(toy_key):
     p = toy_key.params
     m = np.stack([random_message(np.random.default_rng(i), p.n, p.L) for i in range(3)])
@@ -198,6 +243,17 @@ def test_a_block_refused_argument_uses_no_counter_value(toy_key):
     with pytest.raises(QclatticeError, match="odd-pair"):
         session.encrypt_joint(m)
     assert session.counter == 0
+    m[2, 1] = -1
+    blocks = {"encrypt_joint": (m,), "encrypt_raw": (m,),
+              "decrypt_joint": (session.encrypt_joint(m)[0].y.astype(np.float64), 0.0),
+              "decrypt_raw": (session.encrypt_raw(m)[0],)}
+    session.advance_to(0)
+    # the wrong length, then a negative, bool, float and str entry
+    for counters in ([0, 1], [0, 1, 2, 3], [5, -1, 6], [5, True, 6], [5, 1.0, 6], [5, "1", 6]):
+        for method, args in blocks.items():
+            with pytest.raises(InvalidParams, match="frame counter"):
+                getattr(session, method)(*args, counters=counters)
+            assert session.counter == 0, (method, counters)
 
 
 def _found_message(n):

@@ -201,9 +201,9 @@ def test_sweeps_share_one_failure_policy(toy_key, monkeypatch, sweep, exc):
     real = getattr(owner, name)
     calls = []
 
-    def receive(*args):
+    def receive(*args, **kwargs):
         # a real failure comes after the frame's keystream material is drawn
-        out = real(*args)
+        out = real(*args, **kwargs)
         calls.append(args)
         if len(calls) == 4:
             raise exc("planted")
@@ -227,11 +227,11 @@ def test_cipher_sweep_receiver_seeks_to_each_trial(toy_key, monkeypatch):
     real = CipherSession.decrypt_joint
     calls = []
 
-    def receive(self, r, sigma):
-        calls.append(self.counter)
+    def receive(self, r, sigma, *, counters):
+        calls.append(counters)
         if len(calls) == 1:
             raise DecodeFailure("planted")
-        return real(self, r, sigma)
+        return real(self, r, sigma, counters=counters)
 
     monkeypatch.setattr(CipherSession, "decrypt_joint", receive)
     assert run_sweep(toy_key, spec, workers=1) == [(12.0, 1 / 6, 1 / 6, 6, 3)]

@@ -221,12 +221,13 @@ def test_simulate_bad_workers_variable_creates_no_output(tmp_path, capsys, keyfi
     assert not csv.exists()
 
 
-def fresh_python(*argv):
-    """Run a fresh interpreter that imports this checkout's qclattice."""
+def fresh_python(*argv, cwd=None, executable=sys.executable, **env):
+    """Run a fresh interpreter, or another executable, that imports this checkout's
+    qclattice, in cwd with env added to the environment."""
     src = str(Path(qclattice.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *argv], env=env,
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **env)
+    return subprocess.run([executable, *argv], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
 
 

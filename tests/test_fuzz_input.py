@@ -353,6 +353,33 @@ def _advanced(frame):
     return session.counter, session.encrypt_joint(MESSAGE)
 
 
+# each map's valid input at counter 2, and the arguments after it
+MAPS = {
+    "encrypt_joint": (MESSAGE,), "encrypt_raw": (MESSAGE,),
+    "decrypt_joint": (CipherSession(KEY).encrypt_joint(MESSAGE, counters=2).y.astype(np.float64),
+                      0.0),
+    "decrypt_raw": (CipherSession(KEY).encrypt_raw(MESSAGE, counters=2),),
+}
+
+
+def _counted(method, block=False):
+    """method of its valid frame at the counter v, or of a block of that frame twice at
+    counters [2, v], from a session at counter 2; a v it refuses uses no counter value."""
+    frame, *extra = MAPS[method]
+
+    def call(v):
+        session = CipherSession(KEY)
+        session.advance_to(2)
+        try:
+            if block:
+                return getattr(session, method)(np.stack([frame] * 2), *extra, counters=[2, v])
+            return getattr(session, method)(frame, *extra, counters=v)
+        except InvalidParams:
+            assert session.counter == 2
+            raise
+    return call
+
+
 def _frame_writer(n):
     buf = io.BytesIO()
     return FrameWriter(buf, n, KEY.digest()).n, buf.getvalue()
@@ -451,7 +478,11 @@ SCALAR_SITES = {
     "circulants.b": (lambda v: circulants(v, [1, 2]).tolist(), PARAMS.b, InvalidParams),
     "circulants.row": (lambda v: circulants(PARAMS.b, [1, v]).tolist(), 5, InvalidParams),
     "wilson_interval.trials": (lambda v: wilson_interval(1, v), 4, InvalidParams),
+    **{f"{m}.counters": (_counted(m), 2, InvalidParams) for m in MAPS},
+    **{f"{m}.block_counters": (_counted(m, block=True), 2, InvalidParams) for m in MAPS},
 }
+# None is the default of these sites: $QCLATTICE_WORKERS, else 1, or from the counter on
+NONE_IS_DEFAULT = {"run_sweep.workers", *(f"{m}.counters" for m in MAPS)}
 
 SCALAR_BAD = {
     "fraction": 2.5,
@@ -467,8 +498,8 @@ SCALAR_BAD = {
 @pytest.mark.parametrize("site", sorted(SCALAR_SITES))
 def test_scalar_refusal_matrix(site, case):
     call, _, error = SCALAR_SITES[site]
-    if (site, case) == ("run_sweep.workers", "none"):
-        call(None)  # the default: $QCLATTICE_WORKERS, else 1
+    if site in NONE_IS_DEFAULT and case == "none":
+        call(None)
         return
     with pytest.raises(error):
         call(SCALAR_BAD[case])
@@ -519,6 +550,7 @@ def test_scalar_sites_take_numpy_integers_as_python_ints(site):
     ("circulants.row", -1),
     ("circulants.row", 1 << PARAMS.b),  # spilled into its neighbour's bits
     ("wilson_interval.trials", -2),  # (3.26, -0.08): lower above upper
+    *((f"{m}.{form}", -1) for m in MAPS for form in ("counters", "block_counters")),
 ])
 def test_scalar_range_refusals(site, value):
     call, _, error = SCALAR_SITES[site]
@@ -535,6 +567,16 @@ def test_negative_stream_positions_and_counts_are_refused(site, value):
     # permutation frame of -1 wrapped to the last frame of the period
     with pytest.raises(InvalidParams, match="must be an integer in \\[0, inf\\)"):
         SCALAR_SITES[site][0](value)
+
+
+@pytest.mark.parametrize("counters", [[2], [2, 2, 2], 2, "2"], ids=["1", "3", "int", "str"])
+@pytest.mark.parametrize("method", sorted(MAPS))
+def test_block_counters_of_the_wrong_length_are_refused(method, counters):
+    frame, *extra = MAPS[method]
+    session = CipherSession(KEY)
+    with pytest.raises(InvalidParams, match="^a block of 2 frames needs 2 frame counters$"):
+        getattr(session, method)(np.stack([frame] * 2), *extra, counters=counters)
+    assert session.counter == 0
 
 
 @pytest.mark.parametrize("sign", [1, -1])
